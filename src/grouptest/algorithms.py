@@ -53,9 +53,9 @@ def binary_search(oracle, candidates: Sequence[int]) -> SearchResult:
 
     The list is conceptually padded at the end with dummy non-defective items
     to a power of two; dummies never reach the oracle, so each step tests only
-    the real members of the current first half (always non-empty).
+    the real members of the current first half (always non-empty). Each pool
+    is a slice of `candidates`, so a `range` yields range pools.
     """
-    candidates = list(candidates)
     b = len(candidates)
     if b == 0:
         raise ValueError("binary search needs a non-empty candidate list")
@@ -96,7 +96,7 @@ def hgbsa(oracle, n: int, k: int) -> RunResult:
     positive is binary-searched. Falls back to individual testing once
     m <= 2k'-2. Never exceeds ceil(log2 C(n,k)) + k tests.
     """
-    candidates = list(range(n))
+    candidates = range(n)  # always a suffix of the item order
     found: list[int] = []
     kp = k
     while candidates:
@@ -107,26 +107,26 @@ def hgbsa(oracle, n: int, k: int) -> RunResult:
             found.extend(candidates)
             break
         if m <= 2 * kp - 2:
-            item = candidates.pop(0)
-            if oracle.test((item,)) is Outcome.POSITIVE:
-                found.append(item)
+            if oracle.test(candidates[:1]) is Outcome.POSITIVE:
+                found.append(candidates[0])
                 kp -= 1
+            candidates = candidates[1:]
             continue
         # floor(log2((m-k'+1)/k')) in exact integer arithmetic
         alpha = ((m - kp + 1) // kp).bit_length() - 1
         group = candidates[:1 << alpha]
         if oracle.test(group) is Outcome.NEGATIVE:
-            del candidates[:len(group)]
+            candidates = candidates[len(group):]
         else:
             res = binary_search(oracle, group)
             found.append(res.found)
             kp -= 1
-            del candidates[:len(res.cleared) + 1]
+            candidates = candidates[len(res.cleared) + 1:]
     return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used)
 
 
-def hwang_variant(oracle, n: int, k: int, *, shifted_group_size: bool = False,
-                  keep_found_in_pool: bool = False) -> RunResult:
+def hwang_variant(oracle, n: int, k: int, *,
+                  shifted_group_size: bool = False) -> RunResult:
     """Tightened splitting variant: k rounds, each a run of negative tests on
     groups sized so a negative has probability just under 1/2, ended by a
     positive test that is binary-searched.
@@ -134,11 +134,9 @@ def hwang_variant(oracle, n: int, k: int, *, shifted_group_size: bool = False,
     Group size is ceil(N * (1 - 2^(-1/K'))) clamped to [1, N - K'], where N
     counts current possible defectives and K' the defectives still hidden.
     `shifted_group_size` subtracts (K'-1) before clamping (the alternative
-    published form); `keep_found_in_pool` retains the identified defective in
-    the possible-defective pool (for bookkeeping comparison only; it breaks
-    exact recovery and is not used by the harness).
+    published form).
     """
-    possible = list(range(n))
+    possible = range(n)  # always a suffix of the item order
     found: list[int] = []
     trace: list[RoundRecord] = []
     i = 1
@@ -161,14 +159,13 @@ def hwang_variant(oracle, n: int, k: int, *, shifted_group_size: bool = False,
             rec.group_sizes.append(b)
             group = possible[:b]
             if oracle.test(group) is Outcome.NEGATIVE:
-                del possible[:b]
+                possible = possible[b:]
                 rec.negatives_in_round += 1
             else:
                 res = binary_search(oracle, group)
                 found.append(res.found)
                 rec.leftmost_offset = len(res.cleared)
-                drop = len(res.cleared) if keep_found_in_pool else len(res.cleared) + 1
-                del possible[:drop]
+                possible = possible[len(res.cleared) + 1:]
                 break
         i += 1
     return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used,

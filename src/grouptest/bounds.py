@@ -12,9 +12,9 @@ from typing import Optional
 
 LN2 = math.log(2.0)
 
-# Exact integer binomials are cheap up to here; beyond, log-gamma is accurate
-# to ~1e-14 relative error, well inside the 1e-9 contract.
-_EXACT_N_MAX = 60
+# log2_binom uses exact integer binomials up to this min(k, n-k), where they
+# cost microseconds; beyond it, log-gamma stays within 1e-9 for n <= 1e8.
+_EXACT_K_MAX = 64
 
 
 class NoiseKind(str, Enum):
@@ -79,13 +79,14 @@ def ceil_log2(m: int) -> int:
 def log2_binom(size: ProblemSize) -> float:
     """log2 of the binomial coefficient C(n, k), in bits.
 
-    Exact integer arithmetic for small n, log-gamma above; both agree to
-    well under 1e-9 relative error on the overlap.
+    Computed from k' = min(k, n-k), so C(n, k) and C(n, n-k) agree exactly.
+    Exact integer arithmetic for small k', where log-gamma would cancel;
+    log-gamma otherwise, within 1e-9 relative error for n <= 1e8.
     """
-    n, k = size.n, size.k
-    if k == 0 or k == n:
+    n, k = size.n, min(size.k, size.n - size.k)
+    if k == 0:
         return 0.0
-    if n <= _EXACT_N_MAX:
+    if k <= _EXACT_K_MAX:
         return math.log2(math.comb(n, k))
     return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
 

@@ -1,11 +1,13 @@
 """The testing world: hidden defective sets, pooled-test truth, noise
 channels, and the metered oracle every algorithm talks to.
 
-Pools are plain tuples/sequences of 0-based item indices; defective sets are
-frozensets. One oracle serves one trial and is never shared.
+Pools are sequences of 0-based item indices, and a contiguous pool is best
+passed as a `range`; defective sets are frozensets. One oracle serves one
+trial and is never shared.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -43,14 +45,21 @@ def make_rng(master: int, stream: int = 0) -> np.random.Generator:
 
 
 def sample_defective_set(n: int, k: int, rng: np.random.Generator) -> frozenset:
-    """Uniformly random k-subset of {0, ..., n-1} via partial Fisher-Yates."""
+    """Uniformly random k-subset of {0, ..., n-1} via partial Fisher-Yates.
+
+    The swaps are kept in a dict, so the cost is O(k), not O(n). The k bounded
+    draws come from one vectorised call, which yields the same values and
+    leaves the generator in the same state as k scalar draws.
+    """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    idx = list(range(n))
-    for i in range(k):
-        j = i + int(rng.integers(n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return frozenset(idx[:k])
+    moved: dict[int, int] = {}
+    chosen = []
+    for i, d in enumerate(rng.integers(n - np.arange(k)).tolist()):
+        j = i + d
+        chosen.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return frozenset(chosen)
 
 
 def truth_outcome(pool: Iterable[int], truth: frozenset) -> Outcome:
@@ -61,15 +70,8 @@ def truth_outcome(pool: Iterable[int], truth: frozenset) -> Outcome:
     return Outcome.POSITIVE if not truth.isdisjoint(pool) else Outcome.NEGATIVE
 
 
-def apply_noise(out: Outcome, model: NoiseModel, rng: np.random.Generator) -> Outcome:
-    """Push a raw outcome through the noise channel.
-
-    Always consumes exactly one RNG variate, even for the noiseless channel,
-    so transcripts stay aligned across noise models under a shared seed.
-    """
-    if out is Outcome.ERASED:
-        raise ValueError("noise channels apply to raw outcomes only, not ERASED")
-    u = rng.random()
+def _channel(out: Outcome, u: float, model: NoiseModel) -> Outcome:
+    """The noise channel applied to a raw outcome, given its uniform u."""
     kind = model.kind
     if kind is NoiseKind.NOISELESS:
         return out
@@ -85,11 +87,36 @@ def apply_noise(out: Outcome, model: NoiseModel, rng: np.random.Generator) -> Ou
     return out
 
 
+def apply_noise(out: Outcome, model: NoiseModel, rng: np.random.Generator) -> Outcome:
+    """Push a raw outcome through the noise channel.
+
+    Always consumes exactly one RNG variate, `rng.random()`, even for the
+    noiseless channel, so transcripts stay aligned across noise models under
+    a shared seed. `TestOracle` applies the same channel to the same stream
+    of uniforms, one per test.
+    """
+    if out is Outcome.ERASED:
+        raise ValueError("noise channels apply to raw outcomes only, not ERASED")
+    return _channel(out, rng.random(), model)
+
+
+_BLOCK = 256  # noise uniforms drawn per refill
+
+
 class TestOracle:
     """Meters and records every pooled test for one trial.
 
     The only channel by which algorithms learn anything about the hidden
-    defective set.
+    defective set. The contract:
+
+    - A `range` pool with step 1 is tested by bisecting the sorted truth, in
+      O(log k), and the range itself is stored in the transcript. Any other
+      pool is copied to a tuple and checked item by item.
+    - Test j (0-based) is pushed through the noise channel with the j-th
+      uniform of `rng`, as if `apply_noise` had been called once per test.
+    - The uniforms are drawn `rng.random(256)` at a time, so after the last
+      test `rng` may sit up to 255 draws further on. Do not draw from `rng`
+      once it is handed to the oracle.
     """
 
     def __init__(self, n: int, truth: Iterable[int], noise: NoiseModel,
@@ -102,13 +129,24 @@ class TestOracle:
         self.noise = noise
         self.rng = rng
         self.tests_used = 0
-        self.transcript: list[tuple[tuple, Outcome]] = []
+        self.transcript: list[tuple[Sequence[int], Outcome]] = []
+        self._sorted_truth = sorted(truth)
+        self._uniforms: list[float] = []
 
     def test(self, pool: Sequence[int]) -> Outcome:
-        pool = tuple(pool)
+        if type(pool) is range and pool.step == 1:
+            i = bisect_left(self._sorted_truth, pool.start)
+            hit = i < len(self._sorted_truth) and self._sorted_truth[i] < pool.stop
+        else:
+            pool = tuple(pool)
+            hit = not self.truth.isdisjoint(pool)
         if not pool:
             raise ValueError("cannot test an empty pool")
-        out = apply_noise(truth_outcome(pool, self.truth), self.noise, self.rng)
+        j = self.tests_used % _BLOCK
+        if j == 0:
+            self._uniforms = self.rng.random(_BLOCK).tolist()
+        out = _channel(Outcome.POSITIVE if hit else Outcome.NEGATIVE,
+                       self._uniforms[j], self.noise)
         self.tests_used += 1
         self.transcript.append((pool, out))
         return out

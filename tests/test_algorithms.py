@@ -164,17 +164,6 @@ class TestHwangVariant:
             res = hwang_variant(o, 11, 2, shifted_group_size=True)
             assert res.estimate == truth
 
-    def test_keep_found_bookkeeping_convention(self):
-        # alternative convention: only the cleared prefix leaves the pool
-        o = noiseless_oracle(60, {7, 30, 55})
-        res = hwang_variant(o, 60, 3, keep_found_in_pool=True)
-        trace = res.round_trace
-        if len(trace) >= 2:
-            prev, nxt = trace[0], trace[1]
-            negatives_removed = sum(prev.group_sizes[:-1])
-            assert nxt.start_possible == (prev.start_possible - negatives_removed
-                                          - prev.leftmost_offset)
-
     def test_no_defective_removed_by_negative(self):
         for truth in exhaustive_truths(12, 3):
             o = noiseless_oracle(12, truth)

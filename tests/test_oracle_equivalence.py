@@ -1,0 +1,178 @@
+"""Equivalence gate for the interval oracle.
+
+`PoolOracle` below is the reference: every pool copied to a tuple, checked
+with `truth_outcome`, and pushed through `apply_noise` with one scalar draw
+per test. Every algorithm, under every noise kind, must behave test for test
+the same against `TestOracle` (range pools by bisect, block-drawn uniforms)
+as against the reference, and the sparse sampler must match a dense
+Fisher-Yates draw for draw.
+"""
+import hashlib
+
+import pytest
+
+from grouptest import harness
+from grouptest.algorithms import (
+    binary_search,
+    comp_run,
+    erasure_retry,
+    hgbsa,
+    hwang_variant,
+    repeated_binary_testing,
+)
+from grouptest.bounds import NoiseKind, NoiseModel, ProblemSize
+from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
+from grouptest.model import (
+    TestOracle,
+    apply_noise,
+    make_rng,
+    sample_defective_set,
+    truth_outcome,
+)
+
+
+class PoolOracle:
+    """Reference oracle with tuple pools and one scalar noise draw per test."""
+
+    def __init__(self, n, truth, noise, rng):
+        self.n = n
+        self.truth = frozenset(truth)
+        self.noise = noise
+        self.rng = rng
+        self.tests_used = 0
+        self.transcript = []
+
+    def test(self, pool):
+        pool = tuple(pool)
+        out = apply_noise(truth_outcome(pool, self.truth), self.noise, self.rng)
+        self.tests_used += 1
+        self.transcript.append((pool, out))
+        return out
+
+
+def dense_fisher_yates(n, k, rng):
+    idx = list(range(n))
+    for i in range(k):
+        j = i + int(rng.integers(n - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return frozenset(idx[:k])
+
+
+def as_sets(transcript):
+    return [(frozenset(pool), out) for pool, out in transcript]
+
+
+def settle(fn):
+    """fn()'s value, or the type of the exception it raised. Without retry, a
+    noisy channel can drive binary search past its list; both oracles must
+    then fail the same way."""
+    try:
+        return fn()
+    except (ValueError, IndexError) as e:
+        return type(e)
+
+
+NOISES = {
+    "noiseless": NoiseModel.noiseless(),
+    "erasure": NoiseModel.erasure(0.3),
+    "symmetric": NoiseModel.symmetric(0.1),
+    "additive": NoiseModel.additive(0.1),
+}
+
+
+def run_both(run, n, k, noise, seed):
+    """Run `run(oracle)` against a fresh TestOracle and a fresh PoolOracle
+    sharing a truth and a noise stream, and check they agree: the same
+    estimate, tests_used and transcript, or the same exception."""
+    truth = sample_defective_set(n, k, make_rng(seed, 0))
+    seen = []
+    for cls in (TestOracle, PoolOracle):
+        oracle = cls(n, truth, noise, make_rng(seed, 1))
+        res = settle(lambda: run(oracle))
+        if not isinstance(res, type):
+            assert res.tests_used == oracle.tests_used
+            res = (res.estimate, res.tests_used)
+        seen.append((res, oracle.tests_used, as_sets(oracle.transcript)))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("n,k", [(500, 10), (9699, 30), (100000, 71), (100, 5),
+                                 (10, 10), (5, 0), (1, 1)])
+def test_sampler_matches_dense_fisher_yates(n, k):
+    for seed in range(100):
+        a, b = make_rng(seed, 4), make_rng(seed, 4)
+        assert sample_defective_set(n, k, a) == dense_fisher_yates(n, k, b)
+        assert a.random() == b.random()  # same generator state afterwards
+
+
+@pytest.mark.parametrize("noise", list(NOISES))
+def test_binary_search_equivalent(noise):
+    for seed in range(150):
+        b = 1 + seed % 97
+        truth = sample_defective_set(b, 1 + seed % min(b, 4), make_rng(seed, 0))
+        results = []
+        for cls in (TestOracle, PoolOracle):
+            oracle = cls(b, truth, NOISES[noise], make_rng(seed, 1))
+            results.append((settle(lambda: binary_search(oracle, range(b))),
+                            as_sets(oracle.transcript)))
+        assert results[0] == results[1]
+
+
+ADAPTIVE = {"hgbsa": hgbsa, "variant": hwang_variant, "rbt": repeated_binary_testing}
+
+
+@pytest.mark.parametrize("noise", list(NOISES))
+@pytest.mark.parametrize("alg", list(ADAPTIVE))
+@pytest.mark.parametrize("n,k", [(60, 4), (500, 10)])
+def test_adaptive_equivalent(alg, noise, n, k):
+    inner = ADAPTIVE[alg]
+    model = NOISES[noise]
+    for seed in range(60):
+        if model.kind is NoiseKind.ERASURE:
+            run_both(lambda o: erasure_retry(inner, o, n, k), n, k, model, seed)
+        else:
+            run_both(lambda o: inner(o, n, k), n, k, model, seed)
+
+
+@pytest.mark.parametrize("noise", list(NOISES))
+def test_comp_equivalent(noise):
+    # t = 300 crosses the oracle's block of 256 uniforms
+    for seed in range(20):
+        run_both(lambda o: comp_run(o, 100, 5, 300, make_rng(seed, 2)),
+                 100, 5, NOISES[noise], seed)
+
+
+@pytest.mark.parametrize("alg,noise", [
+    ("hgbsa", "noiseless"), ("variant", "noiseless"), ("rbt", "noiseless"),
+    ("hgbsa", "erasure"), ("variant", "symmetric"), ("rbt", "additive"),
+])
+def test_run_trial_equivalent(monkeypatch, alg, noise):
+    spec = ExperimentSpec(size=ProblemSize(300, 8), algorithm=alg,
+                          noise=NOISES[noise], trials=150, master_seed=5)
+    trials = range(spec.trials)
+    new = [settle(lambda: run_trial(spec, i)) for i in trials]
+    monkeypatch.setattr(harness, "TestOracle", PoolOracle)
+    assert [settle(lambda: run_trial(spec, i)) for i in trials] == new
+
+
+def test_run_trials_equivalent_comp(monkeypatch):
+    spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp",
+                          noise=NOISES["symmetric"], trials=150, master_seed=6,
+                          comp_t=60)
+    new = run_trials(spec, threads=1)
+    monkeypatch.setattr(harness, "TestOracle", PoolOracle)
+    assert run_trials(spec, threads=1) == new
+
+
+# sha256 of `grouptest figure1 --trials 50 --seed 0`, computed with the
+# pool-based oracle and dense sampler before the interval oracle replaced them.
+FIGURE1_SHA256 = {
+    "fig1_k10_n500.csv": "bfedc5e26f73fe4392a17933e2507df9d02003a0b273e33f3b3005c27a94b917",
+    "fig1_k30_n9699.csv": "a3688a09a3434e181e44576a9ec323aaa1dee98c9cea77d67ccf9d0598af4c78",
+}
+
+
+def test_figure1_csvs_pinned(tmp_path):
+    paths = figure1_experiment(tmp_path, trials=50, master_seed=0, threads=1)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert got == FIGURE1_SHA256

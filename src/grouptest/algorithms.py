@@ -2,20 +2,32 @@
 Hwang's generalized binary splitting (HGBSA), the tightened splitting variant,
 an erasure-retry wrapper, and the non-adaptive COMP baseline.
 
+HGBSA and the variant are one splitting loop (`_split`) with two group-size
+rules for m candidates holding k' hidden defectives: Hwang's 2^alpha, with
+alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and the variant's
+ceil(m * (1 - 2^(-1/k'))) clamped to [1, m-k'].
+
 All adaptive algorithms assume noiseless-equivalent oracle behaviour: either a
 noiseless oracle or an erasure oracle behind `erasure_retry`. They know the
-true defective count k and recover the defective set exactly.
+true defective count k and recover the defective set exactly. On a noisy
+channel, binary search can clear every candidate of a group that tested
+positive; it then raises `SearchOverrun`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import NoiseKind, ceil_log2
 from .model import Outcome, TestOracle
+
+
+class SearchOverrun(Exception):
+    """Every candidate of a binary search tested negative: only a noisy
+    channel can do that, after a false positive or a false negative."""
 
 
 @dataclass(frozen=True)
@@ -26,24 +38,9 @@ class SearchResult:
 
 
 @dataclass
-class RoundRecord:
-    """Bookkeeping snapshot for one round of the splitting variant."""
-
-    round_index: int               # 1-based
-    remaining_defectives: int      # k - round_index + 1
-    start_possible: int            # possible defectives at round start
-    group_sizes: list = field(default_factory=list)
-    negatives_in_round: int = 0
-    leftmost_offset: Optional[int] = None
-    declared_all: bool = False
-
-
-@dataclass
 class RunResult:
     estimate: frozenset
     tests_used: int
-    completed: bool = True
-    round_trace: Optional[list] = None
 
 
 def binary_search(oracle, candidates: Sequence[int]) -> SearchResult:
@@ -70,6 +67,8 @@ def binary_search(oracle, candidates: Sequence[int]) -> SearchResult:
             size = half
         else:
             lo += half
+            if lo >= b:
+                raise SearchOverrun(f"all {b} candidates tested negative")
             size = half
     return SearchResult(found=candidates[lo], cleared=tuple(candidates[:lo]),
                         tests_spent=tests)
@@ -88,33 +87,24 @@ def repeated_binary_testing(oracle, n: int, k: int) -> RunResult:
     return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used)
 
 
-def hgbsa(oracle, n: int, k: int) -> RunResult:
-    """Hwang's generalized binary splitting.
+def _split(oracle, n: int, k: int, group_size: Callable[[int, int], int]) -> RunResult:
+    """The splitting loop behind `hgbsa` and `hwang_variant`.
 
-    Tests groups of size 2^alpha with alpha = floor(log2((m-k'+1)/k')) so a
-    positive is roughly even odds; a negative discards the whole group, a
-    positive is binary-searched. Falls back to individual testing once
-    m <= 2k'-2. Never exceeds ceil(log2 C(n,k)) + k tests.
+    While k' defectives stay hidden among the m candidates (always a suffix
+    of the item order): if m == k' every candidate is defective; otherwise
+    test the first `group_size(m, k')` candidates. A negative drops the
+    group; a positive is binary-searched, which drops the cleared prefix
+    and the defective it found.
     """
-    candidates = range(n)  # always a suffix of the item order
+    candidates = range(n)
     found: list[int] = []
     kp = k
-    while candidates:
+    while kp and candidates:
         m = len(candidates)
-        if kp == 0:
-            break  # remainder proven non-defective
         if m == kp:
             found.extend(candidates)
             break
-        if m <= 2 * kp - 2:
-            if oracle.test(candidates[:1]) is Outcome.POSITIVE:
-                found.append(candidates[0])
-                kp -= 1
-            candidates = candidates[1:]
-            continue
-        # floor(log2((m-k'+1)/k')) in exact integer arithmetic
-        alpha = ((m - kp + 1) // kp).bit_length() - 1
-        group = candidates[:1 << alpha]
+        group = candidates[:group_size(m, kp)]
         if oracle.test(group) is Outcome.NEGATIVE:
             candidates = candidates[len(group):]
         else:
@@ -125,51 +115,37 @@ def hgbsa(oracle, n: int, k: int) -> RunResult:
     return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used)
 
 
-def hwang_variant(oracle, n: int, k: int, *,
-                  shifted_group_size: bool = False) -> RunResult:
+def _hwang_group_size(m: int, kp: int) -> int:
+    if m <= 2 * kp - 2:
+        return 1
+    # 2^alpha with alpha = floor(log2((m-k'+1)/k')), in exact integer arithmetic
+    return 1 << (((m - kp + 1) // kp).bit_length() - 1)
+
+
+def _variant_group_size(m: int, kp: int) -> int:
+    return min(max(1, math.ceil(m * (1.0 - 2.0 ** (-1.0 / kp)))), m - kp)
+
+
+def hgbsa(oracle, n: int, k: int) -> RunResult:
+    """Hwang's generalized binary splitting.
+
+    Tests groups of size 2^alpha with alpha = floor(log2((m-k'+1)/k')) so a
+    positive is roughly even odds; a negative discards the whole group, a
+    positive is binary-searched. Tests items one at a time once
+    m <= 2k'-2. Never exceeds ceil(log2 C(n,k)) + k tests.
+    """
+    return _split(oracle, n, k, _hwang_group_size)
+
+
+def hwang_variant(oracle, n: int, k: int) -> RunResult:
     """Tightened splitting variant: k rounds, each a run of negative tests on
     groups sized so a negative has probability just under 1/2, ended by a
     positive test that is binary-searched.
 
     Group size is ceil(N * (1 - 2^(-1/K'))) clamped to [1, N - K'], where N
     counts current possible defectives and K' the defectives still hidden.
-    `shifted_group_size` subtracts (K'-1) before clamping (the alternative
-    published form).
     """
-    possible = range(n)  # always a suffix of the item order
-    found: list[int] = []
-    trace: list[RoundRecord] = []
-    i = 1
-    while i <= k:
-        kp = k - i + 1
-        rec = RoundRecord(round_index=i, remaining_defectives=kp,
-                          start_possible=len(possible))
-        trace.append(rec)
-        while True:
-            m = len(possible)
-            if m == kp:
-                found.extend(possible)
-                rec.declared_all = True
-                return RunResult(estimate=frozenset(found),
-                                 tests_used=oracle.tests_used, round_trace=trace)
-            b = m * (1.0 - 2.0 ** (-1.0 / kp))
-            if shifted_group_size:
-                b -= kp - 1
-            b = min(max(1, math.ceil(b)), m - kp)
-            rec.group_sizes.append(b)
-            group = possible[:b]
-            if oracle.test(group) is Outcome.NEGATIVE:
-                possible = possible[b:]
-                rec.negatives_in_round += 1
-            else:
-                res = binary_search(oracle, group)
-                found.append(res.found)
-                rec.leftmost_offset = len(res.cleared)
-                possible = possible[len(res.cleared) + 1:]
-                break
-        i += 1
-    return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used,
-                     round_trace=trace)
+    return _split(oracle, n, k, _variant_group_size)
 
 
 class _RetryingOracle:
@@ -181,10 +157,6 @@ class _RetryingOracle:
 
     def __init__(self, oracle: TestOracle):
         self._oracle = oracle
-
-    @property
-    def n(self):
-        return self._oracle.n
 
     @property
     def tests_used(self):

@@ -92,8 +92,7 @@ def _spec_from_args(args, budget_range=None) -> harness.ExperimentSpec:
             size=size, algorithm=args.alg, noise=noise, trials=args.trials,
             master_seed=args.seed, budget_range=budget_range,
             delta=getattr(args, "delta", None),
-            comp_t=getattr(args, "t", None),
-            retry_erasures=not getattr(args, "no_retry", False))
+            comp_t=getattr(args, "t", None))
     except ValueError as e:
         raise CliError(str(e))
 
@@ -128,10 +127,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.t_min is None or args.t_max is None:
         raise CliError("--t-min and --t-max are required")
-    try:
-        spec = _spec_from_args(args, budget_range=(args.t_min, args.t_max, args.step))
-    except ValueError as e:
-        raise CliError(str(e))
+    spec = _spec_from_args(args, budget_range=(args.t_min, args.t_max, args.step))
     curve = harness.success_curve(spec, args.threads)
     _emit("\n".join(harness.curve_csv_lines(curve)) + "\n", args.out)
     return 0
@@ -179,10 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--noise", default=None, help="noise spec kind[:p]")
             p.add_argument("--trials", type=int, default=1000)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--no-retry", action="store_true",
-                           help="disable automatic erasure retry")
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker processes (default GT_THREADS or 1; 0 = auto)")
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker processes (0 = all cores)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("bounds", help="closed-form bounds for one (n, k)")
@@ -203,14 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figure1", help="budget sweeps at (10,500) and (30,9699)")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("capacity", help="rate scan with k = n^(1-beta)")
@@ -219,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", default="hgbsa", choices=ALGORITHM_NAMES)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_capacity)
 
@@ -230,6 +223,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 0) < 0:
+            raise CliError(f"--threads must be >= 0, got {args.threads}")
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bounds
-from .algorithms import ADAPTIVE_ALGORITHMS, RunResult, comp_run, erasure_retry
+from .algorithms import ADAPTIVE_ALGORITHMS, SearchOverrun, comp_run, erasure_retry
 from .bounds import NoiseKind, NoiseModel, ProblemSize
 from .model import TestOracle, derive_stream_seed, make_rng, sample_defective_set
 
@@ -33,7 +33,6 @@ class ExperimentSpec:
     budget_range: Optional[tuple[int, int, int]] = None  # (t_min, t_max, step)
     delta: Optional[float] = None     # COMP exponent
     comp_t: Optional[int] = None      # explicit COMP budget
-    retry_erasures: bool = True
 
     def __post_init__(self):
         if self.trials < 1:
@@ -102,7 +101,11 @@ def guarantee_for(algorithm: str, size: ProblemSize) -> int:
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
-    """One independent trial, fully determined by (spec, trial_index)."""
+    """One independent trial, fully determined by (spec, trial_index).
+
+    Adaptive algorithms under erasure noise always run behind
+    `erasure_retry`. A binary search overrun (possible only under symmetric
+    or additive noise) ends the trial as a failure."""
     n, k = spec.size.n, spec.size.k
     seed = derive_stream_seed(spec.master_seed, trial_index)
     rng = make_rng(seed, 0)
@@ -118,10 +121,13 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
         result = comp_run(oracle, n, k, t, design_rng)
     else:
         inner = ADAPTIVE_ALGORITHMS[spec.algorithm]
-        if spec.noise.kind is NoiseKind.ERASURE and spec.retry_erasures:
-            result = erasure_retry(inner, oracle, n, k)
-        else:
-            result = inner(oracle, n, k)
+        try:
+            if spec.noise.kind is NoiseKind.ERASURE:
+                result = erasure_retry(inner, oracle, n, k)
+            else:
+                result = inner(oracle, n, k)
+        except SearchOverrun:
+            return TrialResult(success=False, tests_used=oracle.tests_used)
     return TrialResult(success=result.estimate == truth, tests_used=result.tests_used)
 
 
@@ -131,19 +137,11 @@ def _trial_worker(args) -> tuple[int, bool, int]:
     return idx, r.success, r.tests_used
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is None:
-        env = os.environ.get("GT_THREADS", "1")
-        threads = int(env)
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
-
-
-def run_trials(spec: ExperimentSpec, threads: Optional[int] = None) -> list[TrialResult]:
-    """All trials of a spec, optionally across processes; results are keyed by
-    trial index before reduction so the output never depends on scheduling."""
-    workers = _thread_count(threads)
+def run_trials(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
+    """All trials of a spec, across `threads` processes (0 = all cores);
+    results are keyed by trial index before reduction so the output never
+    depends on scheduling."""
+    workers = threads or os.cpu_count() or 1
     if workers == 1:
         return [run_trial(spec, i) for i in range(spec.trials)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -161,7 +159,7 @@ class TestsDistribution:
     quantiles: dict
 
 
-def tests_distribution(spec: ExperimentSpec, threads: Optional[int] = None) -> TestsDistribution:
+def tests_distribution(spec: ExperimentSpec, threads: int = 1) -> TestsDistribution:
     """Empirical distribution of tests_used over the spec's trials."""
     results = run_trials(spec, threads)
     counts = sorted(r.tests_used for r in results)
@@ -171,7 +169,7 @@ def tests_distribution(spec: ExperimentSpec, threads: Optional[int] = None) -> T
     return TestsDistribution(counts=counts, mean=mean, max=counts[-1], quantiles=qs)
 
 
-def success_curve(spec: ExperimentSpec, threads: Optional[int] = None) -> SuccessCurve:
+def success_curve(spec: ExperimentSpec, threads: int = 1) -> SuccessCurve:
     """Empirical success probability per budget with bound overlays.
 
     Adaptive exact-recovery algorithms run to completion once per trial and
@@ -244,7 +242,7 @@ def _figure1_budget_range(size: ProblemSize) -> tuple[int, int, int]:
 
 
 def figure1_experiment(out_dir, trials: int, master_seed: int,
-                       threads: Optional[int] = None) -> list[Path]:
+                       threads: int = 1) -> list[Path]:
     """Success-vs-budget CSVs for the splitting algorithms at
     (k, n) = (10, 500) and (30, 9699), with bound overlays and markers.
     Byte-identical across reruns with the same seed."""
@@ -285,7 +283,7 @@ class CapacityRow:
 
 def capacity_scan(beta: float, n_list: Sequence[int], algorithm: str,
                   trials: int, seed: int,
-                  threads: Optional[int] = None) -> list[CapacityRow]:
+                  threads: int = 1) -> list[CapacityRow]:
     """Achieved and guaranteed rates along a sequence of problem sizes with
     k = n^(1-beta). For hgbsa the guarantee rate approaches 1 from below."""
     rows = []

@@ -145,25 +145,6 @@ class TestHwangVariant:
             assert res.estimate == truth
             assert res.tests_used <= slack_bound
 
-    def test_round_bookkeeping(self):
-        # every negative test removes exactly its group; a positive round
-        # removes the cleared prefix plus the found defective
-        o = noiseless_oracle(60, {7, 30, 55})
-        res = hwang_variant(o, 60, 3)
-        trace = res.round_trace
-        assert [r.remaining_defectives for r in trace] == [3, 2, 1][:len(trace)]
-        for prev, nxt in zip(trace, trace[1:]):
-            negatives_removed = sum(prev.group_sizes[:-1])
-            assert len(prev.group_sizes) == prev.negatives_in_round + 1
-            assert nxt.start_possible == (prev.start_possible - negatives_removed
-                                          - prev.leftmost_offset - 1)
-
-    def test_shifted_group_size_still_recovers(self):
-        for truth in exhaustive_truths(11, 2):
-            o = noiseless_oracle(11, truth)
-            res = hwang_variant(o, 11, 2, shifted_group_size=True)
-            assert res.estimate == truth
-
     def test_no_defective_removed_by_negative(self):
         for truth in exhaustive_truths(12, 3):
             o = noiseless_oracle(12, truth)
@@ -171,6 +152,25 @@ class TestHwangVariant:
             for pool, out in o.transcript:
                 if out is Outcome.NEGATIVE:
                     assert truth.isdisjoint(pool)
+
+
+@pytest.mark.parametrize("alg", [hgbsa, hwang_variant])
+def test_group_tests_advance_past_cleared_items(alg):
+    # every pool is a contiguous range; a negative group drops exactly its
+    # items, and a binary search that finds d drops everything up to d
+    for truth in exhaustive_truths(14, 3):
+        o = noiseless_oracle(14, truth)
+        alg(o, 14, 3)
+        assert all(isinstance(p, range) and p.step == 1 for p, _ in o.transcript)
+        i, start = 0, 0
+        while i < len(o.transcript):
+            group, out = o.transcript[i]
+            assert group.start == start
+            if out is Outcome.NEGATIVE:
+                i, start = i + 1, group.stop
+            else:
+                i, start = i + 1 + ceil_log2(len(group)), min(truth & set(group)) + 1
+        assert i == len(o.transcript)
 
 
 class TestErasureRetry:

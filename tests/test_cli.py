@@ -90,6 +90,20 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["no_guarantee"] is True
 
+    def test_noisy_search_overrun_is_a_failed_trial(self, capsys):
+        # some halving tests read negative after a positive group test and
+        # clear the whole group; those trials fail instead of raising
+        code, out, _ = run_cli(capsys, "simulate", "--alg", "variant", "--n", "60",
+                               "--k", "4", "--noise", "symmetric:0.1",
+                               "--trials", "150")
+        assert code == 0
+        assert json.loads(out)["success_rate"] < 1
+
+    def test_negative_threads_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--alg", "hgbsa", "--n", "10",
+                               "--k", "2", "--trials", "5", "--threads", "-4")
+        assert code == 2 and "--threads" in err
+
     def test_unknown_algorithm_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["simulate", "--alg", "magic", "--n", "10", "--k", "1"])

@@ -13,6 +13,7 @@ import pytest
 
 from grouptest import harness
 from grouptest.algorithms import (
+    SearchOverrun,
     binary_search,
     comp_run,
     erasure_retry,
@@ -63,13 +64,13 @@ def as_sets(transcript):
 
 
 def settle(fn):
-    """fn()'s value, or the type of the exception it raised. Without retry, a
-    noisy channel can drive binary search past its list; both oracles must
-    then fail the same way."""
+    """fn()'s value, or SearchOverrun. Without retry, a noisy channel can
+    drive binary search past its list; both oracles must then overrun at the
+    same test."""
     try:
         return fn()
-    except (ValueError, IndexError) as e:
-        return type(e)
+    except SearchOverrun:
+        return SearchOverrun
 
 
 NOISES = {
@@ -176,3 +177,21 @@ def test_figure1_csvs_pinned(tmp_path):
     paths = figure1_experiment(tmp_path, trials=50, master_seed=0, threads=1)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert got == FIGURE1_SHA256
+
+
+# sha256 of the per-trial "success,tests_used" lines of `run_trials` at
+# (300, 8) under erasure 0.3 with retry, computed before HGBSA and the
+# variant were merged into one splitting loop.
+ERASURE_RETRY_SHA256 = {
+    "hgbsa": "356f8e781b7ce61153afe02f86e71c2fe8a45043aea64c89eb74b623afff466e",
+    "variant": "59733416224cefa92eb72db3a5fc7a69cd407ca8afe7fc2f280f32dc5bdd9f5c",
+}
+
+
+@pytest.mark.parametrize("alg", list(ERASURE_RETRY_SHA256))
+def test_erasure_retry_trials_pinned(alg):
+    spec = ExperimentSpec(size=ProblemSize(300, 8), algorithm=alg,
+                          noise=NOISES["erasure"], trials=200, master_seed=3)
+    text = "".join(f"{int(r.success)},{r.tests_used}\n"
+                   for r in run_trials(spec, threads=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == ERASURE_RETRY_SHA256[alg]

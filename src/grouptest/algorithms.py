@@ -5,7 +5,7 @@ an erasure-retry wrapper, and the non-adaptive COMP baseline.
 HGBSA and the variant are one splitting loop (`_split`) with two group-size
 rules for m candidates holding k' hidden defectives: Hwang's 2^alpha, with
 alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and the variant's
-ceil(m * (1 - 2^(-1/k'))) clamped to [1, m-k'].
+ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds m-k'.
 
 All adaptive algorithms assume noiseless-equivalent oracle behaviour: either a
 noiseless oracle or an erasure oracle behind `erasure_retry`. They know the
@@ -123,7 +123,8 @@ def _hwang_group_size(m: int, kp: int) -> int:
 
 
 def _variant_group_size(m: int, kp: int) -> int:
-    return min(max(1, math.ceil(m * (1.0 - 2.0 ** (-1.0 / kp)))), m - kp)
+    # never above m-k' for m > k': (k'+1)(1-2^(-1/k')) <= 1, as 2^x <= 1+x on [0,1]
+    return max(1, math.ceil(m * (1.0 - 2.0 ** (-1.0 / kp))))
 
 
 def hgbsa(oracle, n: int, k: int) -> RunResult:
@@ -142,8 +143,10 @@ def hwang_variant(oracle, n: int, k: int) -> RunResult:
     groups sized so a negative has probability just under 1/2, ended by a
     positive test that is binary-searched.
 
-    Group size is ceil(N * (1 - 2^(-1/K'))) clamped to [1, N - K'], where N
-    counts current possible defectives and K' the defectives still hidden.
+    Group size is ceil(N * (1 - 2^(-1/K'))), at least 1, where N counts
+    current possible defectives and K' the defectives still hidden; it never
+    exceeds N - K', so a negative test cannot leave fewer candidates than
+    hidden defectives.
     """
     return _split(oracle, n, k, _variant_group_size)
 
@@ -170,20 +173,20 @@ class _RetryingOracle:
 
 
 def erasure_retry(inner: Callable[..., RunResult], oracle: TestOracle,
-                  *args, **kwargs) -> RunResult:
+                  n: int, k: int) -> RunResult:
     """Run `inner` against `oracle` with every erased test retried until it
     lands. Requires noiseless or erasure noise with p < 1."""
     if oracle.noise.kind not in (NoiseKind.NOISELESS, NoiseKind.ERASURE):
         raise ValueError("erasure retry only supports noiseless or erasure oracles")
     if oracle.noise.kind is NoiseKind.ERASURE and oracle.noise.p >= 1.0:
         raise ValueError("erasure probability 1 never terminates")
-    return inner(_RetryingOracle(oracle), *args, **kwargs)
+    return inner(_RetryingOracle(oracle), n, k)
 
 
 def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunResult:
     """Non-adaptive COMP: a t x n Bernoulli(1/k) design (empty pools
-    resampled), all pools submitted up front; every item seen in a negative
-    pool is eliminated, the rest are declared defective.
+    resampled), tested in one `test_design` call; every item seen in a
+    negative pool is eliminated, the rest are declared defective.
 
     On a noiseless oracle the estimate always contains every true defective.
     """
@@ -197,12 +200,9 @@ def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunRes
         if not empty.any():
             break
         design[empty] = rng.random((int(empty.sum()), n)) < (1.0 / k)
-    eliminated: set[int] = set()
-    for row in design:
-        pool = np.flatnonzero(row).tolist()
-        if oracle.test(pool) is Outcome.NEGATIVE:
-            eliminated.update(pool)
-    estimate = frozenset(i for i in range(n) if i not in eliminated)
+    outs = oracle.test_design(design)
+    negative = [o is Outcome.NEGATIVE for o in outs]
+    estimate = frozenset(np.flatnonzero(~design[negative].any(axis=0)).tolist())
     return RunResult(estimate=estimate, tests_used=oracle.tests_used)
 
 

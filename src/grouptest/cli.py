@@ -150,6 +150,8 @@ def cmd_capacity(args) -> int:
         raise CliError(f"--beta must be in (0,1), got {args.beta}")
     if args.alg not in ADAPTIVE_ALGORITHMS:
         raise CliError(f"--alg: capacity scan needs an adaptive algorithm, got {args.alg!r}")
+    if min(args.n_list) < 1:
+        raise CliError(f"--n-list entries must be >= 1, got {min(args.n_list)}")
     n_list = sorted(args.n_list)
     rows = harness.capacity_scan(args.beta, n_list, args.alg, args.trials,
                                  args.seed, args.threads)

@@ -41,6 +41,14 @@ class ExperimentSpec:
             t_min, t_max, step = self.budget_range
             if t_min > t_max or step < 1 or t_min < 0:
                 raise ValueError(f"bad budget range {self.budget_range}")
+        if self.delta is not None and not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if self.algorithm == "comp" and self.size.k < 1:
+            raise ValueError("COMP design density 1/k needs k >= 1")
+        if (self.algorithm in ADAPTIVE_ALGORITHMS
+                and self.noise.kind is NoiseKind.ERASURE and self.noise.p >= 1.0):
+            raise ValueError("erasure probability 1 never terminates: "
+                             "every test is retried until it lands")
 
     def budgets(self) -> list[int]:
         if self.budget_range is None:

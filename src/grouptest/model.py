@@ -2,8 +2,9 @@
 channels, and the metered oracle every algorithm talks to.
 
 Pools are sequences of 0-based item indices, and a contiguous pool is best
-passed as a `range`; defective sets are frozensets. One oracle serves one
-trial and is never shared.
+passed as a `range`; a non-adaptive design is a boolean t x n array tested
+in one `test_design` call. Defective sets are frozensets. One oracle serves
+one trial and is never shared.
 """
 from __future__ import annotations
 
@@ -87,6 +88,25 @@ def _channel(out: Outcome, u: float, model: NoiseModel) -> Outcome:
     return out
 
 
+_NEG, _POS, _ERA = 0, 1, 2  # outcome codes of `_channel_column`
+_OUTCOMES = np.array([Outcome.NEGATIVE, Outcome.POSITIVE, Outcome.ERASED], dtype=object)
+
+
+def _channel_column(hit: np.ndarray, u: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """`_channel` over a column of raw outcomes (`hit` is True for positive),
+    one uniform each; returns outcome codes indexing `_OUTCOMES`."""
+    kind = model.kind
+    out = hit.astype(np.int8)
+    if kind is NoiseKind.NOISELESS:
+        return out
+    if kind is NoiseKind.ERASURE:
+        return np.where(u < model.p, _ERA, out)
+    if kind is NoiseKind.SYMMETRIC:
+        return np.where(u < model.p, _POS - out, out)
+    # Additive (Z-channel): only negatives are corrupted.
+    return np.where((out == _NEG) & (u < model.p), _POS, out)
+
+
 def apply_noise(out: Outcome, model: NoiseModel, rng: np.random.Generator) -> Outcome:
     """Push a raw outcome through the noise channel.
 
@@ -110,8 +130,12 @@ class TestOracle:
     defective set. The contract:
 
     - A `range` pool with step 1 is tested by bisecting the sorted truth, in
-      O(log k), and the range itself is stored in the transcript. Any other
-      pool is copied to a tuple and checked item by item.
+      O(log k), and the range itself is logged. Any other pool is copied to a
+      tuple and checked item by item.
+    - `test_design` tests every row of a boolean t x n design at once, with
+      the same outcomes as t calls of `test`, and logs the whole batch as one
+      entry. `transcript` expands each logged row into the tuple of its item
+      indices when it is read.
     - Test j (0-based) is pushed through the noise channel with the j-th
       uniform of `rng`, as if `apply_noise` had been called once per test.
     - The uniforms are drawn `rng.random(256)` at a time, so after the last
@@ -129,9 +153,21 @@ class TestOracle:
         self.noise = noise
         self.rng = rng
         self.tests_used = 0
-        self.transcript: list[tuple[Sequence[int], Outcome]] = []
+        self._log: list = []  # (pool, outcome) or (design, [outcome per row])
         self._sorted_truth = sorted(truth)
         self._uniforms: list[float] = []
+
+    @property
+    def transcript(self) -> list[tuple[Sequence[int], Outcome]]:
+        """Every test so far as (pool, outcome), in order."""
+        tests = []
+        for pool, out in self._log:
+            if type(out) is list:
+                tests.extend((tuple(np.flatnonzero(row).tolist()), o)
+                             for row, o in zip(pool, out))
+            else:
+                tests.append((pool, out))
+        return tests
 
     def test(self, pool: Sequence[int]) -> Outcome:
         if type(pool) is range and pool.step == 1:
@@ -148,8 +184,34 @@ class TestOracle:
         out = _channel(Outcome.POSITIVE if hit else Outcome.NEGATIVE,
                        self._uniforms[j], self.noise)
         self.tests_used += 1
-        self.transcript.append((pool, out))
+        self._log.append((pool, out))
         return out
+
+    def test_design(self, design) -> list[Outcome]:
+        """Test each row of a boolean t x n design as one pool, in row order.
+
+        Raises ValueError, before testing anything, if a row is empty."""
+        design = np.array(design, dtype=bool)
+        if design.ndim != 2 or design.shape[1] != self.n:
+            raise ValueError(f"a design needs shape (t, {self.n}), got {design.shape}")
+        if not design.any(axis=1).all():
+            raise ValueError("cannot test an empty pool")
+        design.flags.writeable = False
+        t = len(design)
+        # uniforms left in the current block, then whole fresh blocks
+        left = -self.tests_used % _BLOCK
+        u = self._uniforms[_BLOCK - left:_BLOCK - left + t]
+        if t > left:
+            blocks = -((left - t) // _BLOCK)  # ceil((t - left) / _BLOCK)
+            fresh = self.rng.random(blocks * _BLOCK)
+            self._uniforms = fresh[-_BLOCK:].tolist()
+            u = np.concatenate((u, fresh[:t - left]))
+        codes = _channel_column(design[:, self._sorted_truth].any(axis=1),
+                                np.asarray(u), self.noise)
+        outs = _OUTCOMES[codes].tolist()
+        self.tests_used += t
+        self._log.append((design, outs))
+        return outs
 
 
 def transcript_lines(oracle: TestOracle) -> list[str]:

@@ -11,6 +11,7 @@ import pytest
 
 from grouptest import bounds
 from grouptest.algorithms import (
+    _variant_group_size,
     binary_search,
     comp_run,
     erasure_retry,
@@ -135,6 +136,11 @@ class TestHwangVariant:
         res = hwang_variant(o, 5, 5)
         assert res.estimate == frozenset(range(5))
         assert res.tests_used == 0
+
+    def test_group_never_leaves_fewer_candidates_than_defectives(self):
+        for m in range(2, 601):
+            for kp in range(1, m):
+                assert _variant_group_size(m, kp) <= m - kp
 
     @pytest.mark.parametrize("n,k", [(10, 2), (12, 2), (12, 3)])
     def test_exhaustive_small(self, n, k):

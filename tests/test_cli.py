@@ -165,3 +165,15 @@ class TestCapacityCommand:
         code, _, _ = run_cli(capsys, "capacity", "--beta", "1.2",
                              "--n-list", "100", "--trials", "5")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "capacity --beta 0.5 --n-list 0",
+    "simulate --alg comp --n 100 --k 5 --delta -1",
+    "simulate --alg comp --n 10 --k 0 --t 5",
+    "simulate --alg hgbsa --n 10 --k 2 --noise erasure:1",
+])
+def test_bad_inputs_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert err.startswith("error:")

@@ -3,6 +3,7 @@ metering, and RNG stream derivation."""
 import math
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 
 from grouptest.bounds import NoiseModel
@@ -146,6 +147,32 @@ class TestOracleBehaviour:
             o.test(p)
         for pool, out in o.transcript:
             assert truth_outcome(pool, o.truth) is out
+
+    def test_design_rows_match_single_tests(self):
+        design = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 1, 0]]
+        batch = TestOracle(6, {1, 4}, NoiseModel.noiseless(), make_rng(0))
+        single = TestOracle(6, {1, 4}, NoiseModel.noiseless(), make_rng(0))
+        outs = batch.test_design(design)
+        assert outs == [single.test(p) for p in [(0, 3), (1, 5), (2, 4)]]
+        assert outs == [Outcome.NEGATIVE, Outcome.POSITIVE, Outcome.POSITIVE]
+        assert batch.tests_used == 3
+        assert batch.transcript == single.transcript
+        assert transcript_lines(batch) == ["0,0;3,N", "1,1;5,P", "2,2;4,P"]
+
+    def test_design_logged_as_copy(self):
+        design = np.ones((2, 4), dtype=bool)
+        o = TestOracle(4, {1}, NoiseModel.noiseless(), make_rng(0))
+        o.test_design(design)
+        design[:, 1] = False  # the caller's array is not the logged one
+        assert o.transcript == [((0, 1, 2, 3), Outcome.POSITIVE)] * 2
+
+    def test_design_empty_row_rejected(self):
+        o = TestOracle(4, {1}, NoiseModel.noiseless(), make_rng(0))
+        with pytest.raises(ValueError):
+            o.test_design([[1, 1, 0, 0], [0, 0, 0, 0]])
+        with pytest.raises(ValueError):
+            o.test_design([[1, 1, 0]])  # not n columns
+        assert o.tests_used == 0 and o.transcript == []
 
     def test_transcript_serialization(self):
         o = TestOracle(6, {1}, NoiseModel.noiseless(), make_rng(0))

@@ -9,6 +9,7 @@ Fisher-Yates draw for draw.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from grouptest import harness
@@ -33,7 +34,8 @@ from grouptest.model import (
 
 
 class PoolOracle:
-    """Reference oracle with tuple pools and one scalar noise draw per test."""
+    """Reference oracle with tuple pools and one scalar noise draw per test;
+    a design is tested row by row."""
 
     def __init__(self, n, truth, noise, rng):
         self.n = n
@@ -49,6 +51,9 @@ class PoolOracle:
         self.tests_used += 1
         self.transcript.append((pool, out))
         return out
+
+    def test_design(self, design):
+        return [self.test(np.flatnonzero(row).tolist()) for row in design]
 
 
 def dense_fisher_yates(n, k, rng):
@@ -141,6 +146,34 @@ def test_comp_equivalent(noise):
     for seed in range(20):
         run_both(lambda o: comp_run(o, 100, 5, 300, make_rng(seed, 2)),
                  100, 5, NOISES[noise], seed)
+
+
+@pytest.mark.parametrize("noise", list(NOISES))
+def test_design_batches_interleaved_with_single_tests(noise):
+    # batches that start mid-block, cross one or two block boundaries, end
+    # exactly on one, or fit inside one, between single tests
+    steps = [3, ("design", 300), 5, ("design", 204), ("design", 40), 1,
+             ("design", 1), ("design", 600), 2]
+
+    def run(oracle, seed):
+        rng = make_rng(seed, 2)
+        for step in steps:
+            if isinstance(step, int):
+                for _ in range(step):
+                    oracle.test(range(int(rng.integers(40)), 40))
+            else:
+                design = rng.random((step[1], 40)) < 0.1
+                design[:, int(rng.integers(40))] = True
+                oracle.test_design(design)
+
+    for seed in range(10):
+        truth = sample_defective_set(40, 3, make_rng(seed, 0))
+        seen = []
+        for cls in (TestOracle, PoolOracle):
+            oracle = cls(40, truth, NOISES[noise], make_rng(seed, 1))
+            run(oracle, seed)
+            seen.append((oracle.tests_used, as_sets(oracle.transcript)))
+        assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("alg,noise", [

@@ -23,12 +23,10 @@ from .bounds import (
 from .model import (
     Outcome,
     TestOracle,
-    apply_noise,
     derive_stream_seed,
     make_rng,
     sample_defective_set,
     transcript_lines,
-    truth_outcome,
 )
 from .algorithms import (
     RunResult,

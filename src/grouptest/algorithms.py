@@ -5,13 +5,14 @@ an erasure-retry wrapper, and the non-adaptive COMP baseline.
 HGBSA and the variant are one splitting loop (`_split`) with two group-size
 rules for m candidates holding k' hidden defectives: Hwang's 2^alpha, with
 alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and the variant's
-ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds m-k'.
+ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds m-k'. Every
+halving search is one `TestOracle.search` call.
 
 All adaptive algorithms assume noiseless-equivalent oracle behaviour: either a
-noiseless oracle or an erasure oracle behind `erasure_retry`. They know the
-true defective count k and recover the defective set exactly. On a noisy
-channel, binary search can clear every candidate of a group that tested
-positive; it then raises `SearchOverrun`.
+noiseless oracle or an erasure oracle that resubmits erased tests, which
+`erasure_retry` switches on. They know the true defective count k and recover
+the defective set exactly. On a noisy channel, a search can clear every
+candidate of a group that tested positive; it then raises `SearchOverrun`.
 """
 from __future__ import annotations
 
@@ -22,12 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import NoiseKind, ceil_log2
-from .model import Outcome, TestOracle
-
-
-class SearchOverrun(Exception):
-    """Every candidate of a binary search tested negative: only a noisy
-    channel can do that, after a false positive or a false negative."""
+from .model import Outcome, SearchOverrun, TestOracle  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -46,32 +42,10 @@ class RunResult:
 def binary_search(oracle, candidates: Sequence[int]) -> SearchResult:
     """Locate the leftmost defective among `candidates` (which must contain at
     least one) in exactly ceil(log2 b) tests, proving the preceding prefix
-    non-defective.
-
-    The list is conceptually padded at the end with dummy non-defective items
-    to a power of two; dummies never reach the oracle, so each step tests only
-    the real members of the current first half (always non-empty). Each pool
-    is a slice of `candidates`, so a `range` yields range pools.
-    """
-    b = len(candidates)
-    if b == 0:
-        raise ValueError("binary search needs a non-empty candidate list")
-    size = 1 << ceil_log2(b)
-    lo = 0
-    tests = 0
-    while size > 1:
-        half = size // 2
-        pool = candidates[lo:min(lo + half, b)]
-        tests += 1
-        if oracle.test(pool) is Outcome.POSITIVE:
-            size = half
-        else:
-            lo += half
-            if lo >= b:
-                raise SearchOverrun(f"all {b} candidates tested negative")
-            size = half
+    non-defective. The search itself is `oracle.search`."""
+    lo = oracle.search(candidates)
     return SearchResult(found=candidates[lo], cleared=tuple(candidates[:lo]),
-                        tests_spent=tests)
+                        tests_spent=ceil_log2(len(candidates)))
 
 
 def repeated_binary_testing(oracle, n: int, k: int) -> RunResult:
@@ -81,9 +55,7 @@ def repeated_binary_testing(oracle, n: int, k: int) -> RunResult:
     found: list[int] = []
     remaining = list(range(n))
     for _ in range(k):
-        res = binary_search(oracle, remaining)
-        found.append(res.found)
-        remaining.remove(res.found)
+        found.append(remaining.pop(oracle.search(remaining)))
     return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used)
 
 
@@ -108,10 +80,10 @@ def _split(oracle, n: int, k: int, group_size: Callable[[int, int], int]) -> Run
         if oracle.test(group) is Outcome.NEGATIVE:
             candidates = candidates[len(group):]
         else:
-            res = binary_search(oracle, group)
-            found.append(res.found)
+            lo = oracle.search(group)
+            found.append(group[lo])
             kp -= 1
-            candidates = candidates[len(res.cleared) + 1:]
+            candidates = candidates[lo + 1:]
     return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used)
 
 
@@ -151,36 +123,16 @@ def hwang_variant(oracle, n: int, k: int) -> RunResult:
     return _split(oracle, n, k, _variant_group_size)
 
 
-class _RetryingOracle:
-    """Oracle proxy that resubmits erased tests until a firm outcome arrives.
-
-    The wrapped algorithm sees only NEGATIVE/POSITIVE; every resubmission
-    still consumes budget on the underlying oracle.
-    """
-
-    def __init__(self, oracle: TestOracle):
-        self._oracle = oracle
-
-    @property
-    def tests_used(self):
-        return self._oracle.tests_used
-
-    def test(self, pool) -> Outcome:
-        out = self._oracle.test(pool)
-        while out is Outcome.ERASED:
-            out = self._oracle.test(pool)
-        return out
-
-
 def erasure_retry(inner: Callable[..., RunResult], oracle: TestOracle,
                   n: int, k: int) -> RunResult:
-    """Run `inner` against `oracle` with every erased test retried until it
-    lands. Requires noiseless or erasure noise with p < 1."""
+    """Run `inner` against `oracle` with every erased test resubmitted by the
+    oracle until it lands. Requires noiseless or erasure noise with p < 1."""
     if oracle.noise.kind not in (NoiseKind.NOISELESS, NoiseKind.ERASURE):
         raise ValueError("erasure retry only supports noiseless or erasure oracles")
     if oracle.noise.kind is NoiseKind.ERASURE and oracle.noise.p >= 1.0:
         raise ValueError("erasure probability 1 never terminates")
-    return inner(_RetryingOracle(oracle), n, k)
+    oracle.resubmit_erased = True
+    return inner(oracle, n, k)
 
 
 def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunResult:

@@ -16,9 +16,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bounds
-from .algorithms import ADAPTIVE_ALGORITHMS, SearchOverrun, comp_run, erasure_retry
+from .algorithms import ADAPTIVE_ALGORITHMS, comp_run, erasure_retry
 from .bounds import NoiseKind, NoiseModel, ProblemSize
-from .model import TestOracle, derive_stream_seed, make_rng, sample_defective_set
+from .model import (SearchOverrun, TestOracle, derive_stream_seed, make_rng,
+                    sample_defective_set)
 
 _WILSON_Z = 1.959963984540054  # 95%
 
@@ -111,7 +112,7 @@ def guarantee_for(algorithm: str, size: ProblemSize) -> int:
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     """One independent trial, fully determined by (spec, trial_index).
 
-    Adaptive algorithms under erasure noise always run behind
+    Adaptive algorithms under erasure noise always run through
     `erasure_retry`. A binary search overrun (possible only under symmetric
     or additive noise) ends the trial as a failure."""
     n, k = spec.size.n, spec.size.k

@@ -3,8 +3,9 @@ channels, and the metered oracle every algorithm talks to.
 
 Pools are sequences of 0-based item indices, and a contiguous pool is best
 passed as a `range`; a non-adaptive design is a boolean t x n array tested
-in one `test_design` call. Defective sets are frozensets. One oracle serves
-one trial and is never shared.
+in one `test_design` call, and a whole halving search runs in one `search`
+call. Defective sets are frozensets. One oracle serves one trial and is never
+shared.
 """
 from __future__ import annotations
 
@@ -63,14 +64,6 @@ def sample_defective_set(n: int, k: int, rng: np.random.Generator) -> frozenset:
     return frozenset(chosen)
 
 
-def truth_outcome(pool: Iterable[int], truth: frozenset) -> Outcome:
-    """Noiseless pooled test: positive iff the pool hits a defective."""
-    pool = tuple(pool)
-    if not pool:
-        raise ValueError("cannot test an empty pool")
-    return Outcome.POSITIVE if not truth.isdisjoint(pool) else Outcome.NEGATIVE
-
-
 def _channel(out: Outcome, u: float, model: NoiseModel) -> Outcome:
     """The noise channel applied to a raw outcome, given its uniform u."""
     kind = model.kind
@@ -107,20 +100,46 @@ def _channel_column(hit: np.ndarray, u: np.ndarray, model: NoiseModel) -> np.nda
     return np.where((out == _NEG) & (u < model.p), _POS, out)
 
 
-def apply_noise(out: Outcome, model: NoiseModel, rng: np.random.Generator) -> Outcome:
-    """Push a raw outcome through the noise channel.
-
-    Always consumes exactly one RNG variate, `rng.random()`, even for the
-    noiseless channel, so transcripts stay aligned across noise models under
-    a shared seed. `TestOracle` applies the same channel to the same stream
-    of uniforms, one per test.
-    """
-    if out is Outcome.ERASED:
-        raise ValueError("noise channels apply to raw outcomes only, not ERASED")
-    return _channel(out, rng.random(), model)
-
-
 _BLOCK = 256  # noise uniforms drawn per refill
+
+
+class SearchOverrun(Exception):
+    """Every candidate of a halving search tested negative: only a noisy
+    channel can do that, after a false positive or a false negative, or a
+    search over candidates that hold no defective."""
+
+
+def _halve(candidates: Sequence[int], test) -> int:
+    """The halving schedule: index within `candidates` of the leftmost
+    defective, asking `test(pool)` once per step.
+
+    The list is conceptually padded at the end with dummy non-defective items
+    to a power of two; dummies never reach `test`, so each step tests only
+    the real members of the current first half (always non-empty), and b
+    candidates take ceil(log2 b) steps. Each pool is a slice of `candidates`,
+    so a `range` yields range pools."""
+    b = len(candidates)
+    lo, size = 0, 1 << (b - 1).bit_length()
+    while size > 1:
+        size //= 2
+        if test(candidates[lo:min(lo + size, b)]) is not Outcome.POSITIVE:
+            lo += size
+            if lo >= b:
+                raise SearchOverrun(f"all {b} candidates tested negative")
+    return lo
+
+
+def _replay_search(candidates: Sequence[int], lo: int) -> list:
+    """The (pool, outcome) steps of a noiseless search over `candidates` that
+    found the defective at index `lo`."""
+    found, steps = candidates[lo], []
+
+    def answer(pool):
+        steps.append((pool, Outcome.POSITIVE if found in pool else Outcome.NEGATIVE))
+        return steps[-1][1]
+
+    _halve(candidates, answer)
+    return steps
 
 
 class TestOracle:
@@ -132,15 +151,23 @@ class TestOracle:
     - A `range` pool with step 1 is tested by bisecting the sorted truth, in
       O(log k), and the range itself is logged. Any other pool is copied to a
       tuple and checked item by item.
+    - `search` runs a whole halving search and returns the index of the
+      leftmost defective. A noiseless search over a step-1 `range` that holds
+      a defective is answered by bisect and logged as one entry; every other
+      search sends each step through `test`.
     - `test_design` tests every row of a boolean t x n design at once, with
       the same outcomes as t calls of `test`, and logs the whole batch as one
-      entry. `transcript` expands each logged row into the tuple of its item
-      indices when it is read.
-    - Test j (0-based) is pushed through the noise channel with the j-th
-      uniform of `rng`, as if `apply_noise` had been called once per test.
+      entry. `transcript` expands each logged row, and each logged search,
+      into its tests when it is read.
+    - While `resubmit_erased` is set (`erasure_retry` sets it), `test` and
+      the steps of `search` resubmit an erased pool until its outcome is
+      firm. Every submission counts in `tests_used`, uses its own uniform and
+      is logged.
+    - Test j (0-based) is pushed through the noise channel `_channel` with
+      the j-th uniform of `rng`; a noiseless test still uses up its uniform.
     - The uniforms are drawn `rng.random(256)` at a time, so after the last
-      test `rng` may sit up to 255 draws further on. Do not draw from `rng`
-      once it is handed to the oracle.
+      test `rng` sits ceil(tests_used / 256) * 256 draws on. Do not draw from
+      `rng` once it is handed to the oracle.
     """
 
     def __init__(self, n: int, truth: Iterable[int], noise: NoiseModel,
@@ -153,7 +180,9 @@ class TestOracle:
         self.noise = noise
         self.rng = rng
         self.tests_used = 0
-        self._log: list = []  # (pool, outcome) or (design, [outcome per row])
+        self.resubmit_erased = False
+        # (pool, outcome), (design, [outcome per row]) or (candidates, found index)
+        self._log: list = []
         self._sorted_truth = sorted(truth)
         self._uniforms: list[float] = []
 
@@ -165,9 +194,24 @@ class TestOracle:
             if type(out) is list:
                 tests.extend((tuple(np.flatnonzero(row).tolist()), o)
                              for row, o in zip(pool, out))
+            elif type(out) is int:
+                tests.extend(_replay_search(pool, out))
             else:
                 tests.append((pool, out))
         return tests
+
+    def _take_uniforms(self, t: int):
+        """Count t more tests and return their uniforms, drawing one fresh
+        block for each block boundary they cross."""
+        left = -self.tests_used % _BLOCK  # uniforms left in the current block
+        u = self._uniforms[_BLOCK - left:_BLOCK - left + t]
+        if t > left:
+            blocks = -((left - t) // _BLOCK)  # ceil((t - left) / _BLOCK)
+            fresh = self.rng.random(blocks * _BLOCK)
+            self._uniforms = fresh[-_BLOCK:].tolist()
+            u = np.concatenate((u, fresh[:t - left]))
+        self.tests_used += t
+        return u
 
     def test(self, pool: Sequence[int]) -> Outcome:
         if type(pool) is range and pool.step == 1:
@@ -178,17 +222,40 @@ class TestOracle:
             hit = not self.truth.isdisjoint(pool)
         if not pool:
             raise ValueError("cannot test an empty pool")
-        j = self.tests_used % _BLOCK
-        if j == 0:
-            self._uniforms = self.rng.random(_BLOCK).tolist()
-        out = _channel(Outcome.POSITIVE if hit else Outcome.NEGATIVE,
-                       self._uniforms[j], self.noise)
-        self.tests_used += 1
-        self._log.append((pool, out))
-        return out
+        raw = Outcome.POSITIVE if hit else Outcome.NEGATIVE
+        while True:
+            j = self.tests_used % _BLOCK
+            if j == 0:
+                self._uniforms = self.rng.random(_BLOCK).tolist()
+            out = _channel(raw, self._uniforms[j], self.noise)
+            self.tests_used += 1
+            self._log.append((pool, out))
+            if out is not Outcome.ERASED or not self.resubmit_erased:
+                return out
+
+    def search(self, candidates: Sequence[int]) -> int:
+        """Index within `candidates` of their leftmost defective, by the
+        halving schedule of `_halve`: ceil(log2 b) steps for b candidates, each
+        one test plus any resubmissions.
+
+        Raises ValueError on no candidates, and `SearchOverrun` when every
+        candidate tests negative."""
+        b = len(candidates)
+        if b == 0:
+            raise ValueError("a search needs at least one candidate")
+        if (self.noise.kind is NoiseKind.NOISELESS and type(candidates) is range
+                and candidates.step == 1):
+            i = bisect_left(self._sorted_truth, candidates.start)
+            if i < len(self._sorted_truth) and self._sorted_truth[i] < candidates.stop:
+                lo = self._sorted_truth[i] - candidates.start
+                self._take_uniforms((b - 1).bit_length())
+                self._log.append((candidates, lo))
+                return lo
+        return _halve(candidates, self.test)
 
     def test_design(self, design) -> list[Outcome]:
         """Test each row of a boolean t x n design as one pool, in row order.
+        A design is never resubmitted, even while `resubmit_erased` is set.
 
         Raises ValueError, before testing anything, if a row is empty."""
         design = np.array(design, dtype=bool)
@@ -197,19 +264,10 @@ class TestOracle:
         if not design.any(axis=1).all():
             raise ValueError("cannot test an empty pool")
         design.flags.writeable = False
-        t = len(design)
-        # uniforms left in the current block, then whole fresh blocks
-        left = -self.tests_used % _BLOCK
-        u = self._uniforms[_BLOCK - left:_BLOCK - left + t]
-        if t > left:
-            blocks = -((left - t) // _BLOCK)  # ceil((t - left) / _BLOCK)
-            fresh = self.rng.random(blocks * _BLOCK)
-            self._uniforms = fresh[-_BLOCK:].tolist()
-            u = np.concatenate((u, fresh[:t - left]))
+        u = self._take_uniforms(len(design))
         codes = _channel_column(design[:, self._sorted_truth].any(axis=1),
                                 np.asarray(u), self.noise)
         outs = _OUTCOMES[codes].tolist()
-        self.tests_used += t
         self._log.append((design, outs))
         return outs
 

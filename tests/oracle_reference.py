@@ -1,0 +1,81 @@
+"""Reference semantics that the fast oracle paths are checked against.
+
+`truth_outcome` and `apply_noise` are the scalar truth function and noise
+channel, one pool and one uniform at a time. `PoolOracle` is the reference
+oracle built from them: every pool copied to a tuple, one scalar draw per
+test, a design tested row by row and a search stepped test by test.
+"""
+import numpy as np
+
+from grouptest.bounds import ceil_log2
+from grouptest.model import Outcome, SearchOverrun, _channel
+
+
+def truth_outcome(pool, truth):
+    """Noiseless pooled test: positive iff the pool hits a defective."""
+    pool = tuple(pool)
+    if not pool:
+        raise ValueError("cannot test an empty pool")
+    return Outcome.POSITIVE if not truth.isdisjoint(pool) else Outcome.NEGATIVE
+
+
+def apply_noise(out, model, rng):
+    """Push a raw outcome through the noise channel.
+
+    Always consumes exactly one RNG variate, `rng.random()`, even for the
+    noiseless channel, so transcripts stay aligned across noise models under
+    a shared seed. `TestOracle` applies the same channel to the same stream
+    of uniforms, one per test.
+    """
+    if out is Outcome.ERASED:
+        raise ValueError("noise channels apply to raw outcomes only, not ERASED")
+    return _channel(out, rng.random(), model)
+
+
+class PoolOracle:
+    """Reference oracle with tuple pools and one scalar noise draw per test;
+    a design is tested row by row, a search step by step, and an erased test
+    is resubmitted while `resubmit_erased` is set."""
+
+    def __init__(self, n, truth, noise, rng):
+        self.n = n
+        self.truth = frozenset(truth)
+        self.noise = noise
+        self.rng = rng
+        self.tests_used = 0
+        self.resubmit_erased = False
+        self.transcript = []
+
+    def _submit(self, pool):
+        out = apply_noise(truth_outcome(pool, self.truth), self.noise, self.rng)
+        self.tests_used += 1
+        self.transcript.append((pool, out))
+        return out
+
+    def test(self, pool):
+        pool = tuple(pool)
+        out = self._submit(pool)
+        while self.resubmit_erased and out is Outcome.ERASED:
+            out = self._submit(pool)
+        return out
+
+    def test_design(self, design):
+        return [self._submit(tuple(np.flatnonzero(row).tolist())) for row in design]
+
+    def search(self, candidates):
+        b = len(candidates)
+        if b == 0:
+            raise ValueError("binary search needs a non-empty candidate list")
+        size = 1 << ceil_log2(b)
+        lo = 0
+        while size > 1:
+            half = size // 2
+            pool = candidates[lo:min(lo + half, b)]
+            if self.test(pool) is Outcome.POSITIVE:
+                size = half
+            else:
+                lo += half
+                if lo >= b:
+                    raise SearchOverrun(f"all {b} candidates tested negative")
+                size = half
+        return lo

@@ -20,7 +20,7 @@ from grouptest.algorithms import (
     repeated_binary_testing,
 )
 from grouptest.bounds import NoiseModel, ProblemSize, ceil_log2
-from grouptest.model import Outcome, TestOracle, make_rng
+from grouptest.model import Outcome, TestOracle, make_rng, sample_defective_set
 
 
 def noiseless_oracle(n, truth, seed=0):
@@ -90,6 +90,22 @@ class TestRepeatedBinaryTesting:
         o = noiseless_oracle(5, set())
         res = repeated_binary_testing(o, 5, 0)
         assert res.estimate == frozenset() and res.tests_used == 0
+
+    def test_exact_test_count(self):
+        # round i searches a list of n-i items: exactly ceil(log2(n-i)) tests
+        def exact(n, k):
+            return sum(ceil_log2(n - i) for i in range(k))
+
+        for n in range(1, 13):
+            for k in range(n + 1):
+                for truth in exhaustive_truths(n, k):
+                    res = repeated_binary_testing(noiseless_oracle(n, truth), n, k)
+                    assert res.estimate == truth and res.tests_used == exact(n, k)
+        rng = make_rng(17)
+        for _ in range(200):
+            truth = sample_defective_set(500, 10, rng)
+            res = repeated_binary_testing(noiseless_oracle(500, truth), 500, 10)
+            assert res.estimate == truth and res.tests_used == exact(500, 10)
 
     def test_exhaustive_n10_k2(self):
         g = bounds.rbt_guarantee(ProblemSize(10, 2))

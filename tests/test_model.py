@@ -10,13 +10,12 @@ from grouptest.bounds import NoiseModel
 from grouptest.model import (
     Outcome,
     TestOracle,
-    apply_noise,
     derive_stream_seed,
     make_rng,
     sample_defective_set,
     transcript_lines,
-    truth_outcome,
 )
+from oracle_reference import apply_noise, truth_outcome
 
 
 def all_nonempty_pools(n):

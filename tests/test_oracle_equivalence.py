@@ -1,11 +1,12 @@
 """Equivalence gate for the interval oracle.
 
-`PoolOracle` below is the reference: every pool copied to a tuple, checked
-with `truth_outcome`, and pushed through `apply_noise` with one scalar draw
-per test. Every algorithm, under every noise kind, must behave test for test
-the same against `TestOracle` (range pools by bisect, block-drawn uniforms)
-as against the reference, and the sparse sampler must match a dense
-Fisher-Yates draw for draw.
+`PoolOracle` (in `oracle_reference.py`) is the reference: every pool copied
+to a tuple, checked with `truth_outcome`, and pushed through `apply_noise`
+with one scalar draw per test; a search is stepped test by test. Every
+algorithm, under every noise kind, must behave test for test the same
+against `TestOracle` (range pools and noiseless range searches by bisect,
+block-drawn uniforms) as against the reference, and the sparse sampler must
+match a dense Fisher-Yates draw for draw.
 """
 import hashlib
 
@@ -24,36 +25,8 @@ from grouptest.algorithms import (
 )
 from grouptest.bounds import NoiseKind, NoiseModel, ProblemSize
 from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
-from grouptest.model import (
-    TestOracle,
-    apply_noise,
-    make_rng,
-    sample_defective_set,
-    truth_outcome,
-)
-
-
-class PoolOracle:
-    """Reference oracle with tuple pools and one scalar noise draw per test;
-    a design is tested row by row."""
-
-    def __init__(self, n, truth, noise, rng):
-        self.n = n
-        self.truth = frozenset(truth)
-        self.noise = noise
-        self.rng = rng
-        self.tests_used = 0
-        self.transcript = []
-
-    def test(self, pool):
-        pool = tuple(pool)
-        out = apply_noise(truth_outcome(pool, self.truth), self.noise, self.rng)
-        self.tests_used += 1
-        self.transcript.append((pool, out))
-        return out
-
-    def test_design(self, design):
-        return [self.test(np.flatnonzero(row).tolist()) for row in design]
+from grouptest.model import TestOracle, make_rng, sample_defective_set
+from oracle_reference import PoolOracle
 
 
 def dense_fisher_yates(n, k, rng):
@@ -174,6 +147,83 @@ def test_design_batches_interleaved_with_single_tests(noise):
             run(oracle, seed)
             seen.append((oracle.tests_used, as_sets(oracle.transcript)))
         assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("retry", [False, True])
+@pytest.mark.parametrize("noise", list(NOISES))
+def test_searches_interleaved_with_batches_and_single_tests(noise, retry):
+    # Noiseless, the whole-range searches (10 tests each) end exactly on the
+    # boundary at 256 and cross the one at 512; list and part-range searches,
+    # some with no defective, take the step loop.
+    n = 1000
+    steps = [3, ("search", 0), ("design", 233), ("search", 0), 250,
+             ("list", 40), ("search", 0), ("search", None), ("design", 300),
+             ("search", None), 7, ("search", 0), ("list", 3), ("design", 1)]
+
+    def run(oracle, seed):
+        rng = make_rng(seed, 2)
+        for step in steps:
+            if isinstance(step, int):
+                for _ in range(step):
+                    oracle.test(range(int(rng.integers(n)), n))
+                continue
+            kind, arg = step
+            if kind == "design":
+                design = rng.random((arg, n)) < 0.01
+                design[:, int(rng.integers(n))] = True
+                oracle.test_design(design)
+            elif kind == "list":
+                items = sorted(rng.choice(n, arg, replace=False).tolist())
+                settle(lambda: oracle.search(items))
+            else:
+                start = int(rng.integers(n)) if arg is None else arg
+                settle(lambda: oracle.search(range(start, n)))
+
+    for seed in range(10):
+        truth = sample_defective_set(n, 3, make_rng(seed, 0))
+        seen = []
+        for cls in (TestOracle, PoolOracle):
+            oracle = cls(n, truth, NOISES[noise], make_rng(seed, 1))
+            oracle.resubmit_erased = retry
+            run(oracle, seed)
+            seen.append((oracle.tests_used, as_sets(oracle.transcript)))
+        assert seen[0] == seen[1]
+
+
+def test_noiseless_search_without_defective_overruns():
+    # a range with no defective takes the step loop and overruns after the
+    # same tests as the reference, unless b is a power of two: the last
+    # candidate is then never tested, and is returned
+    for b in range(1, 70):
+        for start in (0, 5, 100):
+            truth = {start + b} if start + b < 200 else {0}
+            seen = []
+            for cls in (TestOracle, PoolOracle):
+                oracle = cls(200, truth, NOISES["noiseless"], make_rng(b, 1))
+                seen.append((settle(lambda: oracle.search(range(start, start + b))),
+                             oracle.tests_used, as_sets(oracle.transcript)))
+            assert seen[0] == seen[1]
+            assert seen[0][0] == (b - 1 if b & (b - 1) == 0 else SearchOverrun)
+
+
+@pytest.mark.parametrize("noise", list(NOISES))
+def test_generator_advanced_by_whole_blocks(noise):
+    # after any run the generator sits ceil(tests_used / 256) blocks of 256
+    # draws past where the oracle found it; at (9699, 30) the splitting
+    # algorithms spend about 290 tests, so a search often crosses 256
+    model = NOISES[noise]
+    n, k = 9699, 30
+    runs = {alg: (lambda o, f=f: f(o, n, k)) for alg, f in ADAPTIVE.items()}
+    runs["comp"] = lambda o: comp_run(o, n, k, 300, make_rng(0, 2))
+    for name, run in runs.items():
+        for seed in range(5):
+            truth = sample_defective_set(n, k, make_rng(seed, 0))
+            oracle = TestOracle(n, truth, model, make_rng(seed, 1))
+            oracle.resubmit_erased = name != "comp"
+            settle(lambda: run(oracle))
+            fresh = make_rng(seed, 1)
+            fresh.random(-(-oracle.tests_used // 256) * 256)
+            assert oracle.rng.bit_generator.state == fresh.bit_generator.state
 
 
 @pytest.mark.parametrize("alg,noise", [

@@ -129,12 +129,14 @@ def _halve(candidates: Sequence[int], test) -> int:
     return lo
 
 
-def _replay_search(candidates: Sequence[int], lo: int) -> list:
-    """The (pool, outcome) steps of a noiseless search over `candidates` that
-    found the defective at index `lo`."""
-    found, steps = candidates[lo], []
+def _replay_search(candidates: Sequence[int], lo: int, erased: Sequence[int]) -> list:
+    """The (pool, outcome) submissions of a search over `candidates` that
+    found the defective at index `lo`: each step's pool `erased[step]` times
+    ERASED (no entry counts as 0), then with its noiseless outcome."""
+    found, steps, retries = candidates[lo], [], iter(erased)
 
     def answer(pool):
+        steps.extend([(pool, Outcome.ERASED)] * next(retries, 0))
         steps.append((pool, Outcome.POSITIVE if found in pool else Outcome.NEGATIVE))
         return steps[-1][1]
 
@@ -152,9 +154,11 @@ class TestOracle:
       O(log k), and the range itself is logged. Any other pool is copied to a
       tuple and checked item by item.
     - `search` runs a whole halving search and returns the index of the
-      leftmost defective. A noiseless search over a step-1 `range` that holds
-      a defective is answered by bisect and logged as one entry; every other
-      search sends each step through `test`.
+      leftmost defective. Where firm outcomes are the truth (noiseless, or
+      erasure while `resubmit_erased` is set), a search over a step-1 `range`
+      that holds a defective is answered by bisect and logged as one entry,
+      with each step's erased submissions; every other search sends each
+      step through `test`.
     - `test_design` tests every row of a boolean t x n design at once, with
       the same outcomes as t calls of `test`, and logs the whole batch as one
       entry. `transcript` expands each logged row, and each logged search,
@@ -181,7 +185,7 @@ class TestOracle:
         self.rng = rng
         self.tests_used = 0
         self.resubmit_erased = False
-        # (pool, outcome), (design, [outcome per row]) or (candidates, found index)
+        # (pool, outcome), (design, [outcome per row]) or (candidates, (index, erased))
         self._log: list = []
         self._sorted_truth = sorted(truth)
         self._uniforms: list[float] = []
@@ -194,8 +198,8 @@ class TestOracle:
             if type(out) is list:
                 tests.extend((tuple(np.flatnonzero(row).tolist()), o)
                              for row, o in zip(pool, out))
-            elif type(out) is int:
-                tests.extend(_replay_search(pool, out))
+            elif type(out) is tuple:
+                tests.extend(_replay_search(pool, *out))
             else:
                 tests.append((pool, out))
         return tests
@@ -243,15 +247,39 @@ class TestOracle:
         b = len(candidates)
         if b == 0:
             raise ValueError("a search needs at least one candidate")
-        if (self.noise.kind is NoiseKind.NOISELESS and type(candidates) is range
-                and candidates.step == 1):
+        kind = self.noise.kind
+        if (type(candidates) is range and candidates.step == 1
+                and (kind is NoiseKind.NOISELESS
+                     or kind is NoiseKind.ERASURE and self.resubmit_erased)):
             i = bisect_left(self._sorted_truth, candidates.start)
             if i < len(self._sorted_truth) and self._sorted_truth[i] < candidates.stop:
                 lo = self._sorted_truth[i] - candidates.start
-                self._take_uniforms((b - 1).bit_length())
-                self._log.append((candidates, lo))
+                steps = (b - 1).bit_length()
+                if kind is NoiseKind.NOISELESS:
+                    self._take_uniforms(steps)
+                    erased = ()
+                else:
+                    erased = self._take_until_firm(steps)
+                self._log.append((candidates, (lo, erased)))
                 return lo
         return _halve(candidates, self.test)
+
+    def _take_until_firm(self, firm: int) -> list[int]:
+        """Count tests, one uniform each and blocks refilled as in `test`, until
+        `firm` of them land (u >= p); return the erased count before each."""
+        p, t, erased, run = self.noise.p, self.tests_used, [], 0
+        while len(erased) < firm:
+            j = t % _BLOCK
+            if j == 0:
+                self._uniforms = self.rng.random(_BLOCK).tolist()
+            t += 1
+            if self._uniforms[j] < p:
+                run += 1
+            else:
+                erased.append(run)
+                run = 0
+        self.tests_used = t
+        return erased
 
     def test_design(self, design) -> list[Outcome]:
         """Test each row of a boolean t x n design as one pool, in row order.

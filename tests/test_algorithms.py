@@ -183,16 +183,17 @@ def test_group_tests_advance_past_cleared_items(alg):
     for truth in exhaustive_truths(14, 3):
         o = noiseless_oracle(14, truth)
         alg(o, 14, 3)
-        assert all(isinstance(p, range) and p.step == 1 for p, _ in o.transcript)
+        transcript = o.transcript
+        assert all(isinstance(p, range) and p.step == 1 for p, _ in transcript)
         i, start = 0, 0
-        while i < len(o.transcript):
-            group, out = o.transcript[i]
+        while i < len(transcript):
+            group, out = transcript[i]
             assert group.start == start
             if out is Outcome.NEGATIVE:
                 i, start = i + 1, group.stop
             else:
                 i, start = i + 1 + ceil_log2(len(group)), min(truth & set(group)) + 1
-        assert i == len(o.transcript)
+        assert i == len(transcript)
 
 
 class TestErasureRetry:

@@ -10,6 +10,7 @@ match a dense Fisher-Yates draw for draw.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from grouptest import harness
@@ -56,6 +57,10 @@ NOISES = {
     "symmetric": NoiseModel.symmetric(0.1),
     "additive": NoiseModel.additive(0.1),
 }
+# at erasure 0.9 a search's resubmissions often cross a block of 256; at 0
+# none happen
+ALL_NOISES = {**NOISES, "erasure0.9": NoiseModel.erasure(0.9),
+              "erasure0": NoiseModel.erasure(0.0)}
 
 
 def run_both(run, n, k, noise, seed):
@@ -149,7 +154,7 @@ def test_design_batches_interleaved_with_single_tests(noise):
 
 
 @pytest.mark.parametrize("retry", [False, True])
-@pytest.mark.parametrize("noise", list(NOISES))
+@pytest.mark.parametrize("noise", list(ALL_NOISES))
 def test_searches_interleaved_with_batches_and_single_tests(noise, retry):
     # Noiseless, the whole-range searches (10 tests each) end exactly on the
     # boundary at 256 and cross the one at 512; list and part-range searches,
@@ -182,7 +187,7 @@ def test_searches_interleaved_with_batches_and_single_tests(noise, retry):
         truth = sample_defective_set(n, 3, make_rng(seed, 0))
         seen = []
         for cls in (TestOracle, PoolOracle):
-            oracle = cls(n, truth, NOISES[noise], make_rng(seed, 1))
+            oracle = cls(n, truth, ALL_NOISES[noise], make_rng(seed, 1))
             oracle.resubmit_erased = retry
             run(oracle, seed)
             seen.append((oracle.tests_used, as_sets(oracle.transcript)))
@@ -205,12 +210,12 @@ def test_noiseless_search_without_defective_overruns():
             assert seen[0][0] == (b - 1 if b & (b - 1) == 0 else SearchOverrun)
 
 
-@pytest.mark.parametrize("noise", list(NOISES))
+@pytest.mark.parametrize("noise", [*NOISES, "erasure0.9"])
 def test_generator_advanced_by_whole_blocks(noise):
     # after any run the generator sits ceil(tests_used / 256) blocks of 256
     # draws past where the oracle found it; at (9699, 30) the splitting
-    # algorithms spend about 290 tests, so a search often crosses 256
-    model = NOISES[noise]
+    # algorithms spend about 290 firm tests, so a search often crosses 256
+    model = ALL_NOISES[noise]
     n, k = 9699, 30
     runs = {alg: (lambda o, f=f: f(o, n, k)) for alg, f in ADAPTIVE.items()}
     runs["comp"] = lambda o: comp_run(o, n, k, 300, make_rng(0, 2))
@@ -223,6 +228,39 @@ def test_generator_advanced_by_whole_blocks(noise):
             fresh = make_rng(seed, 1)
             fresh.random(-(-oracle.tests_used // 256) * 256)
             assert oracle.rng.bit_generator.state == fresh.bit_generator.state
+
+
+class CyclingUniforms:
+    """A generator stand-in that deals `values` over and over as its
+    uniforms, one at a time or in blocks."""
+
+    def __init__(self, values):
+        self.values, self.drawn = np.array(values), 0
+
+    def random(self, size=None):
+        if size is None:
+            return float(self.random(1)[0])
+        self.drawn += size
+        return self.values[np.arange(self.drawn - size, self.drawn) % len(self.values)]
+
+
+@pytest.mark.parametrize("values", [
+    # u equal to p lands: `_channel` erases only u < p; 5 shifts against 256
+    [0.25, 0.1, 0.7, 0.25, 0.2],
+    # one firm test in 97 submissions: a search's resubmissions cross
+    # several blocks of 256
+    [0.1] * 96 + [0.5],
+], ids=["u-equal-p", "several-blocks"])
+def test_erasure_retry_on_dealt_uniforms(values):
+    for seed in range(10):
+        truth = sample_defective_set(1000, 5, make_rng(seed, 0))
+        seen = []
+        for cls in (TestOracle, PoolOracle):
+            oracle = cls(1000, truth, NoiseModel.erasure(0.25), CyclingUniforms(values))
+            res = erasure_retry(hgbsa, oracle, 1000, 5)
+            seen.append((res.estimate, oracle.tests_used, as_sets(oracle.transcript)))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == truth
 
 
 @pytest.mark.parametrize("alg,noise", [
@@ -277,3 +315,18 @@ def test_erasure_retry_trials_pinned(alg):
     text = "".join(f"{int(r.success)},{r.tests_used}\n"
                    for r in run_trials(spec, threads=1))
     assert hashlib.sha256(text.encode()).hexdigest() == ERASURE_RETRY_SHA256[alg]
+
+
+# sha256 of the per-trial "success,tests_used" lines of `run_trials` for
+# HGBSA at the erasure-large-n benchmark size (100000, 71), erasure 0.25 with
+# retry, pools of up to 1024 items; computed while every erasure search step
+# still went through `test`.
+ERASURE_LARGE_N_SHA256 = "96a66ddcedb769daa4a47f060c44dcad3cb2d4b3b8b8e83ed43eb155f1baa829"
+
+
+def test_erasure_retry_large_n_trials_pinned():
+    spec = ExperimentSpec(size=ProblemSize(100000, 71), algorithm="hgbsa",
+                          noise=NoiseModel.erasure(0.25), trials=20, master_seed=1)
+    text = "".join(f"{int(r.success)},{r.tests_used}\n"
+                   for r in run_trials(spec, threads=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == ERASURE_LARGE_N_SHA256

@@ -7,57 +7,103 @@ C(m-g, k') / C(m, k') the test is negative, costs 1 test and leaves
 (m-g, k'). Otherwise the leftmost defective sits at index j < g with
 probability C(m-j-1, k'-1) / C(m, k'); the test and its binary search cost
 1 + ceil(log2 g) tests and leave (m-j-1, k'-1). The loop stops at k' = 0 or
-m = k'. Over j the positive branch is a window m' = m-j-1 in [m-g, m-1], so
-prefix sums over m' of C(m', k'-1) P(m', k'-1) give each window in O(1).
+m = k'. Counted in subsets rather than probabilities, the subsets of m
+candidates that cost t tests are those of m-g that cost t-1, plus those of
+each m' = m-j-1 in the window [m-g, m-1], with one defective fewer, that
+cost t-1-ceil(log2 g); prefix sums over m' give each window in O(1). The m
+that share a group size are computed together, in runs of at most g, so a
+run's negative branch reads only finished rows.
+
+Under erasure with resubmission the firm tests are these noiseless ones,
+and the erased submissions before each are geometric.
 """
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from grouptest import harness
 from grouptest.algorithms import _hwang_group_size, _variant_group_size, hgbsa, hwang_variant
 from grouptest.bounds import NoiseModel, ProblemSize, ceil_log2
-from grouptest.harness import ExperimentSpec, guarantee_for, success_curve, wilson_interval
-from grouptest.model import TestOracle, derive_stream_seed, make_rng
+from grouptest.harness import (ExperimentSpec, guarantee_for, run_trial, success_curve,
+                               wilson_interval)
+from grouptest.model import Outcome, TestOracle, derive_stream_seed, make_rng
 
 RULES = {"hgbsa": _hwang_group_size, "variant": _variant_group_size}
 RUNS = {"hgbsa": hgbsa, "variant": hwang_variant}
 
 
+def group_sizes(m_max, kp, group_size):
+    """g[m] = group_size(m, k') for k' < m <= m_max (0 elsewhere), and the
+    runs [a, b) of consecutive such m that share a g, each at most g long:
+    every m - g of a run lies below the run, so a negative's next state is
+    final before the run is reached."""
+    g = np.zeros(m_max + 1, dtype=np.int64)
+    g[kp + 1:] = [group_size(m, kp) for m in range(kp + 1, m_max + 1)]
+    gl = g.tolist()
+    cuts = [kp + 1, *(np.flatnonzero(np.diff(g[kp + 1:])) + kp + 2).tolist(), m_max + 1]
+    runs = [(a, min(a + gl[lo], hi)) for lo, hi in zip(cuts, cuts[1:]) if lo < hi
+            for a in range(lo, hi, gl[lo])]
+    return g, runs
+
+
+def window_max(x, lo, hi):
+    """max(x[lo[i]:hi[i]]) for every i, each window non-empty, from a sparse
+    table whose level l holds the max of every 2^l consecutive entries."""
+    table = [x]
+    while 2 ** len(table) <= len(x):
+        half = 2 ** (len(table) - 1)
+        table.append(np.maximum(table[-1][:-half], table[-1][half:]))
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
+    out = np.zeros(len(lo), dtype=x.dtype)
+    for lv in np.unique(level).tolist():
+        at = level == lv
+        out[at] = np.maximum(table[lv][lo[at]], table[lv][hi[at] - 2 ** lv])
+    return out
+
+
 def worst_case(n_max, k_max, group_size):
     """W[k'][m]: the most tests the loop can spend on m candidates holding k'
     defectives, for every m <= n_max and k' <= k_max."""
-    w = [[0] * (n_max + 1) for _ in range(k_max + 1)]
+    w = np.zeros((k_max + 1, n_max + 1), dtype=np.int64)
+    m = np.arange(n_max + 1)
     for kp in range(1, k_max + 1):
-        prev, cur = w[kp - 1], w[kp]
-        for m in range(kp + 1, n_max + 1):
-            g = group_size(m, kp)
-            most = 1 + ceil_log2(g) + max(prev[max(m - g, kp - 1):m])
-            if m - g >= kp:  # a negative is possible
-                most = max(most, 1 + cur[m - g])
-            cur[m] = most
+        g, runs = group_sizes(n_max, kp, group_size)
+        live = m > kp
+        # positive: 1 + ceil(log2 g) tests, then W[k'-1] at some m' in
+        # [m-g, m-1]; the windows may reach below k'-1, where W is 0
+        cur = w[kp]
+        cur[live] = (1 + np.frexp(g[live] - 1)[1]
+                     + window_max(w[kp - 1], m[live] - g[live], m[live]))
+        # negative, possible when m-g >= k': 1 test, then W[k'][m-g]; below
+        # k', W[k'] is 0 and 1 + 0 never beats the positive branch
+        for a, b in runs:
+            cur[a:b] = np.maximum(cur[a:b], 1 + cur[a - g[a]:b - g[a]])
     return w
 
 
-def exact_distribution(n, k, group_size, length):
-    """P[T = t] for t < length, T the loop's test count at (n, k)."""
-    prev = np.zeros((n + 1, length))
-    prev[:, 0] = 1.0  # k' = 0: no test
+def exact_distribution(n, k, group_size, worst):
+    """P[T = t] for t <= W[k][n], T the loop's test count at (n, k), given
+    W = worst_case(n, k, group_size). Row m of level k' counts the k'-subsets
+    of m candidates by the tests the loop spends on them; level k' keeps
+    only t <= max W[k']."""
+    prev = np.ones((n + 1, 1))  # k' = 0: one subset, no test
     for kp in range(1, k + 1):
-        weight = np.array([math.comb(m, kp - 1) for m in range(n + 1)], dtype=float)
+        g, runs = group_sizes(n, kp, group_size)
+        length = max(prev.shape[1], int(worst[kp].max()) + 1)
         below = np.zeros((n + 2, length))  # below[j] = sum over m' < j
-        np.cumsum(weight[:, None] * prev, axis=0, out=below[1:])
+        np.cumsum(prev, axis=0, out=below[1:, :prev.shape[1]])
         cur = np.zeros((n + 1, length))
         cur[kp, 0] = 1.0  # m = k': every candidate is defective
-        for m in range(kp + 1, n + 1):
-            g = group_size(m, kp)
-            total = math.comb(m, kp)
-            cost = 1 + ceil_log2(g)
-            cur[m, 1:] = math.comb(m - g, kp) / total * cur[m - g, :-1]
-            cur[m, cost:] += (below[m] - below[m - g])[:-cost] / total
+        for a, b in runs:
+            ga = int(g[a])
+            cost = 1 + ceil_log2(ga)
+            np.subtract(below[a:b, :-cost], below[a - ga:b - ga, :-cost], out=cur[a:b, cost:])
+            cur[a:b, 1:] += cur[a - ga:b - ga, :-1]
         prev = cur
-    return prev[n]
+    return prev[n, :worst[k][n] + 1] / math.comb(n, k)
 
 
 @pytest.mark.parametrize("alg", list(RULES))
@@ -67,29 +113,31 @@ def test_references_match_enumeration(alg, n, k):
     for truth in combinations(range(n), k):
         oracle = TestOracle(n, truth, NoiseModel.noiseless(), make_rng(0))
         counts.append(RUNS[alg](oracle, n, k).tests_used)
-    worst = worst_case(n, k, RULES[alg])[k][n]
+    w = worst_case(n, k, RULES[alg])
+    worst = w[k][n]
     assert worst == max(counts)
-    dist = exact_distribution(n, k, RULES[alg], worst + 1)
+    dist = exact_distribution(n, k, RULES[alg], w)
     want = np.bincount(counts, minlength=worst + 1) / len(counts)
     assert np.abs(dist - want).max() < 1e-12
 
 
-# exact means and worst cases at the figure's smaller size
+# exact means and worst cases at the figure's two sizes
 EXACT_500_10 = {"hgbsa": (68.5600, 74), "variant": (72.8295, 79)}
+EXACT_9699_30 = {"hgbsa": (291.5662, 306), "variant": (301.7111, 329)}
 
 
-@pytest.mark.parametrize("alg", list(RULES))
-def test_figure1_cdf_within_wilson_of_exact(alg):
-    mean, worst = EXACT_500_10[alg]
-    size = ProblemSize(500, 10)
-    assert worst_case(500, 10, RULES[alg])[10][500] == worst
-    dist = exact_distribution(500, 10, RULES[alg], worst + 1)
+def check_figure1_cdf(alg, n, k, trials, mean, worst):
+    """The exact mean and worst case at (n, k), and every point of the
+    (n, k) curve of `figure1 --seed 0` at `trials` trials, at every budget
+    up to the worst case, inside a z=4 Wilson interval around the exact CDF."""
+    w = worst_case(n, k, RULES[alg])
+    assert w[k][n] == worst
+    dist = exact_distribution(n, k, RULES[alg], w)
     assert abs(dist.sum() - 1.0) < 1e-12
     assert dist[worst] > 0
     assert dist @ np.arange(worst + 1) == pytest.approx(mean, abs=5e-5)
-    # the (500, 10) curve of `figure1 --seed 0`, at every budget up to the worst case
     alg_index = list(RULES).index(alg)
-    spec = ExperimentSpec(size=size, algorithm=alg, trials=2000,
+    spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg, trials=trials,
                           master_seed=derive_stream_seed(0, alg_index),
                           budget_range=(0, worst + 1, 1))
     cdf = np.cumsum(dist)
@@ -98,6 +146,48 @@ def test_figure1_cdf_within_wilson_of_exact(alg):
         lo, hi = wilson_interval(wins, spec.trials, z=4.0)
         exact = cdf[min(point.t, worst)]
         assert lo <= exact <= hi, (point.t, wins, exact)
+
+
+@pytest.mark.parametrize("alg", list(RULES))
+def test_figure1_cdf_within_wilson_of_exact(alg):
+    check_figure1_cdf(alg, 500, 10, 2000, *EXACT_500_10[alg])
+
+
+@pytest.mark.parametrize("alg", list(RULES))
+def test_figure1_large_cdf_within_wilson_of_exact(alg):
+    check_figure1_cdf(alg, 9699, 30, 500, *EXACT_9699_30[alg])
+
+
+@pytest.mark.parametrize("alg", list(RULES))
+def test_erasure_retry_firm_tests_are_noiseless(monkeypatch, alg):
+    # With erased tests resubmitted the firm outcomes are the noiseless
+    # ones: trial by trial the firm count F equals the noiseless test count
+    # on the same truth, and the erased submissions before each firm test are
+    # geometric, so their total has mean sum F p/(1-p) and variance
+    # sum F p/(1-p)^2 (negative binomial).
+    p = 0.25
+    oracles = []
+
+    class RecordedOracle(TestOracle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            oracles.append(self)
+
+    monkeypatch.setattr(harness, "TestOracle", RecordedOracle)
+    spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm=alg,
+                          noise=NoiseModel.erasure(p), trials=2000, master_seed=7)
+    noiseless = replace(spec, noise=NoiseModel.noiseless())
+    firm_total = erased_total = 0
+    for i in range(spec.trials):
+        res = run_trial(spec, i)
+        erased = sum(out is Outcome.ERASED for _, out in oracles[-1].transcript)
+        assert res.success
+        assert res.tests_used - erased == run_trial(noiseless, i).tests_used, i
+        firm_total += res.tests_used - erased
+        erased_total += erased
+    mean = firm_total * p / (1 - p)
+    sd = math.sqrt(firm_total * p) / (1 - p)
+    assert abs(erased_total - mean) <= 4 * sd, (erased_total, mean, sd)
 
 
 @pytest.mark.parametrize("alg", list(RULES))

@@ -33,7 +33,6 @@ from .algorithms import (
     SearchResult,
     binary_search,
     comp_run,
-    erasure_retry,
     hgbsa,
     hwang_variant,
     repeated_binary_testing,

@@ -1,6 +1,6 @@
 """Group-testing algorithms: halving binary search, repeated binary testing,
 Hwang's generalized binary splitting (HGBSA), the tightened splitting variant,
-an erasure-retry wrapper, and the non-adaptive COMP baseline.
+and the non-adaptive COMP baseline.
 
 HGBSA and the variant are one splitting loop (`_split`) with two group-size
 rules for m candidates holding k' hidden defectives: Hwang's 2^alpha, with
@@ -8,11 +8,12 @@ alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and the variant's
 ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds m-k'. Every
 halving search is one `TestOracle.search` call.
 
-All adaptive algorithms assume noiseless-equivalent oracle behaviour: either a
-noiseless oracle or an erasure oracle that resubmits erased tests, which
-`erasure_retry` switches on. They know the true defective count k and recover
-the defective set exactly. On a noisy channel, a search can clear every
-candidate of a group that tested positive; it then raises `SearchOverrun`.
+All adaptive algorithms assume noiseless-equivalent oracle behaviour, which a
+noiseless oracle gives and an erasure oracle gives by resubmitting every
+erased test until it lands. They know the true defective count k and recover
+the defective set exactly. Under symmetric or additive noise, a search can
+clear every candidate of a group that tested positive; it then raises
+`SearchOverrun`.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import NoiseKind, ceil_log2
-from .model import Outcome, SearchOverrun, TestOracle  # noqa: F401 (re-exported)
+from .model import Outcome, SearchOverrun  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,13 @@ class RunResult:
 
 def binary_search(oracle, candidates: Sequence[int]) -> SearchResult:
     """Locate the leftmost defective among `candidates` (which must contain at
-    least one) in exactly ceil(log2 b) tests, proving the preceding prefix
-    non-defective. The search itself is `oracle.search`."""
+    least one), proving the preceding prefix non-defective. The search itself
+    is `oracle.search`: ceil(log2 b) firm tests, plus any erased submissions,
+    all counted in `tests_spent`."""
+    before = oracle.tests_used
     lo = oracle.search(candidates)
     return SearchResult(found=candidates[lo], cleared=tuple(candidates[:lo]),
-                        tests_spent=ceil_log2(len(candidates)))
+                        tests_spent=oracle.tests_used - before)
 
 
 def repeated_binary_testing(oracle, n: int, k: int) -> RunResult:
@@ -121,18 +123,6 @@ def hwang_variant(oracle, n: int, k: int) -> RunResult:
     hidden defectives.
     """
     return _split(oracle, n, k, _variant_group_size)
-
-
-def erasure_retry(inner: Callable[..., RunResult], oracle: TestOracle,
-                  n: int, k: int) -> RunResult:
-    """Run `inner` against `oracle` with every erased test resubmitted by the
-    oracle until it lands. Requires noiseless or erasure noise with p < 1."""
-    if oracle.noise.kind not in (NoiseKind.NOISELESS, NoiseKind.ERASURE):
-        raise ValueError("erasure retry only supports noiseless or erasure oracles")
-    if oracle.noise.kind is NoiseKind.ERASURE and oracle.noise.p >= 1.0:
-        raise ValueError("erasure probability 1 never terminates")
-    oracle.resubmit_erased = True
-    return inner(oracle, n, k)
 
 
 def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunResult:

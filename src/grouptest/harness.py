@@ -12,11 +12,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bounds
-from .algorithms import ADAPTIVE_ALGORITHMS, comp_run, erasure_retry
+from .algorithms import ADAPTIVE_ALGORITHMS, comp_run
 from .bounds import NoiseKind, NoiseModel, ProblemSize
 from .model import (SearchOverrun, TestOracle, derive_stream_seed, make_rng,
                     sample_defective_set)
@@ -112,9 +113,9 @@ def guarantee_for(algorithm: str, size: ProblemSize) -> int:
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     """One independent trial, fully determined by (spec, trial_index).
 
-    Adaptive algorithms under erasure noise always run through
-    `erasure_retry`. A binary search overrun (possible only under symmetric
-    or additive noise) ends the trial as a failure."""
+    Under erasure noise the oracle resubmits each erased adaptive test until
+    it lands. A binary search overrun (possible only under symmetric or
+    additive noise) ends the trial as a failure."""
     n, k = spec.size.n, spec.size.k
     seed = derive_stream_seed(spec.master_seed, trial_index)
     rng = make_rng(seed, 0)
@@ -129,35 +130,22 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
         design_rng = make_rng(seed, 1)
         result = comp_run(oracle, n, k, t, design_rng)
     else:
-        inner = ADAPTIVE_ALGORITHMS[spec.algorithm]
         try:
-            if spec.noise.kind is NoiseKind.ERASURE:
-                result = erasure_retry(inner, oracle, n, k)
-            else:
-                result = inner(oracle, n, k)
+            result = ADAPTIVE_ALGORITHMS[spec.algorithm](oracle, n, k)
         except SearchOverrun:
             return TrialResult(success=False, tests_used=oracle.tests_used)
     return TrialResult(success=result.estimate == truth, tests_used=result.tests_used)
 
 
-def _trial_worker(args) -> tuple[int, bool, int]:
-    spec, idx = args
-    r = run_trial(spec, idx)
-    return idx, r.success, r.tests_used
-
-
 def run_trials(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
-    """All trials of a spec, across `threads` processes (0 = all cores);
-    results are keyed by trial index before reduction so the output never
-    depends on scheduling."""
+    """All trials of a spec, across `threads` processes (0 = all cores), in
+    trial-index order whatever the scheduling."""
     workers = threads or os.cpu_count() or 1
     if workers == 1:
         return [run_trial(spec, i) for i in range(spec.trials)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        raw = list(pool.map(_trial_worker, ((spec, i) for i in range(spec.trials)),
-                            chunksize=max(1, spec.trials // (workers * 8))))
-    raw.sort(key=lambda r: r[0])
-    return [TrialResult(success=s, tests_used=t) for _, s, t in raw]
+        return list(pool.map(run_trial, repeat(spec), range(spec.trials),
+                             chunksize=max(1, spec.trials // (workers * 8))))
 
 
 @dataclass
@@ -165,17 +153,14 @@ class TestsDistribution:
     counts: list
     mean: float
     max: int
-    quantiles: dict
 
 
 def tests_distribution(spec: ExperimentSpec, threads: int = 1) -> TestsDistribution:
     """Empirical distribution of tests_used over the spec's trials."""
     results = run_trials(spec, threads)
     counts = sorted(r.tests_used for r in results)
-    mean = sum(counts) / len(counts)
-    qs = {q: counts[min(len(counts) - 1, int(q * len(counts)))]
-          for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)}
-    return TestsDistribution(counts=counts, mean=mean, max=counts[-1], quantiles=qs)
+    return TestsDistribution(counts=counts, mean=sum(counts) / len(counts),
+                             max=counts[-1])
 
 
 def success_curve(spec: ExperimentSpec, threads: int = 1) -> SuccessCurve:

@@ -106,7 +106,9 @@ _BLOCK = 256  # noise uniforms drawn per refill
 class SearchOverrun(Exception):
     """Every candidate of a halving search tested negative: only a noisy
     channel can do that, after a false positive or a false negative, or a
-    search over candidates that hold no defective."""
+    search over candidates that hold no defective. When the number of
+    candidates b is a power of two, the last one is never tested, so a
+    search with no defective returns b - 1 instead of overrunning."""
 
 
 def _halve(candidates: Sequence[int], test) -> int:
@@ -117,7 +119,8 @@ def _halve(candidates: Sequence[int], test) -> int:
     to a power of two; dummies never reach `test`, so each step tests only
     the real members of the current first half (always non-empty), and b
     candidates take ceil(log2 b) steps. Each pool is a slice of `candidates`,
-    so a `range` yields range pools."""
+    so a `range` yields range pools. The last candidate is never tested: for
+    a power-of-two b with no defective, b - 1 is returned, not an overrun."""
     b = len(candidates)
     lo, size = 0, 1 << (b - 1).bit_length()
     while size > 1:
@@ -154,19 +157,19 @@ class TestOracle:
       O(log k), and the range itself is logged. Any other pool is copied to a
       tuple and checked item by item.
     - `search` runs a whole halving search and returns the index of the
-      leftmost defective. Where firm outcomes are the truth (noiseless, or
-      erasure while `resubmit_erased` is set), a search over a step-1 `range`
-      that holds a defective is answered by bisect and logged as one entry,
-      with each step's erased submissions; every other search sends each
-      step through `test`.
+      leftmost defective. Where firm outcomes are the truth (noiseless or
+      erasure), a search over a step-1 `range` that holds a defective is
+      answered by bisect and logged as one entry, with each step's erased
+      submissions; every other search sends each step through `test`.
     - `test_design` tests every row of a boolean t x n design at once, with
-      the same outcomes as t calls of `test`, and logs the whole batch as one
+      the outcomes of t single submissions, and logs the whole batch as one
       entry. `transcript` expands each logged row, and each logged search,
       into its tests when it is read.
-    - While `resubmit_erased` is set (`erasure_retry` sets it), `test` and
-      the steps of `search` resubmit an erased pool until its outcome is
-      firm. Every submission counts in `tests_used`, uses its own uniform and
-      is logged.
+    - `test` and the steps of `search` resubmit an erased pool until its
+      outcome is firm; a `test_design` row is never resubmitted. Every
+      submission counts in `tests_used`, uses its own uniform and is logged.
+      At erasure probability 1 no submission lands, so `test` and `search`
+      raise ValueError instead of resubmitting forever.
     - Test j (0-based) is pushed through the noise channel `_channel` with
       the j-th uniform of `rng`; a noiseless test still uses up its uniform.
     - The uniforms are drawn `rng.random(256)` at a time, so after the last
@@ -184,7 +187,6 @@ class TestOracle:
         self.noise = noise
         self.rng = rng
         self.tests_used = 0
-        self.resubmit_erased = False
         # (pool, outcome), (design, [outcome per row]) or (candidates, (index, erased))
         self._log: list = []
         self._sorted_truth = sorted(truth)
@@ -234,23 +236,24 @@ class TestOracle:
             out = _channel(raw, self._uniforms[j], self.noise)
             self.tests_used += 1
             self._log.append((pool, out))
-            if out is not Outcome.ERASED or not self.resubmit_erased:
+            if out is not Outcome.ERASED:
                 return out
+            if self.noise.p >= 1.0:
+                raise ValueError("erasure probability 1: no test ever lands")
 
     def search(self, candidates: Sequence[int]) -> int:
         """Index within `candidates` of their leftmost defective, by the
         halving schedule of `_halve`: ceil(log2 b) steps for b candidates, each
         one test plus any resubmissions.
 
-        Raises ValueError on no candidates, and `SearchOverrun` when every
-        candidate tests negative."""
+        Raises ValueError on no candidates or a test that can never land, and
+        `SearchOverrun` when every candidate tests negative."""
         b = len(candidates)
         if b == 0:
             raise ValueError("a search needs at least one candidate")
         kind = self.noise.kind
         if (type(candidates) is range and candidates.step == 1
-                and (kind is NoiseKind.NOISELESS
-                     or kind is NoiseKind.ERASURE and self.resubmit_erased)):
+                and (kind is NoiseKind.NOISELESS or kind is NoiseKind.ERASURE)):
             i = bisect_left(self._sorted_truth, candidates.start)
             if i < len(self._sorted_truth) and self._sorted_truth[i] < candidates.stop:
                 lo = self._sorted_truth[i] - candidates.start
@@ -268,6 +271,8 @@ class TestOracle:
         """Count tests, one uniform each and blocks refilled as in `test`, until
         `firm` of them land (u >= p); return the erased count before each."""
         p, t, erased, run = self.noise.p, self.tests_used, [], 0
+        if firm and p >= 1.0:
+            raise ValueError("erasure probability 1: no test ever lands")
         while len(erased) < firm:
             j = t % _BLOCK
             if j == 0:
@@ -283,7 +288,7 @@ class TestOracle:
 
     def test_design(self, design) -> list[Outcome]:
         """Test each row of a boolean t x n design as one pool, in row order.
-        A design is never resubmitted, even while `resubmit_erased` is set.
+        An erased row is never resubmitted.
 
         Raises ValueError, before testing anything, if a row is empty."""
         design = np.array(design, dtype=bool)

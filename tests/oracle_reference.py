@@ -34,8 +34,8 @@ def apply_noise(out, model, rng):
 
 class PoolOracle:
     """Reference oracle with tuple pools and one scalar noise draw per test;
-    a design is tested row by row, a search step by step, and an erased test
-    is resubmitted while `resubmit_erased` is set."""
+    a design is tested row by row, a search step by step, and an erased
+    single test or search step is resubmitted until it lands."""
 
     def __init__(self, n, truth, noise, rng):
         self.n = n
@@ -43,7 +43,6 @@ class PoolOracle:
         self.noise = noise
         self.rng = rng
         self.tests_used = 0
-        self.resubmit_erased = False
         self.transcript = []
 
     def _submit(self, pool):
@@ -55,7 +54,7 @@ class PoolOracle:
     def test(self, pool):
         pool = tuple(pool)
         out = self._submit(pool)
-        while self.resubmit_erased and out is Outcome.ERASED:
+        while out is Outcome.ERASED:
             out = self._submit(pool)
         return out
 

@@ -14,7 +14,6 @@ from grouptest.algorithms import (
     _variant_group_size,
     binary_search,
     comp_run,
-    erasure_retry,
     hgbsa,
     hwang_variant,
     repeated_binary_testing,
@@ -67,6 +66,20 @@ class TestBinarySearch:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             binary_search(noiseless_oracle(4, {1}), [])
+
+    def test_tests_spent_counts_erased_submissions(self):
+        # under erasure a search spends its ceil(log2 b) firm tests plus the
+        # resubmissions of every erased one
+        exceeded = False
+        for seed in range(20):
+            o = TestOracle(16, {11}, NoiseModel.erasure(0.5), make_rng(seed))
+            o.test(range(16))
+            before = o.tests_used
+            res = binary_search(o, range(16))
+            assert res.found == 11
+            assert res.tests_spent == o.tests_used - before
+            exceeded |= res.tests_spent > ceil_log2(16)
+        assert exceeded
 
 
 def exhaustive_truths(n, k):
@@ -201,18 +214,18 @@ class TestErasureRetry:
         truth = frozenset({3, 17})
         bare = noiseless_oracle(30, truth, seed=5)
         bare_res = hgbsa(bare, 30, 2)
-        wrapped = TestOracle(30, truth, NoiseModel.erasure(0.0), make_rng(5))
-        wrapped_res = erasure_retry(hgbsa, wrapped, 30, 2)
-        assert wrapped_res.estimate == bare_res.estimate
-        assert wrapped_res.tests_used == bare_res.tests_used
-        assert wrapped.transcript == bare.transcript
+        erasing = TestOracle(30, truth, NoiseModel.erasure(0.0), make_rng(5))
+        erasing_res = hgbsa(erasing, 30, 2)
+        assert erasing_res.estimate == bare_res.estimate
+        assert erasing_res.tests_used == bare_res.tests_used
+        assert erasing.transcript == bare.transcript
 
     def test_filtered_transcript_matches_noiseless(self):
         truth = frozenset({3, 17})
         bare = noiseless_oracle(30, truth, seed=5)
         hgbsa(bare, 30, 2)
         noisy = TestOracle(30, truth, NoiseModel.erasure(0.5), make_rng(99))
-        res = erasure_retry(hgbsa, noisy, 30, 2)
+        res = hgbsa(noisy, 30, 2)
         assert res.estimate == truth
         filtered = [(p, o) for p, o in noisy.transcript if o is not Outcome.ERASED]
         assert filtered == bare.transcript
@@ -225,20 +238,23 @@ class TestErasureRetry:
         counts = []
         for i in range(4000):
             o = TestOracle(4, truth, NoiseModel.erasure(0.5), make_rng(123, i))
-            counts.append(erasure_retry(hgbsa, o, 4, 1).tests_used)
+            counts.append(hgbsa(o, 4, 1).tests_used)
         mean = statistics.mean(counts)
         sem = statistics.stdev(counts) / math.sqrt(len(counts))
         assert abs(mean - 2 * base_tests) <= 3 * sem
 
     def test_p1_rejected(self):
-        o = TestOracle(4, {1}, NoiseModel.erasure(1.0), make_rng(0))
-        with pytest.raises(ValueError):
-            erasure_retry(hgbsa, o, 4, 1)
+        # no test ever lands: single tests, searches (by bisect or step by
+        # step) and HGBSA refuse to resubmit forever; a design, which is never
+        # resubmitted, comes back all erased
+        def oracle():
+            return TestOracle(4, {1}, NoiseModel.erasure(1.0), make_rng(0))
 
-    def test_wrong_channel_rejected(self):
-        o = TestOracle(4, {1}, NoiseModel.symmetric(0.1), make_rng(0))
-        with pytest.raises(ValueError):
-            erasure_retry(hgbsa, o, 4, 1)
+        for run in (lambda o: o.test((0, 1, 2)), lambda o: o.search(range(4)),
+                    lambda o: o.search([0, 1, 2, 3]), lambda o: hgbsa(o, 4, 1)):
+            with pytest.raises(ValueError):
+                run(oracle())
+        assert oracle().test_design([[True] * 4] * 20) == [Outcome.ERASED] * 20
 
 
 class TestComp:

@@ -125,11 +125,6 @@ class TestOracleBehaviour:
         with pytest.raises(ValueError):
             TestOracle(4, {5}, NoiseModel.noiseless(), make_rng(0))
 
-    def test_erasure_p1_everything_erased(self):
-        o = TestOracle(4, {1}, NoiseModel.erasure(1.0), make_rng(0))
-        for _ in range(20):
-            assert o.test((0, 1, 2)) is Outcome.ERASED
-
     def test_seed_determinism(self):
         pools = [(0, 1), (2,), (1, 2, 3), (3,)]
         transcripts = []

@@ -4,9 +4,9 @@
 to a tuple, checked with `truth_outcome`, and pushed through `apply_noise`
 with one scalar draw per test; a search is stepped test by test. Every
 algorithm, under every noise kind, must behave test for test the same
-against `TestOracle` (range pools and noiseless range searches by bisect,
-block-drawn uniforms) as against the reference, and the sparse sampler must
-match a dense Fisher-Yates draw for draw.
+against `TestOracle` (range pools and noiseless or erasure range searches by
+bisect, block-drawn uniforms) as against the reference, and the sparse
+sampler must match a dense Fisher-Yates draw for draw.
 """
 import hashlib
 
@@ -18,12 +18,11 @@ from grouptest.algorithms import (
     SearchOverrun,
     binary_search,
     comp_run,
-    erasure_retry,
     hgbsa,
     hwang_variant,
     repeated_binary_testing,
 )
-from grouptest.bounds import NoiseKind, NoiseModel, ProblemSize
+from grouptest.bounds import NoiseModel, ProblemSize
 from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
 from grouptest.model import TestOracle, make_rng, sample_defective_set
 from oracle_reference import PoolOracle
@@ -42,9 +41,9 @@ def as_sets(transcript):
 
 
 def settle(fn):
-    """fn()'s value, or SearchOverrun. Without retry, a noisy channel can
-    drive binary search past its list; both oracles must then overrun at the
-    same test."""
+    """fn()'s value, or SearchOverrun. A symmetric or additive channel, or a
+    search over candidates with no defective, can drive binary search past
+    its list; both oracles must then overrun at the same test."""
     try:
         return fn()
     except SearchOverrun:
@@ -109,12 +108,8 @@ ADAPTIVE = {"hgbsa": hgbsa, "variant": hwang_variant, "rbt": repeated_binary_tes
 @pytest.mark.parametrize("n,k", [(60, 4), (500, 10)])
 def test_adaptive_equivalent(alg, noise, n, k):
     inner = ADAPTIVE[alg]
-    model = NOISES[noise]
     for seed in range(60):
-        if model.kind is NoiseKind.ERASURE:
-            run_both(lambda o: erasure_retry(inner, o, n, k), n, k, model, seed)
-        else:
-            run_both(lambda o: inner(o, n, k), n, k, model, seed)
+        run_both(lambda o: inner(o, n, k), n, k, NOISES[noise], seed)
 
 
 @pytest.mark.parametrize("noise", list(NOISES))
@@ -153,9 +148,8 @@ def test_design_batches_interleaved_with_single_tests(noise):
         assert seen[0] == seen[1]
 
 
-@pytest.mark.parametrize("retry", [False, True])
 @pytest.mark.parametrize("noise", list(ALL_NOISES))
-def test_searches_interleaved_with_batches_and_single_tests(noise, retry):
+def test_searches_interleaved_with_batches_and_single_tests(noise):
     # Noiseless, the whole-range searches (10 tests each) end exactly on the
     # boundary at 256 and cross the one at 512; list and part-range searches,
     # some with no defective, take the step loop.
@@ -188,7 +182,6 @@ def test_searches_interleaved_with_batches_and_single_tests(noise, retry):
         seen = []
         for cls in (TestOracle, PoolOracle):
             oracle = cls(n, truth, ALL_NOISES[noise], make_rng(seed, 1))
-            oracle.resubmit_erased = retry
             run(oracle, seed)
             seen.append((oracle.tests_used, as_sets(oracle.transcript)))
         assert seen[0] == seen[1]
@@ -223,7 +216,6 @@ def test_generator_advanced_by_whole_blocks(noise):
         for seed in range(5):
             truth = sample_defective_set(n, k, make_rng(seed, 0))
             oracle = TestOracle(n, truth, model, make_rng(seed, 1))
-            oracle.resubmit_erased = True  # as under erasure_retry; designs ignore it
             settle(lambda: run(oracle))
             fresh = make_rng(seed, 1)
             fresh.random(-(-oracle.tests_used // 256) * 256)
@@ -251,13 +243,13 @@ class CyclingUniforms:
     # several blocks of 256
     [0.1] * 96 + [0.5],
 ], ids=["u-equal-p", "several-blocks"])
-def test_erasure_retry_on_dealt_uniforms(values):
+def test_erasure_resubmission_on_dealt_uniforms(values):
     for seed in range(10):
         truth = sample_defective_set(1000, 5, make_rng(seed, 0))
         seen = []
         for cls in (TestOracle, PoolOracle):
             oracle = cls(1000, truth, NoiseModel.erasure(0.25), CyclingUniforms(values))
-            res = erasure_retry(hgbsa, oracle, 1000, 5)
+            res = hgbsa(oracle, 1000, 5)
             seen.append((res.estimate, oracle.tests_used, as_sets(oracle.transcript)))
         assert seen[0] == seen[1]
         assert seen[0][0] == truth
@@ -309,7 +301,7 @@ ERASURE_RETRY_SHA256 = {
 
 
 @pytest.mark.parametrize("alg", list(ERASURE_RETRY_SHA256))
-def test_erasure_retry_trials_pinned(alg):
+def test_erasure_trials_pinned(alg):
     spec = ExperimentSpec(size=ProblemSize(300, 8), algorithm=alg,
                           noise=NOISES["erasure"], trials=200, master_seed=3)
     text = "".join(f"{int(r.success)},{r.tests_used}\n"
@@ -324,7 +316,7 @@ def test_erasure_retry_trials_pinned(alg):
 ERASURE_LARGE_N_SHA256 = "96a66ddcedb769daa4a47f060c44dcad3cb2d4b3b8b8e83ed43eb155f1baa829"
 
 
-def test_erasure_retry_large_n_trials_pinned():
+def test_erasure_large_n_trials_pinned():
     spec = ExperimentSpec(size=ProblemSize(100000, 71), algorithm="hgbsa",
                           noise=NoiseModel.erasure(0.25), trials=20, master_seed=1)
     text = "".join(f"{int(r.success)},{r.tests_used}\n"

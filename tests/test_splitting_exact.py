@@ -159,7 +159,7 @@ def test_figure1_large_cdf_within_wilson_of_exact(alg):
 
 
 @pytest.mark.parametrize("alg", list(RULES))
-def test_erasure_retry_firm_tests_are_noiseless(monkeypatch, alg):
+def test_erasure_firm_tests_are_noiseless(monkeypatch, alg):
     # With erased tests resubmitted the firm outcomes are the noiseless
     # ones: trial by trial the firm count F equals the noiseless test count
     # on the same truth, and the erased submissions before each firm test are

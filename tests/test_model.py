@@ -125,6 +125,19 @@ class TestOracleBehaviour:
         with pytest.raises(ValueError):
             TestOracle(4, {5}, NoiseModel.noiseless(), make_rng(0))
 
+    def test_erasure_p1_everything_erased(self):
+        # no test ever lands: a design, which is never resubmitted, comes back
+        # all erased; a single test or a search (by bisect or step by step)
+        # refuses to resubmit forever
+        def oracle():
+            return TestOracle(4, {1}, NoiseModel.erasure(1.0), make_rng(0))
+
+        assert oracle().test_design([[True] * 4] * 20) == [Outcome.ERASED] * 20
+        for run in (lambda o: o.test((0, 1, 2)), lambda o: o.search(range(4)),
+                    lambda o: o.search([0, 1, 2, 3])):
+            with pytest.raises(ValueError):
+                run(oracle())
+
     def test_seed_determinism(self):
         pools = [(0, 1), (2,), (1, 2, 3), (3,)]
         transcripts = []

@@ -148,11 +148,14 @@ def test_design_batches_interleaved_with_single_tests(noise):
         assert seen[0] == seen[1]
 
 
+@pytest.mark.parametrize("as_list", [False, True])
 @pytest.mark.parametrize("noise", list(ALL_NOISES))
-def test_searches_interleaved_with_batches_and_single_tests(noise):
+def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
     # Noiseless, the whole-range searches (10 tests each) end exactly on the
     # boundary at 256 and cross the one at 512; list and part-range searches,
-    # some with no defective, take the step loop.
+    # some with no defective, take the step loop. With as_list every range
+    # search is handed over as a list, so the step loop, not the bisect,
+    # crosses those boundaries.
     n = 1000
     steps = [3, ("search", 0), ("design", 233), ("search", 0), 250,
              ("list", 40), ("search", 0), ("search", None), ("design", 300),
@@ -175,7 +178,10 @@ def test_searches_interleaved_with_batches_and_single_tests(noise):
                 settle(lambda: oracle.search(items))
             else:
                 start = int(rng.integers(n)) if arg is None else arg
-                settle(lambda: oracle.search(range(start, n)))
+                candidates = range(start, n)
+                if as_list:
+                    candidates = list(candidates)
+                settle(lambda: oracle.search(candidates))
 
     for seed in range(10):
         truth = sample_defective_set(n, 3, make_rng(seed, 0))

@@ -6,7 +6,9 @@ HGBSA and the variant are one splitting loop (`_split`) with two group-size
 rules for m candidates holding k' hidden defectives: Hwang's 2^alpha, with
 alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and the variant's
 ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds m-k'. Every
-halving search is one `TestOracle.search` call.
+splitting round, its group tests and the halving search of its positive
+group, is one `TestOracle.scan` call; RBT's and `binary_search`'s halving
+searches are one `TestOracle.search` call each.
 
 All adaptive algorithms assume noiseless-equivalent oracle behaviour, which a
 noiseless oracle gives and an erasure oracle gives by resubmitting every
@@ -65,27 +67,22 @@ def _split(oracle, n: int, k: int, group_size: Callable[[int, int], int]) -> Run
     """The splitting loop behind `hgbsa` and `hwang_variant`.
 
     While k' defectives stay hidden among the m candidates (always a suffix
-    of the item order): if m == k' every candidate is defective; otherwise
-    test the first `group_size(m, k')` candidates. A negative drops the
-    group; a positive is binary-searched, which drops the cleared prefix
-    and the defective it found.
+    of the item order), one `oracle.scan` drops each negative group of the
+    first `group_size(m, k')` candidates until a positive group is
+    binary-searched, which drops the cleared prefix and the defective found,
+    or until m == k' and every candidate left is defective.
     """
     candidates = range(n)
     found: list[int] = []
     kp = k
     while kp and candidates:
-        m = len(candidates)
-        if m == kp:
-            found.extend(candidates)
+        lo = oracle.scan(candidates, group_size, kp)
+        if lo is None:
+            found.extend(candidates[-kp:])
             break
-        group = candidates[:group_size(m, kp)]
-        if oracle.test(group) is Outcome.NEGATIVE:
-            candidates = candidates[len(group):]
-        else:
-            lo = oracle.search(group)
-            found.append(group[lo])
-            kp -= 1
-            candidates = candidates[lo + 1:]
+        found.extend(candidates[lo:lo + 1])  # none if every candidate tested negative
+        kp -= 1
+        candidates = candidates[lo + 1:]
     return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used)
 
 

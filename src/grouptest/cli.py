@@ -85,8 +85,6 @@ def _spec_from_args(args, budget_range=None) -> harness.ExperimentSpec:
     noise = parse_noise(args.noise) if getattr(args, "noise", None) else NoiseModel.noiseless()
     if args.alg not in ALGORITHM_NAMES:
         raise CliError(f"--alg: unknown algorithm {args.alg!r}")
-    if args.trials < 1:
-        raise CliError("--trials must be >= 1")
     try:
         return harness.ExperimentSpec(
             size=size, algorithm=args.alg, noise=noise, trials=args.trials,
@@ -227,6 +225,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 0) < 0:
             raise CliError(f"--threads must be >= 0, got {args.threads}")
+        if getattr(args, "trials", 1) < 1:  # before figure1 makes its directory
+            raise CliError("--trials must be >= 1")
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

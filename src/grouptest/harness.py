@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -47,6 +48,9 @@ class ExperimentSpec:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.algorithm == "comp" and self.size.k < 1:
             raise ValueError("COMP design density 1/k needs k >= 1")
+        t_min = self.budget_range[0] if self.budget_range else self.comp_t
+        if self.algorithm == "comp" and t_min is not None and t_min < 1:
+            raise ValueError(f"COMP needs t >= 1, got {t_min}")
         if (self.algorithm in ADAPTIVE_ALGORITHMS
                 and self.noise.kind is NoiseKind.ERASURE and self.noise.p >= 1.0):
             raise ValueError("erasure probability 1 never terminates: "
@@ -181,10 +185,8 @@ def success_curve(spec: ExperimentSpec, threads: int = 1) -> SuccessCurve:
             wins = sum(r.success for r in results)
             points.append((t, wins))
     else:
-        results = run_trials(spec, threads)
-        for t in budgets:
-            wins = sum(1 for r in results if r.success and r.tests_used <= t)
-            points.append((t, wins))
+        used = sorted(r.tests_used for r in run_trials(spec, threads) if r.success)
+        points = [(t, bisect_right(used, t)) for t in budgets]
 
     curve_points = []
     for t, wins in points:

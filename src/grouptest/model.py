@@ -3,8 +3,9 @@ channels, and the metered oracle every algorithm talks to.
 
 Pools are sequences of 0-based item indices, and a contiguous pool is best
 passed as a `range`; a non-adaptive design is a boolean t x n array tested
-in one `test_design` call, and a whole halving search runs in one `search`
-call. Defective sets are frozensets. One oracle serves one trial and is never
+in one `test_design` call, and a whole splitting round (its group tests and
+the halving search of its positive group) runs in one `scan` call.
+Defective sets are frozensets. One oracle serves one trial and is never
 shared.
 """
 from __future__ import annotations
@@ -132,19 +133,20 @@ def _halve(candidates: Sequence[int], test) -> int:
     return lo
 
 
-def _replay_search(candidates: Sequence[int], lo: int, erased: Sequence[int]) -> list:
-    """The (pool, outcome) submissions of a search over `candidates` that
-    found the defective at index `lo`: each step's pool `erased[step]` times
-    ERASED (no entry counts as 0), then with its noiseless outcome."""
-    found, steps, retries = candidates[lo], [], iter(erased)
-
-    def answer(pool):
-        steps.extend([(pool, Outcome.ERASED)] * next(retries, 0))
-        steps.append((pool, Outcome.POSITIVE if found in pool else Outcome.NEGATIVE))
-        return steps[-1][1]
-
-    _halve(candidates, answer)
-    return steps
+def _scan(candidates: Sequence[int], group_size, kp: int, test) -> int | None:
+    """The splitting round, asking `test(pool)` once per group: drop each
+    negative leading group of `group_size(m, kp)` of the m candidates left,
+    and halve the first positive one with `_halve`. Returns the index in
+    `candidates` of the defective found; None once only kp are left, untested;
+    len(candidates) if all tested negative (a noisy channel, or kp too big)."""
+    start, m = 0, len(candidates)
+    while m > kp:
+        group = candidates[start:start + group_size(m, kp)]
+        if test(group) is not Outcome.NEGATIVE:
+            return start + _halve(group, test)
+        start += len(group)
+        m -= len(group)
+    return None if m else start
 
 
 class TestOracle:
@@ -156,20 +158,21 @@ class TestOracle:
     - A `range` pool with step 1 is tested by bisecting the sorted truth, in
       O(log k), and the range itself is logged. Any other pool is copied to a
       tuple and checked item by item.
-    - `search` runs a whole halving search and returns the index of the
-      leftmost defective. Where firm outcomes are the truth (noiseless or
-      erasure), a search over a step-1 `range` that holds a defective is
-      answered by bisect and logged as one entry, with each step's erased
-      submissions; every other search sends each step through `test`.
+    - `scan` runs one splitting round (`_scan`): group tests, then the
+      halving search of the first positive group. Where firm outcomes are
+      the truth (noiseless or erasure) and the candidates are a step-1
+      `range`, it is answered by bisect and logged as one entry, with each
+      test's erased submissions; any other round goes through `test`, as
+      does every step of `search`, the halving search (`_halve`).
     - `test_design` tests every row of a boolean t x n design at once, with
       the outcomes of t single submissions, and logs the whole batch as one
-      entry. `transcript` expands each logged row, and each logged search,
+      entry. `transcript` expands each logged row, and each logged round,
       into its tests when it is read.
-    - `test` and the steps of `search` resubmit an erased pool until its
-      outcome is firm; a `test_design` row is never resubmitted. Every
-      submission counts in `tests_used`, uses its own uniform and is logged.
-      At erasure probability 1 no submission lands, so `test` and `search`
-      raise ValueError instead of resubmitting forever.
+    - `test` and every test of `search` and `scan` resubmit an erased pool
+      until its outcome is firm; a `test_design` row is never resubmitted.
+      Every submission counts in `tests_used`, uses its own uniform and is
+      logged. At erasure probability 1 no submission lands, so `test`,
+      `search` and `scan` raise ValueError instead of resubmitting forever.
     - Test j (0-based) is pushed through the noise channel `_channel` with
       the j-th uniform of `rng`; a noiseless test still uses up its uniform.
     - The uniforms are drawn `rng.random(256)` at a time, so after the last
@@ -187,7 +190,7 @@ class TestOracle:
         self.noise = noise
         self.rng = rng
         self.tests_used = 0
-        # (pool, outcome), (design, [outcome per row]) or (candidates, (index, erased))
+        # (pool, outcome), (design, [outcome per row]) or (range, (group_size, kp, erased))
         self._log: list = []
         self._sorted_truth = sorted(truth)
         self._uniforms: list[float] = []
@@ -201,10 +204,30 @@ class TestOracle:
                 tests.extend((tuple(np.flatnonzero(row).tolist()), o)
                              for row, o in zip(pool, out))
             elif type(out) is tuple:
-                tests.extend(_replay_search(pool, *out))
+                tests.extend(self._replay(pool, *out))
             else:
                 tests.append((pool, out))
         return tests
+
+    def _replay(self, candidates: range, group_size, kp: int, erased) -> list:
+        """The (pool, outcome) submissions of a round `scan` answered, by
+        `_scan`: test j's pool `erased[j]` times ERASED (none if no entry),
+        then firm."""
+        d, tests, retries = self._next_defective(candidates), [], iter(erased)
+
+        def answer(pool):
+            tests.extend([(pool, Outcome.ERASED)] * next(retries, 0))
+            # every pool of the round starts at or before d
+            tests.append((pool, Outcome.POSITIVE if d in pool else Outcome.NEGATIVE))
+            return tests[-1][1]
+
+        _scan(candidates, group_size, kp, answer)
+        return tests
+
+    def _next_defective(self, pool: range) -> int:
+        """The least defective >= pool.start, or pool.stop if there is none."""
+        i = bisect_left(self._sorted_truth, pool.start)
+        return self._sorted_truth[i] if i < len(self._sorted_truth) else pool.stop
 
     def _take_uniforms(self, t: int):
         """Count t more tests and return their uniforms, drawing one fresh
@@ -221,8 +244,7 @@ class TestOracle:
 
     def test(self, pool: Sequence[int]) -> Outcome:
         if type(pool) is range and pool.step == 1:
-            i = bisect_left(self._sorted_truth, pool.start)
-            hit = i < len(self._sorted_truth) and self._sorted_truth[i] < pool.stop
+            hit = self._next_defective(pool) < pool.stop
         else:
             pool = tuple(pool)
             hit = not self.truth.isdisjoint(pool)
@@ -244,33 +266,46 @@ class TestOracle:
     def search(self, candidates: Sequence[int]) -> int:
         """Index within `candidates` of their leftmost defective, by the
         halving schedule of `_halve`: ceil(log2 b) steps for b candidates, each
-        one test plus any resubmissions.
+        one `test`, resubmissions included.
 
         Raises ValueError on no candidates or a test that can never land, and
         `SearchOverrun` when every candidate tests negative."""
-        b = len(candidates)
-        if b == 0:
+        if len(candidates) == 0:
             raise ValueError("a search needs at least one candidate")
-        kind = self.noise.kind
-        if (type(candidates) is range and candidates.step == 1
-                and (kind is NoiseKind.NOISELESS or kind is NoiseKind.ERASURE)):
-            i = bisect_left(self._sorted_truth, candidates.start)
-            if i < len(self._sorted_truth) and self._sorted_truth[i] < candidates.stop:
-                lo = self._sorted_truth[i] - candidates.start
-                steps = (b - 1).bit_length()
-                if kind is NoiseKind.NOISELESS:
-                    self._take_uniforms(steps)
-                    erased = ()
-                else:
-                    erased = self._take_until_firm(steps)
-                self._log.append((candidates, (lo, erased)))
-                return lo
         return _halve(candidates, self.test)
+
+    def scan(self, candidates: Sequence[int], group_size, kp: int) -> int | None:
+        """One splitting round by the schedule of `_scan`, whose value it
+        returns. Where firm outcomes are the truth and `candidates` is a
+        step-1 `range`, it follows from the next defective d: a group [c, c+g)
+        is negative iff c + g <= d, and halving the group that holds d takes
+        ceil(log2 g) steps; the uniforms advance as for that many tests."""
+        if not (type(candidates) is range and candidates.step == 1
+                and self.noise.kind in (NoiseKind.NOISELESS, NoiseKind.ERASURE)):
+            return _scan(candidates, group_size, kp, self.test)
+        d = self._next_defective(candidates)
+        c, m, t = candidates.start, len(candidates), 0
+        while m > kp:
+            g = group_size(m, kp)
+            t += 1
+            if c + g > d:
+                t += (g - 1).bit_length()
+                break
+            c, m = c + g, m - g
+        erased = self._take_until_firm(t)
+        self._log.append((candidates, (group_size, kp, erased)))
+        if m > kp:
+            return d - candidates.start
+        return None if m else len(candidates)
 
     def _take_until_firm(self, firm: int) -> list[int]:
         """Count tests, one uniform each and blocks refilled as in `test`, until
-        `firm` of them land (u >= p); return the erased count before each."""
+        `firm` of them land (u >= p); return the erased count before each,
+        or [] at p = 0, where every test lands."""
         p, t, erased, run = self.noise.p, self.tests_used, [], 0
+        if not p:  # the blocks advance arithmetically
+            self._take_uniforms(firm)
+            return erased
         if firm and p >= 1.0:
             raise ValueError("erasure probability 1: no test ever lands")
         while len(erased) < firm:

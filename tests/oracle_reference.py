@@ -3,7 +3,8 @@
 `truth_outcome` and `apply_noise` are the scalar truth function and noise
 channel, one pool and one uniform at a time. `PoolOracle` is the reference
 oracle built from them: every pool copied to a tuple, one scalar draw per
-test, a design tested row by row and a search stepped test by test.
+test, a design tested row by row, and a search or a splitting round stepped
+test by test.
 """
 import numpy as np
 
@@ -34,8 +35,9 @@ def apply_noise(out, model, rng):
 
 class PoolOracle:
     """Reference oracle with tuple pools and one scalar noise draw per test;
-    a design is tested row by row, a search step by step, and an erased
-    single test or search step is resubmitted until it lands."""
+    a design is tested row by row, a search or a round step by step, and an
+    erased single test, search step or group test is resubmitted until it
+    lands."""
 
     def __init__(self, n, truth, noise, rng):
         self.n = n
@@ -78,3 +80,21 @@ class PoolOracle:
                     raise SearchOverrun(f"all {b} candidates tested negative")
                 size = half
         return lo
+
+    def scan(self, candidates, group_size, kp):
+        """One splitting round, test by test: while more than kp candidates
+        are left, test the leading group; drop it if negative, else search
+        it. Returns the index within `candidates`
+        of the defective found, None once only kp are left, or
+        len(candidates) once every group tested negative."""
+        rest = candidates
+        while rest:
+            m = len(rest)
+            if m == kp:
+                return None
+            group = rest[:group_size(m, kp)]
+            if self.test(group) is Outcome.NEGATIVE:
+                rest = rest[len(group):]
+            else:
+                return len(candidates) - m + self.search(group)
+        return len(candidates)

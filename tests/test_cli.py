@@ -172,8 +172,13 @@ class TestCapacityCommand:
     "simulate --alg comp --n 100 --k 5 --delta -1",
     "simulate --alg comp --n 10 --k 0 --t 5",
     "simulate --alg hgbsa --n 10 --k 2 --noise erasure:1",
+    "figure1 --trials 0 --out-dir {tmp}/D",
+    "capacity --beta 0.5 --n-list 100 --trials 0",
+    "sweep --alg comp --n 10 --k 2 --t-min 0 --t-max 2 --trials 3",
+    "simulate --alg comp --n 10 --k 2 --t 0 --trials 3",
 ])
-def test_bad_inputs_exit_2(capsys, argv):
-    code, _, err = run_cli(capsys, *argv.split())
+def test_bad_inputs_exit_2(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
     assert code == 2
     assert err.startswith("error:")
+    assert not (tmp_path / "D").exists()  # rejected before any output

@@ -2,11 +2,12 @@
 
 `PoolOracle` (in `oracle_reference.py`) is the reference: every pool copied
 to a tuple, checked with `truth_outcome`, and pushed through `apply_noise`
-with one scalar draw per test; a search is stepped test by test. Every
-algorithm, under every noise kind, must behave test for test the same
-against `TestOracle` (range pools and noiseless or erasure range searches by
-bisect, block-drawn uniforms) as against the reference, and the sparse
-sampler must match a dense Fisher-Yates draw for draw.
+with one scalar draw per test; a search or a splitting round is stepped test
+by test. Every algorithm, under every noise kind, must behave test for test
+the same against `TestOracle` (range pools by bisect, noiseless or erasure
+splitting rounds over a range answered from the truth, block-drawn uniforms)
+as against the reference, and the sparse sampler must match a dense
+Fisher-Yates draw for draw.
 """
 import hashlib
 
@@ -16,6 +17,8 @@ import pytest
 from grouptest import harness
 from grouptest.algorithms import (
     SearchOverrun,
+    _hwang_group_size,
+    _variant_group_size,
     binary_search,
     comp_run,
     hgbsa,
@@ -148,27 +151,47 @@ def test_design_batches_interleaved_with_single_tests(noise):
         assert seen[0] == seen[1]
 
 
+RULES = {"hwang": _hwang_group_size, "variant": _variant_group_size}
+
+
+def noiseless_cost(truth, candidates, group_size, kp):
+    """Tests a noiseless splitting round over `candidates` takes."""
+    probe = PoolOracle(0, truth, NOISES["noiseless"], make_rng(0))
+    probe.scan(candidates, group_size, kp)
+    return probe.tests_used
+
+
 @pytest.mark.parametrize("as_list", [False, True])
 @pytest.mark.parametrize("noise", list(ALL_NOISES))
 def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
-    # Noiseless, the whole-range searches (10 tests each) end exactly on the
-    # boundary at 256 and cross the one at 512; list and part-range searches,
-    # some with no defective, take the step loop. With as_list every range
-    # search is handed over as a list, so the step loop, not the bisect,
+    # Splitting rounds over a range are answered from the truth in one call.
+    # Single tests pad before some of them so that, noiseless, one ends
+    # exactly on a block boundary ("end") and another has a boundary inside
+    # it ("cross"). Searches, over ranges and lists, some with no defective,
+    # step through `test`. With as_list every round and range search is
+    # handed over as a list, so the step loop, not the arithmetic walk,
     # crosses those boundaries.
     n = 1000
-    steps = [3, ("search", 0), ("design", 233), ("search", 0), 250,
-             ("list", 40), ("search", 0), ("search", None), ("design", 300),
-             ("search", None), 7, ("search", 0), ("list", 3), ("design", 1)]
+    steps = [3, ("search", 0), ("scan", 0, "end", "hwang"), ("design", 233),
+             ("search", 0), 250, ("list", 40), ("scan", 0, "cross", "variant"),
+             ("search", 0), ("search", None), ("scan", None, None, "hwang"),
+             ("design", 300), ("search", None), 7, ("scan", 0, "end", "variant"),
+             ("search", 0), ("list", 3), ("scan", None, "cross", "hwang"),
+             ("design", 1)]
+
+    def single_tests(oracle, rng, count, pad=False):
+        # padding tests one item each, to keep the transcripts small
+        for _ in range(count):
+            start = int(rng.integers(n))
+            oracle.test(range(start, start + 1 if pad else n))
 
     def run(oracle, seed):
         rng = make_rng(seed, 2)
         for step in steps:
             if isinstance(step, int):
-                for _ in range(step):
-                    oracle.test(range(int(rng.integers(n)), n))
+                single_tests(oracle, rng, step)
                 continue
-            kind, arg = step
+            kind, arg = step[:2]
             if kind == "design":
                 design = rng.random((arg, n)) < 0.01
                 design[:, int(rng.integers(n))] = True
@@ -179,9 +202,19 @@ def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
             else:
                 start = int(rng.integers(n)) if arg is None else arg
                 candidates = range(start, n)
-                if as_list:
-                    candidates = list(candidates)
-                settle(lambda: oracle.search(candidates))
+                if kind == "search":
+                    settle(lambda: oracle.search(list(candidates) if as_list
+                                                 else candidates))
+                    continue
+                rule, align = RULES[step[3]], step[2]
+                cost = noiseless_cost(oracle.truth, candidates, rule, 3)
+                if align == "end":
+                    single_tests(oracle, rng, (-oracle.tests_used - cost) % 256, True)
+                elif align == "cross":
+                    assert cost >= 2
+                    single_tests(oracle, rng, (255 - oracle.tests_used) % 256, True)
+                settle(lambda: oracle.scan(list(candidates) if as_list
+                                           else candidates, rule, 3))
 
     for seed in range(10):
         truth = sample_defective_set(n, 3, make_rng(seed, 0))
@@ -245,11 +278,12 @@ class CyclingUniforms:
 @pytest.mark.parametrize("values", [
     # u equal to p lands: `_channel` erases only u < p; 5 shifts against 256
     [0.25, 0.1, 0.7, 0.25, 0.2],
-    # one firm test in 97 submissions: a search's resubmissions cross
-    # several blocks of 256
+    # one firm test in 97 submissions: a splitting round's resubmissions
+    # cross several blocks of 256
     [0.1] * 96 + [0.5],
 ], ids=["u-equal-p", "several-blocks"])
 def test_erasure_resubmission_on_dealt_uniforms(values):
+    # every round of hgbsa is one `scan` over a range, answered from the truth
     for seed in range(10):
         truth = sample_defective_set(1000, 5, make_rng(seed, 0))
         seen = []
@@ -259,6 +293,72 @@ def test_erasure_resubmission_on_dealt_uniforms(values):
             seen.append((res.estimate, oracle.tests_used, as_sets(oracle.transcript)))
         assert seen[0] == seen[1]
         assert seen[0][0] == truth
+
+
+def scan_both(n, truth, candidates, rule, kp, noise, make_uniforms):
+    """Run one round on a fresh TestOracle and a fresh PoolOracle and check
+    they agree: the same index (or None), tests_used, transcript and
+    generator state, the reference's taken on to the end of its block of
+    256. Returns the index and tests_used."""
+    seen = []
+    for cls in (TestOracle, PoolOracle):
+        oracle = cls(n, truth, noise, make_uniforms())
+        lo = settle(lambda: oracle.scan(candidates, rule, kp))
+        if cls is PoolOracle:
+            oracle.rng.random(-oracle.tests_used % 256)
+        state = (oracle.rng.drawn if isinstance(oracle.rng, CyclingUniforms)
+                 else oracle.rng.bit_generator.state)
+        seen.append((lo, oracle.tests_used, as_sets(oracle.transcript), state))
+    assert seen[0] == seen[1]
+    return seen[0][:2]
+
+
+@pytest.mark.parametrize("noise", ["noiseless", "erasure"])
+@pytest.mark.parametrize("rule", list(RULES))
+def test_scan_every_small_truth(rule, noise):
+    # every truth with n <= 12, kp at and one above the defectives present,
+    # over the whole range and over a suffix that skips some defectives; one
+    # generator runs on from round to round, restarted for the second oracle
+    rng, ends = make_rng(7, 1), set()
+
+    def restart(state):
+        rng.bit_generator.state = state
+        return rng
+
+    for n in range(1, 13):
+        for bits in range(1 << n):
+            truth = frozenset(i for i in range(n) if bits >> i & 1)
+            for start in {0, n // 3}:
+                present = sum(1 for i in truth if i >= start)
+                for kp in {max(1, present), present + 1}:
+                    if kp > n - start:
+                        continue
+                    state = rng.bit_generator.state
+                    lo, _ = scan_both(n, truth, range(start, n), RULES[rule], kp,
+                                      NOISES[noise], lambda: restart(state))
+                    ends.add("stop" if lo is None else
+                             "cleared" if lo == n - start else "found")
+    # the variant's groups never leave fewer than kp candidates
+    assert ends == {"found", "stop"} | ({"cleared"} if rule == "hwang" else set())
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+@pytest.mark.parametrize("values", [
+    [0.25, 0.1, 0.7, 0.25, 0.2],
+    [0.1] * 96 + [0.5],
+], ids=["u-equal-p", "several-blocks"])
+def test_scan_on_dealt_uniforms(values, rule):
+    # u = p lands; with one firm test in 97 submissions a single round's
+    # group tests and search cross several blocks of 256
+    boundaries = []
+    for seed in range(10):
+        truth = sample_defective_set(1000, 5, make_rng(seed, 0))
+        start = min(truth) // 2
+        _, tests = scan_both(1000, truth, range(start, 1000), RULES[rule], 5,
+                             NoiseModel.erasure(0.25), lambda: CyclingUniforms(values))
+        boundaries.append(tests // 256)  # crossed, as the round starts at 0
+    if len(values) == 97:
+        assert max(boundaries) >= 2
 
 
 @pytest.mark.parametrize("alg,noise", [

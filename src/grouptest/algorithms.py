@@ -2,13 +2,13 @@
 Hwang's generalized binary splitting (HGBSA), the tightened splitting variant,
 and the non-adaptive COMP baseline.
 
-HGBSA and the variant are one splitting loop (`_split`) with two group-size
-rules for m candidates holding k' hidden defectives: Hwang's 2^alpha, with
-alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and the variant's
-ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds m-k'. Every
-splitting round, its group tests and the halving search of its positive
-group, is one `TestOracle.scan` call; RBT's and `binary_search`'s halving
-searches are one `TestOracle.search` call each.
+HGBSA and the variant are one splitting loop (`model._split`) with two
+group-size rules for m candidates holding k' hidden defectives: Hwang's
+2^alpha, with alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and
+the variant's ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds
+m-k'. A whole run, every round's group tests and the halving search of its
+positive group, is one `TestOracle.split` call; RBT's and `binary_search`'s
+halving searches are one `TestOracle.search` call each.
 
 All adaptive algorithms assume noiseless-equivalent oracle behaviour, which a
 noiseless oracle gives and an erasure oracle gives by resubmitting every
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,29 +63,6 @@ def repeated_binary_testing(oracle, n: int, k: int) -> RunResult:
     return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used)
 
 
-def _split(oracle, n: int, k: int, group_size: Callable[[int, int], int]) -> RunResult:
-    """The splitting loop behind `hgbsa` and `hwang_variant`.
-
-    While k' defectives stay hidden among the m candidates (always a suffix
-    of the item order), one `oracle.scan` drops each negative group of the
-    first `group_size(m, k')` candidates until a positive group is
-    binary-searched, which drops the cleared prefix and the defective found,
-    or until m == k' and every candidate left is defective.
-    """
-    candidates = range(n)
-    found: list[int] = []
-    kp = k
-    while kp and candidates:
-        lo = oracle.scan(candidates, group_size, kp)
-        if lo is None:
-            found.extend(candidates[-kp:])
-            break
-        found.extend(candidates[lo:lo + 1])  # none if every candidate tested negative
-        kp -= 1
-        candidates = candidates[lo + 1:]
-    return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used)
-
-
 def _hwang_group_size(m: int, kp: int) -> int:
     if m <= 2 * kp - 2:
         return 1
@@ -106,7 +83,8 @@ def hgbsa(oracle, n: int, k: int) -> RunResult:
     positive is binary-searched. Tests items one at a time once
     m <= 2k'-2. Never exceeds ceil(log2 C(n,k)) + k tests.
     """
-    return _split(oracle, n, k, _hwang_group_size)
+    return RunResult(estimate=frozenset(oracle.split(range(n), _hwang_group_size, k)),
+                     tests_used=oracle.tests_used)
 
 
 def hwang_variant(oracle, n: int, k: int) -> RunResult:
@@ -119,7 +97,8 @@ def hwang_variant(oracle, n: int, k: int) -> RunResult:
     exceeds N - K', so a negative test cannot leave fewer candidates than
     hidden defectives.
     """
-    return _split(oracle, n, k, _variant_group_size)
+    return RunResult(estimate=frozenset(oracle.split(range(n), _variant_group_size, k)),
+                     tests_used=oracle.tests_used)
 
 
 def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunResult:
@@ -139,8 +118,8 @@ def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunRes
         if not empty.any():
             break
         design[empty] = rng.random((int(empty.sum()), n)) < (1.0 / k)
-    outs = oracle.test_design(design)
-    negative = [o is Outcome.NEGATIVE for o in outs]
+    negative_outcome = Outcome.NEGATIVE
+    negative = np.array([o is negative_outcome for o in oracle.test_design(design)])
     estimate = frozenset(np.flatnonzero(~design[negative].any(axis=0)).tolist())
     return RunResult(estimate=estimate, tests_used=oracle.tests_used)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -147,6 +146,9 @@ def run_trials(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
     workers = threads or os.cpu_count() or 1
     if workers == 1:
         return [run_trial(spec, i) for i in range(spec.trials)]
+    # imported here: it takes about 30 ms, which a serial run need not pay
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_trial, repeat(spec), range(spec.trials),
                              chunksize=max(1, spec.trials // (workers * 8))))

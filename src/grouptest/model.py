@@ -3,8 +3,9 @@ channels, and the metered oracle every algorithm talks to.
 
 Pools are sequences of 0-based item indices, and a contiguous pool is best
 passed as a `range`; a non-adaptive design is a boolean t x n array tested
-in one `test_design` call, and a whole splitting round (its group tests and
-the halving search of its positive group) runs in one `scan` call.
+in one `test_design` call, and a whole HGBSA or variant run (each round's
+group tests and the halving search of its positive group) in one `split`
+call.
 Defective sets are frozensets. One oracle serves one trial and is never
 shared.
 """
@@ -149,6 +150,23 @@ def _scan(candidates: Sequence[int], group_size, kp: int, test) -> int | None:
     return None if m else start
 
 
+def _split(candidates: Sequence[int], group_size, kp: int, test) -> list:
+    """The splitting loop behind HGBSA and the variant, one `_scan` round at a
+    time while kp defectives stay hidden among the candidates (always a
+    suffix of the item order). Returns the items found: each round's
+    defective, or, once m == kp, every candidate left, untested."""
+    found = []
+    while kp and candidates:
+        lo = _scan(candidates, group_size, kp, test)
+        if lo is None:
+            found.extend(candidates[-kp:])
+            break
+        found.extend(candidates[lo:lo + 1])  # none if every candidate tested negative
+        kp -= 1
+        candidates = candidates[lo + 1:]
+    return found
+
+
 class TestOracle:
     """Meters and records every pooled test for one trial.
 
@@ -158,21 +176,22 @@ class TestOracle:
     - A `range` pool with step 1 is tested by bisecting the sorted truth, in
       O(log k), and the range itself is logged. Any other pool is copied to a
       tuple and checked item by item.
-    - `scan` runs one splitting round (`_scan`): group tests, then the
-      halving search of the first positive group. Where firm outcomes are
-      the truth (noiseless or erasure) and the candidates are a step-1
-      `range`, it is answered by bisect and logged as one entry, with each
-      test's erased submissions; any other round goes through `test`, as
-      does every step of `search`, the halving search (`_halve`).
+    - `split` runs a whole HGBSA or variant run (`_split`): each round's
+      group tests, then the halving search of its first positive group.
+      Where firm outcomes are the truth (noiseless or erasure) and the
+      candidates are a step-1 `range`, it is answered from the sorted truth
+      and logged as one entry, with each test's erased submissions; any
+      other run goes through `test`, as does every step of `search`, the
+      halving search (`_halve`).
     - `test_design` tests every row of a boolean t x n design at once, with
       the outcomes of t single submissions, and logs the whole batch as one
-      entry. `transcript` expands each logged row, and each logged round,
+      entry. `transcript` expands each logged row, and each logged run,
       into its tests when it is read.
-    - `test` and every test of `search` and `scan` resubmit an erased pool
+    - `test` and every test of `search` and `split` resubmit an erased pool
       until its outcome is firm; a `test_design` row is never resubmitted.
       Every submission counts in `tests_used`, uses its own uniform and is
       logged. At erasure probability 1 no submission lands, so `test`,
-      `search` and `scan` raise ValueError instead of resubmitting forever.
+      `search` and `split` raise ValueError instead of resubmitting forever.
     - Test j (0-based) is pushed through the noise channel `_channel` with
       the j-th uniform of `rng`; a noiseless test still uses up its uniform.
     - The uniforms are drawn `rng.random(256)` at a time, so after the last
@@ -210,18 +229,18 @@ class TestOracle:
         return tests
 
     def _replay(self, candidates: range, group_size, kp: int, erased) -> list:
-        """The (pool, outcome) submissions of a round `scan` answered, by
-        `_scan`: test j's pool `erased[j]` times ERASED (none if no entry),
+        """The (pool, outcome) submissions of a run `split` answered, by
+        `_split`: test j's pool `erased[j]` times ERASED (none if no entry),
         then firm."""
-        d, tests, retries = self._next_defective(candidates), [], iter(erased)
+        tests, retries = [], iter(erased)
 
         def answer(pool):
             tests.extend([(pool, Outcome.ERASED)] * next(retries, 0))
-            # every pool of the round starts at or before d
-            tests.append((pool, Outcome.POSITIVE if d in pool else Outcome.NEGATIVE))
+            hit = self._next_defective(pool) < pool.stop
+            tests.append((pool, Outcome.POSITIVE if hit else Outcome.NEGATIVE))
             return tests[-1][1]
 
-        _scan(candidates, group_size, kp, answer)
+        _split(candidates, group_size, kp, answer)
         return tests
 
     def _next_defective(self, pool: range) -> int:
@@ -274,52 +293,58 @@ class TestOracle:
             raise ValueError("a search needs at least one candidate")
         return _halve(candidates, self.test)
 
-    def scan(self, candidates: Sequence[int], group_size, kp: int) -> int | None:
-        """One splitting round by the schedule of `_scan`, whose value it
-        returns. Where firm outcomes are the truth and `candidates` is a
-        step-1 `range`, it follows from the next defective d: a group [c, c+g)
-        is negative iff c + g <= d, and halving the group that holds d takes
-        ceil(log2 g) steps; the uniforms advance as for that many tests."""
+    def split(self, candidates: Sequence[int], group_size, kp: int) -> list:
+        """The items a splitting run by the schedule of `_split` finds. Where
+        firm outcomes are the truth and `candidates` is a step-1 `range`, each
+        round follows from the next defective d: a group [c, c+g) is negative
+        iff c + g <= d, and halving the group that holds d takes ceil(log2 g)
+        steps; the uniforms advance once, as for that many tests."""
         if not (type(candidates) is range and candidates.step == 1
                 and self.noise.kind in (NoiseKind.NOISELESS, NoiseKind.ERASURE)):
-            return _scan(candidates, group_size, kp, self.test)
-        d = self._next_defective(candidates)
-        c, m, t = candidates.start, len(candidates), 0
-        while m > kp:
-            g = group_size(m, kp)
-            t += 1
-            if c + g > d:
-                t += (g - 1).bit_length()
-                break
-            c, m = c + g, m - g
+            return _split(candidates, group_size, kp, self.test)
+        truth, stop, kp0 = self._sorted_truth, candidates.stop, kp
+        i = bisect_left(truth, candidates.start)
+        found, c, t = [], candidates.start, 0
+        while kp and c < stop:
+            d = truth[i] if i < len(truth) else stop
+            first, m = c, stop - c
+            while m > kp:
+                g = group_size(m, kp)
+                t += 1
+                if c + g > d:
+                    t += (g - 1).bit_length()
+                    break
+                c, m = c + g, m - g
+            if m > kp:  # the search found d
+                found.append(d)
+                c, kp, i = d + 1, kp - 1, i + 1
+                continue
+            if m:  # only kp are left: the round's last kp candidates, untested
+                found.extend(range(max(first, stop - kp), stop))
+            break  # or every group tested negative
         erased = self._take_until_firm(t)
-        self._log.append((candidates, (group_size, kp, erased)))
-        if m > kp:
-            return d - candidates.start
-        return None if m else len(candidates)
+        self._log.append((candidates, (group_size, kp0, erased)))
+        return found
 
     def _take_until_firm(self, firm: int) -> list[int]:
         """Count tests, one uniform each and blocks refilled as in `test`, until
         `firm` of them land (u >= p); return the erased count before each,
-        or [] at p = 0, where every test lands."""
-        p, t, erased, run = self.noise.p, self.tests_used, [], 0
-        if not p:  # the blocks advance arithmetically
+        or [] at p = 0, where every test lands. Fresh blocks are drawn
+        ceil(missing / 256) at a time: each missing test takes a uniform."""
+        p = self.noise.p
+        if not (p and firm):  # the blocks advance arithmetically
             self._take_uniforms(firm)
-            return erased
-        if firm and p >= 1.0:
+            return []
+        if p >= 1.0:
             raise ValueError("erasure probability 1: no test ever lands")
-        while len(erased) < firm:
-            j = t % _BLOCK
-            if j == 0:
-                self._uniforms = self.rng.random(_BLOCK).tolist()
-            t += 1
-            if self._uniforms[j] < p:
-                run += 1
-            else:
-                erased.append(run)
-                run = 0
-        self.tests_used = t
-        return erased
+        left = -self.tests_used % _BLOCK  # uniforms left in the current block
+        u = np.array(self._uniforms[_BLOCK - left:])
+        while (missing := firm - np.count_nonzero(u >= p)) > 0:
+            u = np.concatenate((u, self.rng.random(-(-missing // _BLOCK) * _BLOCK)))
+            self._uniforms = u[-_BLOCK:].tolist()
+        at = np.flatnonzero(u >= p)[:firm]
+        self.tests_used += int(at[-1]) + 1
+        return (np.diff(at, prepend=-1) - 1).tolist()
 
     def test_design(self, design) -> list[Outcome]:
         """Test each row of a boolean t x n design as one pool, in row order.

@@ -3,8 +3,8 @@
 `truth_outcome` and `apply_noise` are the scalar truth function and noise
 channel, one pool and one uniform at a time. `PoolOracle` is the reference
 oracle built from them: every pool copied to a tuple, one scalar draw per
-test, a design tested row by row, and a search or a splitting round stepped
-test by test.
+test, a design tested row by row, and a search, a splitting round or a
+whole splitting run stepped test by test.
 """
 import numpy as np
 
@@ -35,9 +35,9 @@ def apply_noise(out, model, rng):
 
 class PoolOracle:
     """Reference oracle with tuple pools and one scalar noise draw per test;
-    a design is tested row by row, a search or a round step by step, and an
-    erased single test, search step or group test is resubmitted until it
-    lands."""
+    a design is tested row by row, a search, a round or a run step by step,
+    and an erased single test, search step or group test is resubmitted
+    until it lands."""
 
     def __init__(self, n, truth, noise, rng):
         self.n = n
@@ -84,13 +84,13 @@ class PoolOracle:
     def scan(self, candidates, group_size, kp):
         """One splitting round, test by test: while more than kp candidates
         are left, test the leading group; drop it if negative, else search
-        it. Returns the index within `candidates`
-        of the defective found, None once only kp are left, or
-        len(candidates) once every group tested negative."""
+        it. Returns the index within `candidates` of the defective found,
+        None once only kp or fewer are left, or len(candidates) once every
+        group tested negative."""
         rest = candidates
         while rest:
             m = len(rest)
-            if m == kp:
+            if m <= kp:
                 return None
             group = rest[:group_size(m, kp)]
             if self.test(group) is Outcome.NEGATIVE:
@@ -98,3 +98,18 @@ class PoolOracle:
             else:
                 return len(candidates) - m + self.search(group)
         return len(candidates)
+
+    def split(self, candidates, group_size, kp):
+        """A whole splitting run, round by round through `scan`: returns the
+        items found, each round's defective or, once only kp candidates are
+        left, the round's last kp, untested."""
+        found = []
+        while kp and candidates:
+            lo = self.scan(candidates, group_size, kp)
+            if lo is None:
+                found.extend(candidates[-kp:])
+                break
+            found.extend(candidates[lo:lo + 1])  # none if every candidate tested negative
+            kp -= 1
+            candidates = candidates[lo + 1:]
+        return found

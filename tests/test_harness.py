@@ -1,10 +1,15 @@
 """Tests for the Monte Carlo harness: trial determinism, curve estimation,
 the two-panel figure experiment, and capacity scans."""
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import grouptest
 from grouptest import bounds
 from grouptest.algorithms import hgbsa
 from grouptest.bounds import NoiseModel, ProblemSize
@@ -126,6 +131,16 @@ class TestParallelSerialEquivalence:
         serial = curve_csv_lines(success_curve(spec, threads=1))
         parallel = curve_csv_lines(success_curve(spec, threads=2))
         assert serial == parallel
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        # `run_trials` imports the process pool only when it fans out
+        code = ("import sys, grouptest.cli; print(sorted(m for m in sys.modules"
+                " if m in ('concurrent.futures', 'multiprocessing')))")
+        src = str(Path(grouptest.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestFigure1:

@@ -128,7 +128,7 @@ class TestOracleBehaviour:
 
     def test_erasure_p1_everything_erased(self):
         # no test ever lands: a design, which is never resubmitted, comes back
-        # all erased; a single test, a search or a splitting round (answered
+        # all erased; a single test, a search or a splitting run (answered
         # from the truth or step by step) refuses to resubmit forever
         def oracle():
             return TestOracle(4, {1}, NoiseModel.erasure(1.0), make_rng(0))
@@ -136,8 +136,8 @@ class TestOracleBehaviour:
         assert oracle().test_design([[True] * 4] * 20) == [Outcome.ERASED] * 20
         for run in (lambda o: o.test((0, 1, 2)), lambda o: o.search(range(4)),
                     lambda o: o.search([0, 1, 2, 3]),
-                    lambda o: o.scan(range(4), _hwang_group_size, 1),
-                    lambda o: o.scan([0, 1, 2, 3], _hwang_group_size, 1)):
+                    lambda o: o.split(range(4), _hwang_group_size, 1),
+                    lambda o: o.split([0, 1, 2, 3], _hwang_group_size, 1)):
             with pytest.raises(ValueError):
                 run(oracle())
 

@@ -2,10 +2,10 @@
 
 `PoolOracle` (in `oracle_reference.py`) is the reference: every pool copied
 to a tuple, checked with `truth_outcome`, and pushed through `apply_noise`
-with one scalar draw per test; a search or a splitting round is stepped test
+with one scalar draw per test; a search or a splitting run is stepped test
 by test. Every algorithm, under every noise kind, must behave test for test
 the same against `TestOracle` (range pools by bisect, noiseless or erasure
-splitting rounds over a range answered from the truth, block-drawn uniforms)
+splitting runs over a range answered from the truth, block-drawn uniforms)
 as against the reference, and the sparse sampler must match a dense
 Fisher-Yates draw for draw.
 """
@@ -155,28 +155,28 @@ RULES = {"hwang": _hwang_group_size, "variant": _variant_group_size}
 
 
 def noiseless_cost(truth, candidates, group_size, kp):
-    """Tests a noiseless splitting round over `candidates` takes."""
+    """Tests a noiseless splitting run over `candidates` takes."""
     probe = PoolOracle(0, truth, NOISES["noiseless"], make_rng(0))
-    probe.scan(candidates, group_size, kp)
+    probe.split(candidates, group_size, kp)
     return probe.tests_used
 
 
 @pytest.mark.parametrize("as_list", [False, True])
 @pytest.mark.parametrize("noise", list(ALL_NOISES))
 def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
-    # Splitting rounds over a range are answered from the truth in one call.
+    # Splitting runs over a range are answered from the truth in one call.
     # Single tests pad before some of them so that, noiseless, one ends
     # exactly on a block boundary ("end") and another has a boundary inside
     # it ("cross"). Searches, over ranges and lists, some with no defective,
-    # step through `test`. With as_list every round and range search is
+    # step through `test`. With as_list every run and range search is
     # handed over as a list, so the step loop, not the arithmetic walk,
     # crosses those boundaries.
     n = 1000
-    steps = [3, ("search", 0), ("scan", 0, "end", "hwang"), ("design", 233),
-             ("search", 0), 250, ("list", 40), ("scan", 0, "cross", "variant"),
-             ("search", 0), ("search", None), ("scan", None, None, "hwang"),
-             ("design", 300), ("search", None), 7, ("scan", 0, "end", "variant"),
-             ("search", 0), ("list", 3), ("scan", None, "cross", "hwang"),
+    steps = [3, ("search", 0), ("split", 0, "end", "hwang"), ("design", 233),
+             ("search", 0), 250, ("list", 40), ("split", 0, "cross", "variant"),
+             ("search", 0), ("search", None), ("split", None, None, "hwang"),
+             ("design", 300), ("search", None), 7, ("split", 0, "end", "variant"),
+             ("search", 0), ("list", 3), ("split", 500, "cross", "hwang"),
              ("design", 1)]
 
     def single_tests(oracle, rng, count, pad=False):
@@ -213,8 +213,8 @@ def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
                 elif align == "cross":
                     assert cost >= 2
                     single_tests(oracle, rng, (255 - oracle.tests_used) % 256, True)
-                settle(lambda: oracle.scan(list(candidates) if as_list
-                                           else candidates, rule, 3))
+                settle(lambda: oracle.split(list(candidates) if as_list
+                                            else candidates, rule, 3))
 
     for seed in range(10):
         truth = sample_defective_set(n, 3, make_rng(seed, 0))
@@ -283,7 +283,7 @@ class CyclingUniforms:
     [0.1] * 96 + [0.5],
 ], ids=["u-equal-p", "several-blocks"])
 def test_erasure_resubmission_on_dealt_uniforms(values):
-    # every round of hgbsa is one `scan` over a range, answered from the truth
+    # every run of hgbsa is one `split` over a range, answered from the truth
     for seed in range(10):
         truth = sample_defective_set(1000, 5, make_rng(seed, 0))
         seen = []
@@ -295,30 +295,43 @@ def test_erasure_resubmission_on_dealt_uniforms(values):
         assert seen[0][0] == truth
 
 
-def scan_both(n, truth, candidates, rule, kp, noise, make_uniforms):
-    """Run one round on a fresh TestOracle and a fresh PoolOracle and check
-    they agree: the same index (or None), tests_used, transcript and
-    generator state, the reference's taken on to the end of its block of
-    256. Returns the index and tests_used."""
-    seen = []
+def split_both(n, truth, candidates, rule, kp, noise, make_uniforms, before=0,
+               after=()):
+    """Run one splitting run on a fresh TestOracle and a fresh PoolOracle and
+    check they agree: the same items found, tests_used, transcript and
+    generator state, the reference's taken on to the end of its block of 256.
+    `before` single tests on item 0 come first and a single test of each pool
+    in `after` follows. Returns the items found, tests_used and the
+    reference's rounds as (`PoolOracle.scan` value, candidates left)."""
+    seen, rounds = [], []
     for cls in (TestOracle, PoolOracle):
         oracle = cls(n, truth, noise, make_uniforms())
-        lo = settle(lambda: oracle.scan(candidates, rule, kp))
+        if cls is PoolOracle:
+            def scan(cands, *args, inner=oracle.scan):
+                rounds.append((inner(cands, *args), len(cands)))
+                return rounds[-1][0]
+            oracle.scan = scan
+        for _ in range(before):
+            oracle.test(range(1))
+        found = settle(lambda: oracle.split(candidates, rule, kp))
+        for pool in after:
+            oracle.test(pool)
         if cls is PoolOracle:
             oracle.rng.random(-oracle.tests_used % 256)
         state = (oracle.rng.drawn if isinstance(oracle.rng, CyclingUniforms)
                  else oracle.rng.bit_generator.state)
-        seen.append((lo, oracle.tests_used, as_sets(oracle.transcript), state))
+        seen.append((found, oracle.tests_used, as_sets(oracle.transcript), state))
     assert seen[0] == seen[1]
-    return seen[0][:2]
+    return seen[0][0], seen[0][1], rounds
 
 
 @pytest.mark.parametrize("noise", ["noiseless", "erasure"])
 @pytest.mark.parametrize("rule", list(RULES))
 def test_scan_every_small_truth(rule, noise):
-    # every truth with n <= 12, kp at and one above the defectives present,
-    # over the whole range and over a suffix that skips some defectives; one
-    # generator runs on from round to round, restarted for the second oracle
+    # every truth with n <= 12, kp one below, at and one above the defectives
+    # present (so also above the candidates, when all are defective), over
+    # the whole range and over a suffix that skips some defectives; one
+    # generator runs on from run to run, restarted for the second oracle
     rng, ends = make_rng(7, 1), set()
 
     def restart(state):
@@ -329,15 +342,18 @@ def test_scan_every_small_truth(rule, noise):
         for bits in range(1 << n):
             truth = frozenset(i for i in range(n) if bits >> i & 1)
             for start in {0, n // 3}:
-                present = sum(1 for i in truth if i >= start)
-                for kp in {max(1, present), present + 1}:
-                    if kp > n - start:
+                present = sorted(i for i in truth if i >= start)
+                for kp in {len(present) - 1, len(present), len(present) + 1}:
+                    if kp < 0:
                         continue
                     state = rng.bit_generator.state
-                    lo, _ = scan_both(n, truth, range(start, n), RULES[rule], kp,
-                                      NOISES[noise], lambda: restart(state))
-                    ends.add("stop" if lo is None else
-                             "cleared" if lo == n - start else "found")
+                    found, _, rounds = split_both(n, truth, range(start, n),
+                                                  RULES[rule], kp, NOISES[noise],
+                                                  lambda: restart(state))
+                    if kp == len(present):
+                        assert sorted(found) == present
+                    ends.update("stop" if lo is None else "cleared" if lo == m
+                                else "found" for lo, m in rounds)
     # the variant's groups never leave fewer than kp candidates
     assert ends == {"found", "stop"} | ({"cleared"} if rule == "hwang" else set())
 
@@ -348,17 +364,40 @@ def test_scan_every_small_truth(rule, noise):
     [0.1] * 96 + [0.5],
 ], ids=["u-equal-p", "several-blocks"])
 def test_scan_on_dealt_uniforms(values, rule):
-    # u = p lands; with one firm test in 97 submissions a single round's
-    # group tests and search cross several blocks of 256
+    # u = p lands; with one firm test in 97 submissions a single run's group
+    # tests and searches cross several blocks of 256
     boundaries = []
     for seed in range(10):
         truth = sample_defective_set(1000, 5, make_rng(seed, 0))
         start = min(truth) // 2
-        _, tests = scan_both(1000, truth, range(start, 1000), RULES[rule], 5,
-                             NoiseModel.erasure(0.25), lambda: CyclingUniforms(values))
-        boundaries.append(tests // 256)  # crossed, as the round starts at 0
+        _, tests, _ = split_both(1000, truth, range(start, 1000), RULES[rule], 5,
+                                 NoiseModel.erasure(0.25), lambda: CyclingUniforms(values))
+        boundaries.append(tests // 256)  # crossed, as the run starts at 0
     if len(values) == 97:
         assert max(boundaries) >= 2
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+@pytest.mark.parametrize("values", [[0.5, 0.1, 0.9, 0.3, 0.1], [0.5], None],
+                         ids=["dealt", "all-land", "generator"])
+def test_split_walks_several_blocks_then_single_tests(values, rule):
+    # at (9699, 30) one run needs about 300 firm tests, so under erasure the
+    # walk draws two or more blocks of 256 in one call; it starts mid-block,
+    # after `before` single tests, and the single tests after it take the
+    # uniforms left in its last block, and cross into the next. When every
+    # uniform lands, the padding makes the run end exactly on a block
+    # boundary, so the walk must draw the blocks it needs and not one more.
+    n, k = 9699, 30
+    for seed in range(4):
+        truth = sample_defective_set(n, k, make_rng(seed, 0))
+        cost = noiseless_cost(truth, range(n), RULES[rule], k)  # firm tests
+        assert cost > 256
+        found, _, _ = split_both(
+            n, truth, range(n), RULES[rule], k, NoiseModel.erasure(0.25),
+            lambda: make_rng(seed, 1) if values is None else CyclingUniforms(values),
+            before=-cost % 256 if values == [0.5] else 70 * seed,
+            after=[range(i, i + 1) for i in range(seed, n, 97)])
+        assert set(found) == truth
 
 
 @pytest.mark.parametrize("alg,noise", [

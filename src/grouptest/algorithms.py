@@ -8,7 +8,8 @@ group-size rules for m candidates holding k' hidden defectives: Hwang's
 the variant's ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds
 m-k'. A whole run, every round's group tests and the halving search of its
 positive group, is one `TestOracle.split` call; RBT's and `binary_search`'s
-halving searches are one `TestOracle.search` call each.
+halving searches are one `TestOracle.search` call each. `SPLIT_GROUP_SIZES`
+holds both rules over arrays, for the harness's batched trials.
 
 All adaptive algorithms assume noiseless-equivalent oracle behaviour, which a
 noiseless oracle gives and an erasure oracle gives by resubmitting every
@@ -73,6 +74,26 @@ def _hwang_group_size(m: int, kp: int) -> int:
 def _variant_group_size(m: int, kp: int) -> int:
     # never above m-k' for m > k': (k'+1)(1-2^(-1/k')) <= 1, as 2^x <= 1+x on [0,1]
     return max(1, math.ceil(m * (1.0 - 2.0 ** (-1.0 / kp))))
+
+
+def _hwang_group_sizes(m: np.ndarray, kp: np.ndarray) -> np.ndarray:
+    """`_hwang_group_size` over int64 arrays (k' >= 1). `np.frexp` gives the
+    bit length, exactly below 2^53; at m <= 2k'-2 the quotient is 0 and the
+    size 1."""
+    alpha = np.frexp((m - kp + 1) // kp)[1] - 1
+    return np.left_shift(1, np.maximum(alpha, 0), dtype=np.int64)
+
+
+def _variant_group_sizes(k: int):
+    """`_variant_group_size` over int64 arrays with 1 <= k' <= k. The table of
+    1 - 2^(-1/k') is filled in Python floats, so m * q and its ceiling are
+    the float64 operations of the scalar rule."""
+    q = np.array([0.0] + [1.0 - 2.0 ** (-1.0 / kp) for kp in range(1, k + 1)])
+    return lambda m, kp: np.maximum(1, np.ceil(m * q[kp]).astype(np.int64))
+
+
+# Each splitting algorithm's group-size rule over arrays, for k defectives.
+SPLIT_GROUP_SIZES = {"hgbsa": lambda k: _hwang_group_sizes, "variant": _variant_group_sizes}
 
 
 def hgbsa(oracle, n: int, k: int) -> RunResult:

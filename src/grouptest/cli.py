@@ -231,6 +231,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except harness.InvariantBreach as e:
+        print(f"error: invariant breach: {e}", file=sys.stderr)
+        return 1
     except SystemExit as e:
         return int(e.code or 0)
     except OSError as e:

@@ -16,8 +16,10 @@ from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import bounds
-from .algorithms import ADAPTIVE_ALGORITHMS, comp_run
+from .algorithms import ADAPTIVE_ALGORITHMS, SPLIT_GROUP_SIZES, comp_run
 from .bounds import NoiseKind, NoiseModel, ProblemSize
 from .model import (SearchOverrun, TestOracle, derive_stream_seed, make_rng,
                     sample_defective_set)
@@ -141,17 +143,117 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
 
 
 def run_trials(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
-    """All trials of a spec, across `threads` processes (0 = all cores), in
-    trial-index order whatever the scheduling."""
-    workers = threads or os.cpu_count() or 1
+    """All trials of a spec, across `threads` processes (0 = all cores) that
+    each run one contiguous chunk, in trial-index order.
+
+    Adaptive trials on a noiseless or erasure channel are sampled as
+    `run_trial` samples them and then walked together (`_run_batch`); the
+    results equal `run_trial`'s trial by trial. Other trials go through
+    `run_trial`."""
+    workers = min(threads or os.cpu_count() or 1, spec.trials)
     if workers == 1:
-        return [run_trial(spec, i) for i in range(spec.trials)]
+        return _run_chunk(spec, 0, spec.trials)
     # imported here: it takes about 30 ms, which a serial run need not pay
     from concurrent.futures import ProcessPoolExecutor
 
+    edges = [spec.trials * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_trial, repeat(spec), range(spec.trials),
-                             chunksize=max(1, spec.trials // (workers * 8))))
+        chunks = pool.map(_run_chunk, repeat(spec), edges[:-1], edges[1:])
+        return [r for chunk in chunks for r in chunk]
+
+
+class InvariantBreach(Exception):
+    """A batched trial decoded wrongly or spent more firm tests than
+    `guarantee_for`; the message names its (master_seed, trial_index)."""
+
+
+_BATCH = 1024  # trials sampled and walked together, to bound the arrays
+
+
+def _run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
+    if not (spec.algorithm in ADAPTIVE_ALGORITHMS
+            and spec.noise.kind in (NoiseKind.NOISELESS, NoiseKind.ERASURE)):
+        return [run_trial(spec, i) for i in range(start, stop)]
+    return [r for lo in range(start, stop, _BATCH)
+            for r in _run_batch(spec, lo, min(stop, lo + _BATCH))]
+
+
+def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
+    """Trials start..stop-1, firm outcomes being the truth. RBT always finds
+    its defectives in order with sum over i < k of ceil(log2(n - i)) firm
+    tests; the splitting runs are walked by `_split_walk`."""
+    n, k = spec.size.n, spec.size.k
+    erasure = spec.noise.kind is NoiseKind.ERASURE
+    truths, rngs = np.empty((stop - start, k), dtype=np.int64), []
+    for j, i in enumerate(range(start, stop)):
+        rng = make_rng(derive_stream_seed(spec.master_seed, i), 0)
+        truths[j] = np.fromiter(sample_defective_set(n, k, rng), np.int64, k)
+        if erasure:
+            rngs.append(rng)
+    if spec.algorithm == "rbt":
+        firm = np.full(stop - start, sum((n - i - 1).bit_length() for i in range(k)))
+        success = np.ones(stop - start, dtype=bool)
+    else:
+        truths.sort(axis=1)
+        firm, success = _split_walk(n, truths, SPLIT_GROUP_SIZES[spec.algorithm](k))
+    limit = guarantee_for(spec.algorithm, spec.size) if k else 0
+    bad = np.flatnonzero(~success | (firm > limit))
+    if len(bad):
+        i = bad[0]
+        raise InvariantBreach(
+            f"trial (master_seed={spec.master_seed}, trial_index={start + i}) of "
+            f"{spec.algorithm} at n={n}, k={k}, noise {spec.noise.kind.value}:"
+            f"{spec.noise.p:g}: decoded {'right' if success[i] else 'wrongly'} in "
+            f"{firm[i]} firm tests, guarantee {limit}")
+    used = _land(firm.tolist(), spec.noise.p, rngs) if erasure else firm.tolist()
+    return [TrialResult(s, t) for s, t in zip(success.tolist(), used)]
+
+
+def _split_walk(n: int, truths: np.ndarray, group_sizes) -> tuple:
+    """Firm tests and success of `model._split` over range(n) with kp = k,
+    for each row of sorted defectives in `truths`, one vector step per group
+    test; `group_sizes(m, kp)` is the rule over arrays. With d a row's next
+    defective, a group [c, c+g) is negative iff c + g <= d, and a positive
+    one adds (g-1).bit_length() search steps and finds d. A round stops
+    untested once m = n - c <= kp; the row succeeds iff its unfound
+    defectives are then the last kp items."""
+    t, k = truths.shape
+    truths = np.hstack((truths, np.full((t, 1), n)))  # d = n once all are found
+    tests, success = np.zeros(t, dtype=np.int64), np.ones(t, dtype=bool)
+    live = np.arange(t if 0 < k < n else 0)  # else no test is needed
+    c, ptr, used = (np.zeros(len(live), dtype=np.int64) for _ in range(3))
+    kp, d = np.full(len(live), k), truths[live, 0]
+    while len(live):
+        g = group_sizes(n - c, kp)
+        hit = c + g > d
+        used += 1 + np.where(hit, np.frexp(g - 1)[1], 0)
+        c = np.where(hit, d + 1, c + g)
+        kp, ptr = kp - hit, ptr + hit
+        d = truths[live, ptr]
+        done = (kp == 0) | (n - c <= kp)
+        if done.any():
+            tests[live[done]] = used[done]
+            success[live[done]] = ((kp == 0) | (d >= n - kp))[done]
+            live, c, ptr, used, kp, d = (a[~done] for a in (live, c, ptr, used, kp, d))
+    return tests, success
+
+
+def _land(firm: list[int], p: float, rngs) -> list[int]:
+    """Submissions per trial under erasure: its firm tests land in order on
+    the uniforms u >= p its generator deals next, and each u < p is an
+    erased submission. Draws are capped in size; that changes no value."""
+    used = []
+    for left, rng in zip(firm, rngs):
+        spent = 0
+        while left:
+            u = rng.random(min(1 << 16, int(left / (1 - p)) + 64))
+            lands = np.flatnonzero(u >= p)
+            if len(lands) >= left:
+                spent += int(lands[left - 1]) + 1
+                break
+            spent, left = spent + len(u), left - len(lands)
+        used.append(spent)
+    return used
 
 
 @dataclass
@@ -201,7 +303,7 @@ def success_curve(spec: ExperimentSpec, threads: int = 1) -> SuccessCurve:
                            else float("nan")),
         ))
     guarantee = (guarantee_for(spec.algorithm, spec.size)
-                 if spec.algorithm in ADAPTIVE_ALGORITHMS else 0)
+                 if spec.algorithm in ADAPTIVE_ALGORITHMS and spec.size.k else 0)
     return SuccessCurve(algorithm=spec.algorithm, size=spec.size,
                         points=curve_points,
                         log2_binom_marker=bounds.log2_binom(spec.size),

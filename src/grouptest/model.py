@@ -3,9 +3,9 @@ channels, and the metered oracle every algorithm talks to.
 
 Pools are sequences of 0-based item indices, and a contiguous pool is best
 passed as a `range`; a non-adaptive design is a boolean t x n array tested
-in one `test_design` call, and a whole HGBSA or variant run (each round's
-group tests and the halving search of its positive group) in one `split`
-call.
+in one `test_design` call. A whole HGBSA or variant run (each round's group
+tests and the halving search of its positive group) is one `split` call,
+which steps through `test` one group test and one search step at a time.
 Defective sets are frozensets. One oracle serves one trial and is never
 shared.
 """
@@ -176,17 +176,15 @@ class TestOracle:
     - A `range` pool with step 1 is tested by bisecting the sorted truth, in
       O(log k), and the range itself is logged. Any other pool is copied to a
       tuple and checked item by item.
-    - `split` runs a whole HGBSA or variant run (`_split`): each round's
-      group tests, then the halving search of its first positive group.
-      Where firm outcomes are the truth (noiseless or erasure) and the
-      candidates are a step-1 `range`, it is answered from the sorted truth
-      and logged as one entry, with each test's erased submissions; any
-      other run goes through `test`, as does every step of `search`, the
-      halving search (`_halve`).
+    - `split` runs a whole HGBSA or variant run (`_split`), and `search` a
+      halving search (`_halve`), each test through `test`. The harness
+      batches noiseless and erasure trials outside the oracle
+      (`harness.run_trials`); the oracle is the per-trial definition they
+      are checked against.
     - `test_design` tests every row of a boolean t x n design at once, with
       the outcomes of t single submissions, and logs the whole batch as one
-      entry. `transcript` expands each logged row, and each logged run,
-      into its tests when it is read.
+      entry. `transcript` expands each logged row into its test when it is
+      read.
     - `test` and every test of `search` and `split` resubmit an erased pool
       until its outcome is firm; a `test_design` row is never resubmitted.
       Every submission counts in `tests_used`, uses its own uniform and is
@@ -209,7 +207,7 @@ class TestOracle:
         self.noise = noise
         self.rng = rng
         self.tests_used = 0
-        # (pool, outcome), (design, [outcome per row]) or (range, (group_size, kp, erased))
+        # (pool, outcome) or (design, [outcome per row])
         self._log: list = []
         self._sorted_truth = sorted(truth)
         self._uniforms: list[float] = []
@@ -222,31 +220,9 @@ class TestOracle:
             if type(out) is list:
                 tests.extend((tuple(np.flatnonzero(row).tolist()), o)
                              for row, o in zip(pool, out))
-            elif type(out) is tuple:
-                tests.extend(self._replay(pool, *out))
             else:
                 tests.append((pool, out))
         return tests
-
-    def _replay(self, candidates: range, group_size, kp: int, erased) -> list:
-        """The (pool, outcome) submissions of a run `split` answered, by
-        `_split`: test j's pool `erased[j]` times ERASED (none if no entry),
-        then firm."""
-        tests, retries = [], iter(erased)
-
-        def answer(pool):
-            tests.extend([(pool, Outcome.ERASED)] * next(retries, 0))
-            hit = self._next_defective(pool) < pool.stop
-            tests.append((pool, Outcome.POSITIVE if hit else Outcome.NEGATIVE))
-            return tests[-1][1]
-
-        _split(candidates, group_size, kp, answer)
-        return tests
-
-    def _next_defective(self, pool: range) -> int:
-        """The least defective >= pool.start, or pool.stop if there is none."""
-        i = bisect_left(self._sorted_truth, pool.start)
-        return self._sorted_truth[i] if i < len(self._sorted_truth) else pool.stop
 
     def _take_uniforms(self, t: int):
         """Count t more tests and return their uniforms, drawing one fresh
@@ -263,7 +239,8 @@ class TestOracle:
 
     def test(self, pool: Sequence[int]) -> Outcome:
         if type(pool) is range and pool.step == 1:
-            hit = self._next_defective(pool) < pool.stop
+            i = bisect_left(self._sorted_truth, pool.start)  # the next defective
+            hit = i < len(self._sorted_truth) and self._sorted_truth[i] < pool.stop
         else:
             pool = tuple(pool)
             hit = not self.truth.isdisjoint(pool)
@@ -294,57 +271,9 @@ class TestOracle:
         return _halve(candidates, self.test)
 
     def split(self, candidates: Sequence[int], group_size, kp: int) -> list:
-        """The items a splitting run by the schedule of `_split` finds. Where
-        firm outcomes are the truth and `candidates` is a step-1 `range`, each
-        round follows from the next defective d: a group [c, c+g) is negative
-        iff c + g <= d, and halving the group that holds d takes ceil(log2 g)
-        steps; the uniforms advance once, as for that many tests."""
-        if not (type(candidates) is range and candidates.step == 1
-                and self.noise.kind in (NoiseKind.NOISELESS, NoiseKind.ERASURE)):
-            return _split(candidates, group_size, kp, self.test)
-        truth, stop, kp0 = self._sorted_truth, candidates.stop, kp
-        i = bisect_left(truth, candidates.start)
-        found, c, t = [], candidates.start, 0
-        while kp and c < stop:
-            d = truth[i] if i < len(truth) else stop
-            first, m = c, stop - c
-            while m > kp:
-                g = group_size(m, kp)
-                t += 1
-                if c + g > d:
-                    t += (g - 1).bit_length()
-                    break
-                c, m = c + g, m - g
-            if m > kp:  # the search found d
-                found.append(d)
-                c, kp, i = d + 1, kp - 1, i + 1
-                continue
-            if m:  # only kp are left: the round's last kp candidates, untested
-                found.extend(range(max(first, stop - kp), stop))
-            break  # or every group tested negative
-        erased = self._take_until_firm(t)
-        self._log.append((candidates, (group_size, kp0, erased)))
-        return found
-
-    def _take_until_firm(self, firm: int) -> list[int]:
-        """Count tests, one uniform each and blocks refilled as in `test`, until
-        `firm` of them land (u >= p); return the erased count before each,
-        or [] at p = 0, where every test lands. Fresh blocks are drawn
-        ceil(missing / 256) at a time: each missing test takes a uniform."""
-        p = self.noise.p
-        if not (p and firm):  # the blocks advance arithmetically
-            self._take_uniforms(firm)
-            return []
-        if p >= 1.0:
-            raise ValueError("erasure probability 1: no test ever lands")
-        left = -self.tests_used % _BLOCK  # uniforms left in the current block
-        u = np.array(self._uniforms[_BLOCK - left:])
-        while (missing := firm - np.count_nonzero(u >= p)) > 0:
-            u = np.concatenate((u, self.rng.random(-(-missing // _BLOCK) * _BLOCK)))
-            self._uniforms = u[-_BLOCK:].tolist()
-        at = np.flatnonzero(u >= p)[:firm]
-        self.tests_used += int(at[-1]) + 1
-        return (np.diff(at, prepend=-1) - 1).tolist()
+        """The items a splitting run by the schedule of `_split` finds, each
+        test through `test`."""
+        return _split(candidates, group_size, kp, self.test)
 
     def test_design(self, design) -> list[Outcome]:
         """Test each row of a boolean t x n design as one pool, in row order.

@@ -1,8 +1,16 @@
 """CLI tests: flag parsing, output schemas, determinism, exit codes."""
+import contextlib
+import io
 import json
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from grouptest import algorithms
+from grouptest.algorithms import ALGORITHM_NAMES
 from grouptest.cli import main, parse_noise, CliError
 from grouptest.bounds import NoiseKind
 
@@ -182,3 +190,84 @@ def test_bad_inputs_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error:")
     assert not (tmp_path / "D").exists()  # rejected before any output
+
+
+@pytest.mark.parametrize("alg,noise", [("hgbsa", "noiseless"), ("variant", "erasure:0.5")])
+def test_invariant_breach_exits_1_and_names_the_trial(capsys, monkeypatch, alg, noise):
+    # groups of one item spend about n firm tests, far above the guarantee
+    monkeypatch.setitem(algorithms.SPLIT_GROUP_SIZES, alg,
+                        lambda k: lambda m, kp: np.ones_like(m))
+    code, out, err = run_cli(capsys, "simulate", "--alg", alg, "--n", "100", "--k", "3",
+                             "--noise", noise, "--trials", "5", "--seed", "4")
+    assert code == 1 and out == ""
+    assert "invariant breach" in err and "(master_seed=4, trial_index=0)" in err
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of any command, its values mostly good and sometimes bad;
+    n <= 200, trials <= 5, budgets <= 300 and erasure p <= 0.9, so that no
+    example runs long. "{tmp}" stands for a fresh directory."""
+    cmd = draw(st.sampled_from(["bounds", "simulate", "sweep", "figure1", "capacity"]))
+    argv = [cmd]
+
+    def flag(name, good, bad=st.nothing(), required=False):
+        if required or draw(st.booleans()):
+            wrong = draw(st.integers(0, 7)) == 0 and not bad.is_empty
+            argv.extend([name, str(draw(bad if wrong else good))])
+
+    n = draw(st.integers(1, 200))
+    noise = st.one_of(
+        st.just("noiseless"), st.floats(0.0, 0.9).map(lambda p: f"erasure:{p}"),
+        st.tuples(st.sampled_from(["symmetric", "additive"]), st.floats(0.0, 0.5))
+        .map(lambda kp: f"{kp[0]}:{kp[1]}"))
+    bad_noise = st.one_of(st.sampled_from(["bogus", "erasure", "erasure:x"]),
+                          st.floats(-1.0, 1.5).map(lambda p: f"symmetric:{p}"))
+    if cmd in ("bounds", "simulate", "sweep"):
+        flag("--n", st.just(n), st.integers(-1, 0), required=True)
+        flag("--k", st.integers(0, n), st.sampled_from([-1, n + 1]), required=True)
+        flag("--noise", noise, bad_noise)
+    if cmd in ("simulate", "sweep", "capacity"):
+        flag("--alg", st.sampled_from(ALGORITHM_NAMES), required=cmd != "capacity")
+    if cmd != "bounds":
+        flag("--trials", st.integers(1, 5), st.integers(-1, 0), required=True)
+        flag("--seed", st.integers(-5, 2 ** 70))
+        flag("--threads", st.just(1), st.just(-1))
+    if cmd in ("bounds", "simulate"):
+        flag("--t", st.integers(1, 300), st.integers(-1, 0))
+    if cmd in ("simulate", "sweep"):
+        flag("--delta", st.floats(0.01, 5.0), st.floats(-1.0, 0.0))
+    if cmd == "sweep":
+        t_min = draw(st.integers(0, 150))
+        flag("--t-min", st.just(t_min), st.integers(-1, 0), required=True)
+        flag("--t-max", st.integers(t_min, 300), st.integers(-1, 300), required=True)
+        flag("--step", st.integers(1, 20), st.integers(-1, 0))
+    if cmd == "figure1":
+        argv += ["--out-dir", "{tmp}/fig"]
+    if cmd == "capacity":
+        flag("--beta", st.floats(0.01, 0.99), st.floats(-0.5, 1.5), required=True)
+        argv += ["--n-list", *map(str, draw(st.lists(st.integers(-1, 200),
+                                                     min_size=1, max_size=3)))]
+    if cmd != "figure1" and draw(st.booleans()):  # the second cannot be written: exit 3
+        argv += ["--out", draw(st.sampled_from(["{tmp}/out.txt", "{tmp}/no/such/file"]))]
+    return argv
+
+
+@given(cli_argv())
+# an adaptive sweep with k = 0 once raised from its guarantee marker
+@example(["sweep", "--alg", "hgbsa", "--n", "1", "--k", "0", "--trials", "1",
+          "--t-min", "0", "--t-max", "0"])
+@settings(max_examples=150, deadline=None)
+def test_argv_fuzz_exit_codes(argv):
+    # with no injected fault, every argv exits 0, 2 or 3 (never 1, never a
+    # traceback) and an argument error says so on stderr
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        try:
+            code = main([a.format(tmp=tmp) for a in argv])
+        except SystemExit as e:  # argparse's own argument errors
+            code = e.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code == 2:
+        assert err.getvalue()

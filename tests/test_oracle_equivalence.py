@@ -4,10 +4,11 @@
 to a tuple, checked with `truth_outcome`, and pushed through `apply_noise`
 with one scalar draw per test; a search or a splitting run is stepped test
 by test. Every algorithm, under every noise kind, must behave test for test
-the same against `TestOracle` (range pools by bisect, noiseless or erasure
-splitting runs over a range answered from the truth, block-drawn uniforms)
+the same against `TestOracle` (range pools by bisect, block-drawn uniforms)
 as against the reference, and the sparse sampler must match a dense
-Fisher-Yates draw for draw.
+Fisher-Yates draw for draw. The harness's batched trials (`_split_walk` and
+`_land`) must give the reference's test counts and decodes, and
+`run_trials` must equal `run_trial` trial by trial.
 """
 import hashlib
 
@@ -16,6 +17,7 @@ import pytest
 
 from grouptest import harness
 from grouptest.algorithms import (
+    SPLIT_GROUP_SIZES,
     SearchOverrun,
     _hwang_group_size,
     _variant_group_size,
@@ -25,8 +27,9 @@ from grouptest.algorithms import (
     hwang_variant,
     repeated_binary_testing,
 )
-from grouptest.bounds import NoiseModel, ProblemSize
-from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
+from grouptest.bounds import NoiseKind, NoiseModel, ProblemSize
+from grouptest.harness import (ExperimentSpec, _land, _split_walk, figure1_experiment,
+                               run_trial, run_trials)
 from grouptest.model import TestOracle, make_rng, sample_defective_set
 from oracle_reference import PoolOracle
 
@@ -152,6 +155,30 @@ def test_design_batches_interleaved_with_single_tests(noise):
 
 
 RULES = {"hwang": _hwang_group_size, "variant": _variant_group_size}
+ALGORITHM = {"hwang": "hgbsa", "variant": "variant"}
+
+
+def batch_both(n, truths, rule, noise, make_uniforms):
+    """The batch's walk (`_split_walk`) and, under erasure, its landing step
+    (`_land`) on `truths` (all of one size k), against `PoolOracle.split` in
+    the shape a trial uses: range(n), kp = k. Truth j's uniforms come from
+    `make_uniforms(j)`, a fresh one for each side. Both must give the same
+    tests_used, and success iff the reference found the truth. Returns the
+    tests_used."""
+    k = len(truths[0])
+    want = []
+    for j, truth in enumerate(truths):
+        ref = PoolOracle(n, truth, noise, make_uniforms(j))
+        want.append((set(ref.split(range(n), RULES[rule], k)) == set(truth),
+                     ref.tests_used))
+    rows = np.array([sorted(t) for t in truths], dtype=np.int64).reshape(len(truths), k)
+    firm, success = _split_walk(n, rows, SPLIT_GROUP_SIZES[ALGORITHM[rule]](k))
+    used = firm.tolist()
+    if noise.kind is NoiseKind.ERASURE:
+        used = _land(used, noise.p, [make_uniforms(j) for j in range(len(truths))])
+    assert list(zip(success.tolist(), used)) == want
+    assert all(ok for ok, _ in want)
+    return used
 
 
 def noiseless_cost(truth, candidates, group_size, kp):
@@ -164,13 +191,12 @@ def noiseless_cost(truth, candidates, group_size, kp):
 @pytest.mark.parametrize("as_list", [False, True])
 @pytest.mark.parametrize("noise", list(ALL_NOISES))
 def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
-    # Splitting runs over a range are answered from the truth in one call.
-    # Single tests pad before some of them so that, noiseless, one ends
-    # exactly on a block boundary ("end") and another has a boundary inside
-    # it ("cross"). Searches, over ranges and lists, some with no defective,
-    # step through `test`. With as_list every run and range search is
-    # handed over as a list, so the step loop, not the arithmetic walk,
-    # crosses those boundaries.
+    # Splitting runs over a range are one `split` call each. Single tests
+    # pad before some of them so that, noiseless, one ends exactly on a
+    # block boundary ("end") and another has a boundary inside it ("cross").
+    # Searches, over ranges and lists, some with no defective, step through
+    # `test`. With as_list every run and range search is handed over as a
+    # list, so list pools, not range pools, cross those boundaries.
     n = 1000
     steps = [3, ("search", 0), ("split", 0, "end", "hwang"), ("design", 233),
              ("search", 0), 250, ("list", 40), ("split", 0, "cross", "variant"),
@@ -283,9 +309,10 @@ class CyclingUniforms:
     [0.1] * 96 + [0.5],
 ], ids=["u-equal-p", "several-blocks"])
 def test_erasure_resubmission_on_dealt_uniforms(values):
-    # every run of hgbsa is one `split` over a range, answered from the truth
-    for seed in range(10):
-        truth = sample_defective_set(1000, 5, make_rng(seed, 0))
+    # every run of hgbsa is one `split` over a range; the batch lands the
+    # same runs' firm tests on the same dealt uniforms
+    truths = [sample_defective_set(1000, 5, make_rng(seed, 0)) for seed in range(10)]
+    for truth in truths:
         seen = []
         for cls in (TestOracle, PoolOracle):
             oracle = cls(1000, truth, NoiseModel.erasure(0.25), CyclingUniforms(values))
@@ -293,6 +320,8 @@ def test_erasure_resubmission_on_dealt_uniforms(values):
             seen.append((res.estimate, oracle.tests_used, as_sets(oracle.transcript)))
         assert seen[0] == seen[1]
         assert seen[0][0] == truth
+    batch_both(1000, truths, "hwang", NoiseModel.erasure(0.25),
+               lambda j: CyclingUniforms(values))
 
 
 def split_both(n, truth, candidates, rule, kp, noise, make_uniforms, before=0,
@@ -331,7 +360,8 @@ def test_scan_every_small_truth(rule, noise):
     # every truth with n <= 12, kp one below, at and one above the defectives
     # present (so also above the candidates, when all are defective), over
     # the whole range and over a suffix that skips some defectives; one
-    # generator runs on from run to run, restarted for the second oracle
+    # generator runs on from run to run, restarted for the second oracle.
+    # The batch walks every truth of each (n, k) together, with kp = k.
     rng, ends = make_rng(7, 1), set()
 
     def restart(state):
@@ -339,8 +369,10 @@ def test_scan_every_small_truth(rule, noise):
         return rng
 
     for n in range(1, 13):
+        by_k = {}
         for bits in range(1 << n):
             truth = frozenset(i for i in range(n) if bits >> i & 1)
+            by_k.setdefault(len(truth), []).append(truth)
             for start in {0, n // 3}:
                 present = sorted(i for i in truth if i >= start)
                 for kp in {len(present) - 1, len(present), len(present) + 1}:
@@ -354,6 +386,8 @@ def test_scan_every_small_truth(rule, noise):
                         assert sorted(found) == present
                     ends.update("stop" if lo is None else "cleared" if lo == m
                                 else "found" for lo, m in rounds)
+        for k, truths in by_k.items():
+            batch_both(n, truths, rule, NOISES[noise], lambda j: make_rng(7, 1000 * k + j))
     # the variant's groups never leave fewer than kp candidates
     assert ends == {"found", "stop"} | ({"cleared"} if rule == "hwang" else set())
 
@@ -365,16 +399,20 @@ def test_scan_every_small_truth(rule, noise):
 ], ids=["u-equal-p", "several-blocks"])
 def test_scan_on_dealt_uniforms(values, rule):
     # u = p lands; with one firm test in 97 submissions a single run's group
-    # tests and searches cross several blocks of 256
-    boundaries = []
+    # tests and searches cross several blocks of 256; the batch lands whole
+    # runs over range(1000) on the same dealt uniforms
+    boundaries, truths = [], []
     for seed in range(10):
         truth = sample_defective_set(1000, 5, make_rng(seed, 0))
+        truths.append(truth)
         start = min(truth) // 2
         _, tests, _ = split_both(1000, truth, range(start, 1000), RULES[rule], 5,
                                  NoiseModel.erasure(0.25), lambda: CyclingUniforms(values))
         boundaries.append(tests // 256)  # crossed, as the run starts at 0
+    used = batch_both(1000, truths, rule, NoiseModel.erasure(0.25),
+                      lambda j: CyclingUniforms(values))
     if len(values) == 97:
-        assert max(boundaries) >= 2
+        assert max(boundaries) >= 2 and max(used) >= 512
 
 
 @pytest.mark.parametrize("rule", list(RULES))
@@ -387,17 +425,24 @@ def test_split_walks_several_blocks_then_single_tests(values, rule):
     # uniforms left in its last block, and cross into the next. When every
     # uniform lands, the padding makes the run end exactly on a block
     # boundary, so the walk must draw the blocks it needs and not one more.
+    # The batch lands the same runs, more than 256 firm tests each, on the
+    # same uniforms.
     n, k = 9699, 30
-    for seed in range(4):
-        truth = sample_defective_set(n, k, make_rng(seed, 0))
+
+    def uniforms(seed):
+        return make_rng(seed, 1) if values is None else CyclingUniforms(values)
+
+    truths = [sample_defective_set(n, k, make_rng(seed, 0)) for seed in range(4)]
+    for seed, truth in enumerate(truths):
         cost = noiseless_cost(truth, range(n), RULES[rule], k)  # firm tests
         assert cost > 256
         found, _, _ = split_both(
             n, truth, range(n), RULES[rule], k, NoiseModel.erasure(0.25),
-            lambda: make_rng(seed, 1) if values is None else CyclingUniforms(values),
+            lambda: uniforms(seed),
             before=-cost % 256 if values == [0.5] else 70 * seed,
             after=[range(i, i + 1) for i in range(seed, n, 97)])
         assert set(found) == truth
+    batch_both(n, truths, rule, NoiseModel.erasure(0.25), uniforms)
 
 
 @pytest.mark.parametrize("alg,noise", [
@@ -420,6 +465,31 @@ def test_run_trials_equivalent_comp(monkeypatch):
     new = run_trials(spec, threads=1)
     monkeypatch.setattr(harness, "TestOracle", PoolOracle)
     assert run_trials(spec, threads=1) == new
+
+
+@pytest.mark.parametrize("n,k", [(500, 10), (9699, 30), (100000, 71)])
+@pytest.mark.parametrize("rule", list(RULES))
+def test_array_group_sizes_match_scalar_rules(rule, n, k):
+    # the batch's rule over arrays, at every (m, kp) with 1 <= kp <= k and
+    # 1 <= m <= n, against the scalar rule the oracle's runs use
+    sizes = SPLIT_GROUP_SIZES[ALGORITHM[rule]](k)
+    m = np.arange(1, n + 1, dtype=np.int64)
+    for kp in range(1, k + 1):
+        want = list(map(RULES[rule], range(1, n + 1), [kp] * n))
+        assert sizes(m, np.full(n, kp)).tolist() == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("noise", list(NOISES))
+@pytest.mark.parametrize("alg", ["hgbsa", "variant", "rbt", "comp"])
+def test_run_trials_equal_run_trial(alg, noise, threads):
+    # batched (splitting and RBT, noiseless or erasure) or not, in one
+    # process or two, run_trials gives run_trial's results trial by trial
+    for n, k, trials in [(64, 4, 40), (500, 10, 25)]:  # RBT halves 64 exactly
+        spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg,
+                              noise=NOISES[noise], trials=trials, master_seed=n,
+                              comp_t=30 if alg == "comp" else None)
+        assert run_trials(spec, threads) == [run_trial(spec, i) for i in range(trials)]
 
 
 # sha256 of `grouptest figure1 --trials 50 --seed 0`, computed with the

@@ -170,7 +170,10 @@ def comp_test_count(size: ProblemSize, delta: float) -> int:
         raise ValueError("COMP count requires k >= 1")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return math.ceil((1.0 + delta) * math.e * size.k * math.log(size.n))
+    count = (1.0 + delta) * math.e * size.k * math.log(size.n)
+    if count == math.inf:
+        raise ValueError(f"COMP count overflows at delta {delta}")
+    return math.ceil(count)
 
 
 def binary_entropy(p: float) -> float:

@@ -99,7 +99,7 @@ def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     if spec.algorithm == "comp" and spec.comp_t is None and spec.delta is None:
         raise CliError("--alg comp needs --t or --delta")
-    results = harness.run_trials(spec, args.threads)
+    results = harness.run_trials(spec)
     wins = sum(r.success for r in results)
     tests = [r.tests_used for r in results]
     lo, hi = harness.wilson_interval(wins, spec.trials)
@@ -116,8 +116,7 @@ def cmd_simulate(args) -> int:
         if spec.noise.kind in (NoiseKind.SYMMETRIC, NoiseKind.ADDITIVE):
             payload["no_guarantee"] = True  # no decoder exists for these channels
     if spec.algorithm == "comp":
-        payload["t"] = spec.comp_t if spec.comp_t is not None else \
-            bounds.comp_test_count(spec.size, spec.delta)
+        payload["t"] = spec.comp_budget()
     _emit(_json(payload), args.out)
     return 0
 
@@ -126,15 +125,14 @@ def cmd_sweep(args) -> int:
     if args.t_min is None or args.t_max is None:
         raise CliError("--t-min and --t-max are required")
     spec = _spec_from_args(args, budget_range=(args.t_min, args.t_max, args.step))
-    curve = harness.success_curve(spec, args.threads)
+    curve = harness.success_curve(spec)
     _emit("\n".join(harness.curve_csv_lines(curve)) + "\n", args.out)
     return 0
 
 
 def cmd_figure1(args) -> int:
     try:
-        paths = harness.figure1_experiment(args.out_dir, args.trials, args.seed,
-                                           args.threads)
+        paths = harness.figure1_experiment(args.out_dir, args.trials, args.seed)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -152,7 +150,7 @@ def cmd_capacity(args) -> int:
         raise CliError(f"--n-list entries must be >= 1, got {min(args.n_list)}")
     n_list = sorted(args.n_list)
     rows = harness.capacity_scan(args.beta, n_list, args.alg, args.trials,
-                                 args.seed, args.threads)
+                                 args.seed)
     lines = ["n,k,mean_tests,achieved_rate,guarantee_tests,guarantee_rate"]
     for r in rows:
         lines.append(f"{r.n},{r.k},{r.mean_tests:.6g},{r.achieved_rate:.6g},"
@@ -175,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--noise", default=None, help="noise spec kind[:p]")
             p.add_argument("--trials", type=int, default=1000)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker processes (0 = all cores)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("bounds", help="closed-form bounds for one (n, k)")
@@ -203,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("capacity", help="rate scan with k = n^(1-beta)")
@@ -212,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", default="hgbsa", choices=ALGORITHM_NAMES)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_capacity)
 
@@ -220,11 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 0) < 0:
-            raise CliError(f"--threads must be >= 0, got {args.threads}")
+        args = build_parser().parse_args(argv)
         if getattr(args, "trials", 1) < 1:  # before figure1 makes its directory
             raise CliError("--trials must be >= 1")
         return args.func(args)
@@ -234,7 +225,7 @@ def main(argv=None) -> int:
     except harness.InvariantBreach as e:
         print(f"error: invariant breach: {e}", file=sys.stderr)
         return 1
-    except SystemExit as e:
+    except SystemExit as e:  # argparse's errors and --help, `_emit`'s exit 3
         return int(e.code or 0)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

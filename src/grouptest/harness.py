@@ -3,16 +3,14 @@ Wilson intervals and analytic bound overlays, the two-panel budget-sweep
 experiment at (k, n) = (10, 500) and (30, 9699), and capacity scans in the
 k = n^(1-beta) regime.
 
-Every trial derives its RNG stream from (master_seed, trial_index), so
-parallel and serial execution produce identical results.
+Every trial derives its RNG stream from (master_seed, trial_index), so its
+result does not depend on which other trials run with it.
 """
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -25,6 +23,9 @@ from .model import (SearchOverrun, TestOracle, derive_stream_seed, make_rng,
                     sample_defective_set)
 
 _WILSON_Z = 1.959963984540054  # 95%
+# Largest t x n COMP design a spec accepts: `comp_run` peaks near 9 bytes an
+# entry (the uniform draws and the design), so one trial stays under 300 MB.
+MAX_COMP_DESIGN_CELLS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,35 @@ class ExperimentSpec:
                 raise ValueError(f"bad budget range {self.budget_range}")
         if self.delta is not None and not 0.0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.algorithm == "comp" and self.size.k < 1:
-            raise ValueError("COMP design density 1/k needs k >= 1")
-        t_min = self.budget_range[0] if self.budget_range else self.comp_t
-        if self.algorithm == "comp" and t_min is not None and t_min < 1:
-            raise ValueError(f"COMP needs t >= 1, got {t_min}")
+        if self.algorithm == "comp":
+            self._check_comp()
         if (self.algorithm in ADAPTIVE_ALGORITHMS
                 and self.noise.kind is NoiseKind.ERASURE and self.noise.p >= 1.0):
             raise ValueError("erasure probability 1 never terminates: "
                              "every test is retried until it lands")
+
+    def _check_comp(self):
+        if self.size.k < 1:
+            raise ValueError("COMP design density 1/k needs k >= 1")
+        if self.budget_range is not None:
+            t_min, t_max = self.budget_range[:2]
+        elif self.comp_t is not None or self.delta is not None:
+            t_min = t_max = self.comp_budget()
+        else:
+            return  # `comp_budget` raises when a trial asks for the budget
+        if t_min < 1:
+            raise ValueError(f"COMP needs t >= 1, got {t_min}")
+        if t_max * self.size.n > MAX_COMP_DESIGN_CELLS:
+            raise ValueError(f"COMP needs t <= {MAX_COMP_DESIGN_CELLS // self.size.n} "
+                             f"at n = {self.size.n} (t x n <= {MAX_COMP_DESIGN_CELLS})")
+
+    def comp_budget(self) -> int:
+        """COMP's test count: `comp_t`, else the count for `delta`."""
+        if self.comp_t is not None:
+            return self.comp_t
+        if self.delta is None:
+            raise ValueError("COMP needs an explicit budget or a delta")
+        return bounds.comp_test_count(self.size, self.delta)
 
     def budgets(self) -> list[int]:
         if self.budget_range is None:
@@ -127,13 +148,8 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     truth = sample_defective_set(n, k, rng)
     oracle = TestOracle(n, truth, spec.noise, rng)
     if spec.algorithm == "comp":
-        t = spec.comp_t
-        if t is None:
-            if spec.delta is None:
-                raise ValueError("COMP needs an explicit budget or a delta")
-            t = bounds.comp_test_count(spec.size, spec.delta)
         design_rng = make_rng(seed, 1)
-        result = comp_run(oracle, n, k, t, design_rng)
+        result = comp_run(oracle, n, k, spec.comp_budget(), design_rng)
     else:
         try:
             result = ADAPTIVE_ALGORITHMS[spec.algorithm](oracle, n, k)
@@ -142,24 +158,19 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     return TrialResult(success=result.estimate == truth, tests_used=result.tests_used)
 
 
-def run_trials(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
-    """All trials of a spec, across `threads` processes (0 = all cores) that
-    each run one contiguous chunk, in trial-index order.
+def run_trials(spec: ExperimentSpec) -> list[TrialResult]:
+    """All trials of a spec, run serially in one process, in trial-index
+    order.
 
     Adaptive trials on a noiseless or erasure channel are sampled as
     `run_trial` samples them and then walked together (`_run_batch`); the
     results equal `run_trial`'s trial by trial. Other trials go through
     `run_trial`."""
-    workers = min(threads or os.cpu_count() or 1, spec.trials)
-    if workers == 1:
-        return _run_chunk(spec, 0, spec.trials)
-    # imported here: it takes about 30 ms, which a serial run need not pay
-    from concurrent.futures import ProcessPoolExecutor
-
-    edges = [spec.trials * w // workers for w in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_run_chunk, repeat(spec), edges[:-1], edges[1:])
-        return [r for chunk in chunks for r in chunk]
+    if not (spec.algorithm in ADAPTIVE_ALGORITHMS
+            and spec.noise.kind in (NoiseKind.NOISELESS, NoiseKind.ERASURE)):
+        return [run_trial(spec, i) for i in range(spec.trials)]
+    return [r for lo in range(0, spec.trials, _BATCH)
+            for r in _run_batch(spec, lo, min(spec.trials, lo + _BATCH))]
 
 
 class InvariantBreach(Exception):
@@ -168,14 +179,6 @@ class InvariantBreach(Exception):
 
 
 _BATCH = 1024  # trials sampled and walked together, to bound the arrays
-
-
-def _run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
-    if not (spec.algorithm in ADAPTIVE_ALGORITHMS
-            and spec.noise.kind in (NoiseKind.NOISELESS, NoiseKind.ERASURE)):
-        return [run_trial(spec, i) for i in range(start, stop)]
-    return [r for lo in range(start, stop, _BATCH)
-            for r in _run_batch(spec, lo, min(stop, lo + _BATCH))]
 
 
 def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
@@ -263,15 +266,15 @@ class TestsDistribution:
     max: int
 
 
-def tests_distribution(spec: ExperimentSpec, threads: int = 1) -> TestsDistribution:
+def tests_distribution(spec: ExperimentSpec) -> TestsDistribution:
     """Empirical distribution of tests_used over the spec's trials."""
-    results = run_trials(spec, threads)
+    results = run_trials(spec)
     counts = sorted(r.tests_used for r in results)
     return TestsDistribution(counts=counts, mean=sum(counts) / len(counts),
                              max=counts[-1])
 
 
-def success_curve(spec: ExperimentSpec, threads: int = 1) -> SuccessCurve:
+def success_curve(spec: ExperimentSpec) -> SuccessCurve:
     """Empirical success probability per budget with bound overlays.
 
     Adaptive exact-recovery algorithms run to completion once per trial and
@@ -285,11 +288,11 @@ def success_curve(spec: ExperimentSpec, threads: int = 1) -> SuccessCurve:
             # distinct stream block per budget
             sub = replace(spec, comp_t=t,
                           master_seed=derive_stream_seed(spec.master_seed, bi + 1))
-            results = run_trials(sub, threads)
+            results = run_trials(sub)
             wins = sum(r.success for r in results)
             points.append((t, wins))
     else:
-        used = sorted(r.tests_used for r in run_trials(spec, threads) if r.success)
+        used = sorted(r.tests_used for r in run_trials(spec) if r.success)
         points = [(t, bisect_right(used, t)) for t in budgets]
 
     curve_points = []
@@ -341,8 +344,7 @@ def _figure1_budget_range(size: ProblemSize) -> tuple[int, int, int]:
     return (max(1, lo), hi, 1)
 
 
-def figure1_experiment(out_dir, trials: int, master_seed: int,
-                       threads: int = 1) -> list[Path]:
+def figure1_experiment(out_dir, trials: int, master_seed: int) -> list[Path]:
     """Success-vs-budget CSVs for the splitting algorithms at
     (k, n) = (10, 500) and (30, 9699), with bound overlays and markers.
     Byte-identical across reruns with the same seed."""
@@ -356,7 +358,7 @@ def figure1_experiment(out_dir, trials: int, master_seed: int,
                 size=size, algorithm=alg, trials=trials,
                 master_seed=derive_stream_seed(master_seed, alg_index),
                 budget_range=_figure1_budget_range(size))
-            curve = success_curve(spec, threads)
+            curve = success_curve(spec)
             lines.extend(curve_csv_lines(curve, with_markers=True)[1:])
         path = out_dir / fname
         path.write_text("\n".join(lines) + "\n")
@@ -382,8 +384,7 @@ class CapacityRow:
 
 
 def capacity_scan(beta: float, n_list: Sequence[int], algorithm: str,
-                  trials: int, seed: int,
-                  threads: int = 1) -> list[CapacityRow]:
+                  trials: int, seed: int) -> list[CapacityRow]:
     """Achieved and guaranteed rates along a sequence of problem sizes with
     k = n^(1-beta). For hgbsa the guarantee rate approaches 1 from below."""
     rows = []
@@ -392,7 +393,7 @@ def capacity_scan(beta: float, n_list: Sequence[int], algorithm: str,
         size = ProblemSize(n=n, k=k)
         spec = ExperimentSpec(size=size, algorithm=algorithm, trials=trials,
                               master_seed=derive_stream_seed(seed, idx))
-        dist = tests_distribution(spec, threads)
+        dist = tests_distribution(spec)
         guarantee = guarantee_for(algorithm, size)
         rows.append(CapacityRow(
             n=n, k=k, mean_tests=dist.mean,

@@ -2,7 +2,10 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from grouptest import algorithms
 from grouptest.algorithms import ALGORITHM_NAMES
-from grouptest.cli import main, parse_noise, CliError
+from grouptest.cli import build_parser, main, parse_noise, CliError
 from grouptest.bounds import NoiseKind
 
 
@@ -107,15 +110,10 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["success_rate"] < 1
 
-    def test_negative_threads_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--alg", "hgbsa", "--n", "10",
-                               "--k", "2", "--trials", "5", "--threads", "-4")
-        assert code == 2 and "--threads" in err
-
     def test_unknown_algorithm_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["simulate", "--alg", "magic", "--n", "10", "--k", "1"])
-        assert e.value.code == 2
+        code, _, err = run_cli(capsys, "simulate", "--alg", "magic", "--n", "10",
+                               "--k", "1")
+        assert code == 2 and "--alg" in err
 
 
 class TestSweepCommand:
@@ -184,12 +182,51 @@ class TestCapacityCommand:
     "capacity --beta 0.5 --n-list 100 --trials 0",
     "sweep --alg comp --n 10 --k 2 --t-min 0 --t-max 2 --trials 3",
     "simulate --alg comp --n 10 --k 2 --t 0 --trials 3",
+    "simulate --alg comp --n 10 --k 2 --delta 1e300 --trials 2",
+    "simulate --alg comp --n 10 --k 2 --t 100000000000000 --trials 1",
+    "simulate --alg comp --n 10 --k 2 --delta 1e308 --trials 1",
+    "simulate --alg comp --n 1 --k 1 --delta 1 --trials 1",
+    "sweep --alg comp --n 100 --k 5 --t-min 1 --t-max 100000000000000 --step 10000000000000",
 ])
 def test_bad_inputs_exit_2(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
     assert code == 2
     assert err.startswith("error:")
     assert not (tmp_path / "D").exists()  # rejected before any output
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds --n 10 --k 2",
+    "simulate --alg hgbsa --n 10 --k 2 --trials 5",
+    "sweep --alg hgbsa --n 10 --k 2 --t-min 1 --t-max 5 --trials 5",
+    "figure1 --trials 5 --out-dir {tmp}/D",
+    "capacity --beta 0.5 --n-list 100 --trials 5",
+])
+def test_threads_flag_exits_2(capsys, tmp_path, argv):
+    # trials run serially in one process; no command takes --threads
+    code, out, err = run_cli(capsys, *argv.format(tmp=tmp_path).split(), "--threads", "1")
+    assert code == 2 and out == ""
+    assert "--threads" in err
+    assert not (tmp_path / "D").exists()
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def test_readme_cli_commands_parse():
+    commands = [shlex.split(line)[1:]
+                for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("grouptest ")]
+    assert {argv[0] for argv in commands} == {
+        "bounds", "simulate", "sweep", "figure1", "capacity"}
+    for argv in commands:
+        build_parser().parse_args(argv)  # exits 2 on a flag the CLI lacks
+
+
+def test_readme_library_example_runs():
+    (example,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    exec(example, {})
 
 
 @pytest.mark.parametrize("alg,noise", [("hgbsa", "noiseless"), ("variant", "erasure:0.5")])
@@ -232,7 +269,6 @@ def cli_argv(draw):
     if cmd != "bounds":
         flag("--trials", st.integers(1, 5), st.integers(-1, 0), required=True)
         flag("--seed", st.integers(-5, 2 ** 70))
-        flag("--threads", st.just(1), st.just(-1))
     if cmd in ("bounds", "simulate"):
         flag("--t", st.integers(1, 300), st.integers(-1, 0))
     if cmd in ("simulate", "sweep"):
@@ -264,10 +300,7 @@ def test_argv_fuzz_exit_codes(argv):
     err = io.StringIO()
     with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
           contextlib.redirect_stderr(err)):
-        try:
-            code = main([a.format(tmp=tmp) for a in argv])
-        except SystemExit as e:  # argparse's own argument errors
-            code = e.code
+        code = main([a.format(tmp=tmp) for a in argv])
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     if code == 2:
         assert err.getvalue()

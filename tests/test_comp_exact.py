@@ -56,6 +56,6 @@ def test_simulation_matches_exact():
     exact = float(comp_error_exact(100, 5, 126))
     spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp",
                           trials=5000, master_seed=0, comp_t=126)
-    errors = sum(not r.success for r in run_trials(spec, threads=1))
+    errors = sum(not r.success for r in run_trials(spec))
     lo, hi = wilson_interval(errors, spec.trials, z=3.29)
     assert lo <= exact <= hi

@@ -462,9 +462,9 @@ def test_run_trials_equivalent_comp(monkeypatch):
     spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp",
                           noise=NOISES["symmetric"], trials=150, master_seed=6,
                           comp_t=60)
-    new = run_trials(spec, threads=1)
+    new = run_trials(spec)
     monkeypatch.setattr(harness, "TestOracle", PoolOracle)
-    assert run_trials(spec, threads=1) == new
+    assert run_trials(spec) == new
 
 
 @pytest.mark.parametrize("n,k", [(500, 10), (9699, 30), (100000, 71)])
@@ -479,17 +479,17 @@ def test_array_group_sizes_match_scalar_rules(rule, n, k):
         assert sizes(m, np.full(n, kp)).tolist() == want
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+# RBT halves 64 exactly
+@pytest.mark.parametrize("n,k,trials", [(64, 4, 40), (500, 10, 25)], ids=["1", "2"])
 @pytest.mark.parametrize("noise", list(NOISES))
 @pytest.mark.parametrize("alg", ["hgbsa", "variant", "rbt", "comp"])
-def test_run_trials_equal_run_trial(alg, noise, threads):
-    # batched (splitting and RBT, noiseless or erasure) or not, in one
-    # process or two, run_trials gives run_trial's results trial by trial
-    for n, k, trials in [(64, 4, 40), (500, 10, 25)]:  # RBT halves 64 exactly
-        spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg,
-                              noise=NOISES[noise], trials=trials, master_seed=n,
-                              comp_t=30 if alg == "comp" else None)
-        assert run_trials(spec, threads) == [run_trial(spec, i) for i in range(trials)]
+def test_run_trials_equal_run_trial(alg, noise, n, k, trials):
+    # batched (splitting and RBT, noiseless or erasure) or not, run_trials
+    # gives run_trial's results trial by trial
+    spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg,
+                          noise=NOISES[noise], trials=trials, master_seed=n,
+                          comp_t=30 if alg == "comp" else None)
+    assert run_trials(spec) == [run_trial(spec, i) for i in range(trials)]
 
 
 # sha256 of `grouptest figure1 --trials 50 --seed 0`, computed with the
@@ -501,7 +501,7 @@ FIGURE1_SHA256 = {
 
 
 def test_figure1_csvs_pinned(tmp_path):
-    paths = figure1_experiment(tmp_path, trials=50, master_seed=0, threads=1)
+    paths = figure1_experiment(tmp_path, trials=50, master_seed=0)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert got == FIGURE1_SHA256
 
@@ -520,7 +520,7 @@ def test_erasure_trials_pinned(alg):
     spec = ExperimentSpec(size=ProblemSize(300, 8), algorithm=alg,
                           noise=NOISES["erasure"], trials=200, master_seed=3)
     text = "".join(f"{int(r.success)},{r.tests_used}\n"
-                   for r in run_trials(spec, threads=1))
+                   for r in run_trials(spec))
     assert hashlib.sha256(text.encode()).hexdigest() == ERASURE_RETRY_SHA256[alg]
 
 
@@ -535,5 +535,5 @@ def test_erasure_large_n_trials_pinned():
     spec = ExperimentSpec(size=ProblemSize(100000, 71), algorithm="hgbsa",
                           noise=NoiseModel.erasure(0.25), trials=20, master_seed=1)
     text = "".join(f"{int(r.success)},{r.tests_used}\n"
-                   for r in run_trials(spec, threads=1))
+                   for r in run_trials(spec))
     assert hashlib.sha256(text.encode()).hexdigest() == ERASURE_LARGE_N_SHA256

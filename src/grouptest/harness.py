@@ -19,13 +19,16 @@ import numpy as np
 from . import bounds
 from .algorithms import ADAPTIVE_ALGORITHMS, SPLIT_GROUP_SIZES, comp_run
 from .bounds import NoiseKind, NoiseModel, ProblemSize
-from .model import (SearchOverrun, TestOracle, derive_stream_seed, make_rng,
-                    sample_defective_set)
+from .model import (SearchOverrun, TestOracle, derive_stream_seed, derive_stream_seeds,
+                    make_rng, sample_defective_set, sample_defective_sets)
 
 _WILSON_Z = 1.959963984540054  # 95%
 # Largest t x n COMP design a spec accepts: `comp_run` peaks near 9 bytes an
 # entry (the uniform draws and the design), so one trial stays under 300 MB.
 MAX_COMP_DESIGN_CELLS = 1 << 25
+# Most budgets a sweep accepts: each is a curve point and a CSV row (about
+# 15 us each), and the figure needs a few hundred.
+MAX_BUDGETS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,9 @@ class ExperimentSpec:
             t_min, t_max, step = self.budget_range
             if t_min > t_max or step < 1 or t_min < 0:
                 raise ValueError(f"bad budget range {self.budget_range}")
+            if (t_max - t_min) // step + 1 > MAX_BUDGETS:
+                raise ValueError(f"budget range {self.budget_range} has more than "
+                                 f"{MAX_BUDGETS} budgets")
         if self.delta is not None and not 0.0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.algorithm == "comp":
@@ -182,17 +188,18 @@ _BATCH = 1024  # trials sampled and walked together, to bound the arrays
 
 
 def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
-    """Trials start..stop-1, firm outcomes being the truth. RBT always finds
-    its defectives in order with sum over i < k of ceil(log2(n - i)) firm
-    tests; the splitting runs are walked by `_split_walk`."""
+    """Trials start..stop-1, firm outcomes being the truth. The trials are
+    seeded and sampled in bulk (`sample_defective_sets`), with the seeds
+    `run_trial` derives; a trial that numpy would sample on a rejection
+    redraw, or every trial when the bulk path does not apply, goes through
+    `sample_defective_set`. RBT always finds its defectives in order with sum
+    over i < k of ceil(log2(n - i)) firm tests; the splitting runs are walked
+    by `_split_walk`. Under erasure each trial's generator is handed on to
+    `_land` as sampling left it."""
     n, k = spec.size.n, spec.size.k
     erasure = spec.noise.kind is NoiseKind.ERASURE
-    truths, rngs = np.empty((stop - start, k), dtype=np.int64), []
-    for j, i in enumerate(range(start, stop)):
-        rng = make_rng(derive_stream_seed(spec.master_seed, i), 0)
-        truths[j] = np.fromiter(sample_defective_set(n, k, rng), np.int64, k)
-        if erasure:
-            rngs.append(rng)
+    seeds = derive_stream_seeds(derive_stream_seeds(spec.master_seed, np.arange(start, stop)), 0)
+    truths, rngs = sample_defective_sets(n, k, seeds)
     if spec.algorithm == "rbt":
         firm = np.full(stop - start, sum((n - i - 1).bit_length() for i in range(k)))
         success = np.ones(stop - start, dtype=bool)

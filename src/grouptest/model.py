@@ -8,6 +8,15 @@ tests and the halving search of its positive group) is one `split` call,
 which steps through `test` one group test and one search step at a time.
 Defective sets are frozensets. One oracle serves one trial and is never
 shared.
+
+A trial's generator is `np.random.PCG64(seed)` with its seed mixed from
+(master seed, stream) by `derive_stream_seed`, and its defective set is
+`sample_defective_set`'s partial Fisher-Yates over it. `derive_stream_seeds`
+and `sample_defective_sets` compute the same seeds, sets and generator states
+for many trials at once with numpy, bit for bit: SeedSequence's hash,
+PCG64's 128-bit LCG in 32-bit limbs and numpy's Lemire bounded draws. A row
+numpy would redraw after a rejection, and every row of a size the bulk path
+does not cover, goes through `sample_defective_set` itself.
 """
 from __future__ import annotations
 
@@ -44,6 +53,26 @@ def derive_stream_seed(master: int, stream: int) -> int:
     return _splitmix64(_splitmix64(master & _MASK64) ^ _splitmix64(stream & _MASK64))
 
 
+def _splitmix64s(x: np.ndarray) -> np.ndarray:
+    """`_splitmix64` over a uint64 array; numpy wraps mod 2^64 itself."""
+    x = x + _GOLDEN
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
+
+
+def _as_uint64(x) -> np.ndarray:
+    if isinstance(x, int):
+        x &= _MASK64
+    return np.atleast_1d(np.asarray(x)).astype(np.uint64)
+
+
+def derive_stream_seeds(master, streams) -> np.ndarray:
+    """`derive_stream_seed` over arrays: a uint64 seed for each broadcast
+    (master, stream) pair. Ints are taken mod 2^64, as there."""
+    return _splitmix64s(_splitmix64s(_as_uint64(master)) ^ _splitmix64s(_as_uint64(streams)))
+
+
 def make_rng(master: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_stream_seed(master, stream)))
 
@@ -53,7 +82,9 @@ def sample_defective_set(n: int, k: int, rng: np.random.Generator) -> frozenset:
 
     The swaps are kept in a dict, so the cost is O(k), not O(n). The k bounded
     draws come from one vectorised call, which yields the same values and
-    leaves the generator in the same state as k scalar draws.
+    leaves the generator in the same state as k scalar draws. This is the
+    per-trial definition; `sample_defective_sets` computes it for many fresh
+    generators at once and is checked against it.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -64,6 +95,192 @@ def sample_defective_set(n: int, k: int, rng: np.random.Generator) -> frozenset:
         chosen.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
     return frozenset(chosen)
+
+
+# PCG64's 128-bit LCG multiplier; numpy's SeedSequence hash constants follow.
+_U32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(h: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before and after each of `calls` hashmix calls, as a
+    (2, calls, 1) array."""
+    pairs = []
+    for _ in range(calls):
+        pairs.append((h, h * mult & _U32))
+        h = pairs[-1][1]
+    return np.array(pairs, dtype=np.uint64).T[:, :, None]
+
+
+_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 fills, 12 mixes
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    h, m = consts
+    v = (v ^ h) * m & _U32
+    return v ^ (v >> 16)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """`SeedSequence(seed).generate_state(8, uint32)` of each uint64 seed, as
+    an (8, rows) array: the seed's two 32-bit words and two zeros fill a pool
+    of four, which is then cross-mixed. uint32 arithmetic, held in uint64."""
+    zero = np.zeros_like(seeds)
+    pool = _hashmix(np.stack((seeds & _U32, seeds >> 32, zero, zero)), _POOL_HASHES[:, :4])
+    for src in range(4):  # the three words mixed with pool[src] do not interact
+        dst = [d for d in range(4) if d != src]
+        r = (0xCA01F9DD * pool[dst]
+             - 0x4973F715 * _hashmix(pool[src], _POOL_HASHES[:, 4 + 3 * src:7 + 3 * src])) & _U32
+        pool[dst] = r ^ (r >> 16)
+    return _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASHES)
+
+
+def _limbs(values) -> np.ndarray:
+    """128-bit ints as a (4, len) array of 32-bit limbs, lowest first."""
+    return np.array([[v >> 32 * i & _U32 for v in values] for i in range(4)], dtype=np.uint64)
+
+
+def _carry(columns: np.ndarray) -> np.ndarray:
+    """Column sums of 32-bit limbs (first axis, lowest first) reduced in
+    place to limbs, mod 2^128."""
+    for m in range(3):
+        columns[m + 1] += columns[m] >> 32
+    columns &= _U32
+    return columns
+
+
+def _pcg_states(x: np.ndarray, inc: np.ndarray, steps: int) -> np.ndarray:
+    """PCG64 states after 1..steps LCG steps s -> s * MULT + inc from state x,
+    as limbs of shape (4, rows, steps). Step e is jumped to directly:
+    MULT^e x + (MULT^(e-1) + ... + 1) inc, mod 2^128."""
+    jumps, sums, a, g = [], [], 1, 0
+    for _ in range(steps):
+        a, g = a * _PCG_MULT & _MASK128, g + a
+        jumps.append(a)
+        sums.append(g)
+    columns = np.zeros((4, x.shape[1], steps), dtype=np.uint64)
+    for v, c in ((x, _limbs(jumps)), (inc, _limbs(sums))):
+        for i in range(4):
+            p = v[i][:, None] * c[:4 - i, None, :]  # v_i c_j < 2^64, j < 4 - i
+            columns[i:] += p & _U32
+            columns[i + 1:] += p[:3 - i] >> 32
+    return _carry(columns)
+
+
+def _bulk_draws(seeds: np.ndarray, n: int, k: int) -> tuple:
+    """`Generator(PCG64(seed)).integers(n - arange(k))` for each seed, with
+    0 < n - i < 2^32: (draws, rejected, handoff). A rejected row hit a Lemire
+    rejection, after which numpy draws again, so its draws are not numpy's.
+    handoff[r] is the (state, inc, has_uint32, uinteger) of `bit_generator.state`
+    that row r is left in; uinteger, the high half of the last output (0 if
+    none), is what numpy keeps for the next 32-bit draw when k is odd."""
+    w = _seed_words(seeds)
+    init = np.stack((w[2], w[3], w[0], w[1]))  # the 64-bit words are (high, low)
+    seq = np.stack((w[6], w[7], w[4], w[5]))
+    # srandom: inc = 2 seq + 1; state = (inc + init) * MULT + inc
+    inc = (seq << 1 | np.vstack((np.ones_like(seeds), seq[:-1] >> 31))) & _U32
+    outputs = (k + 1) // 2  # each 64-bit output gives two 32-bit words
+    s = _pcg_states(_carry(inc + init), inc, outputs + 1)
+    high, low = s[3] << 32 | s[2], s[1] << 32 | s[0]  # the 64-bit halves
+    # XSL-RR: high ^ low rotated right by the top 6 bits of high
+    xored, rot = (high ^ low)[:, 1:], high[:, 1:] >> 58
+    out = xored >> rot | xored << (-rot & 63)
+    # Lemire on draw i: word * (n - i), the high half the draw, rejected iff
+    # the low half < 2^32 % (n - i); even draws take low halves, odd ones high
+    draws = np.empty((len(seeds), k), dtype=np.int64)
+    rejected = np.zeros(len(seeds), dtype=bool)
+    for half, word in ((0, out & _U32), (1, out >> 32)):
+        ranges = (n - np.arange(half, k, 2)).astype(np.uint64)
+        m = word[:, :len(ranges)] * ranges
+        rejected |= ((m & _U32) < (1 << 32) % ranges).any(axis=1)
+        draws[:, half::2] = m >> 32
+    last = out[:, -1] >> 32 if outputs else np.zeros(len(seeds), dtype=np.uint64)
+    wide = [[h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+            for hi, lo in ((high[:, -1], low[:, -1]), (inc[3] << 32 | inc[2], inc[1] << 32 | inc[0]))]
+    return draws, rejected, list(zip(*wide, [k & 1] * len(seeds), last.tolist()))
+
+
+def _swap_chain(j: np.ndarray) -> np.ndarray:
+    """The items partial Fisher-Yates picks, row by row, where step i swaps
+    positions i and j[:, i] >= i and picks what lands at i. Position q holds
+    q until a step l swaps it; the latest such step before b left there what
+    position l held at step l. So each pick follows swaps back to a position
+    no earlier step touched; a row whose j are distinct picks exactly j."""
+    k = j.shape[1]
+    cols = np.arange(k)
+    q, before = j, np.broadcast_to(cols, j.shape)
+    while True:
+        swapped = (j[:, None, :] == q[:, :, None]) & (cols < before[:, :, None])
+        found = swapped.any(axis=2)
+        if not found.any():
+            return q
+        latest = k - 1 - swapped[:, :, ::-1].argmax(axis=2)
+        q, before = np.where(found, latest, q), np.where(found, latest, before)
+
+
+def _state_tuple(rng: np.random.Generator) -> tuple:
+    """(state, inc, has_uint32, uinteger) of a PCG64 generator."""
+    state = rng.bit_generator.state
+    return (state["state"]["state"], state["state"]["inc"], state["has_uint32"],
+            state["uinteger"])
+
+
+def _handed_on(handoff):
+    """One Generator, set in turn to each (state, inc, has_uint32, uinteger)
+    and yielded."""
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for state, inc, has_uint32, uinteger in handoff:
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": has_uint32, "uinteger": uinteger}
+        yield rng
+
+
+_BULK_ROWS = 256  # rows seeded and drawn at a time, to bound the arrays
+
+
+def sample_defective_sets(n: int, k: int, seeds) -> tuple:
+    """`sample_defective_set(n, k, Generator(PCG64(seed)))` for each uint64
+    seed, in bulk: (truths, rngs). Row r of the (len(seeds), k) array truths
+    holds the k defectives of seed r, in no set order; rngs yields each row's
+    generator in turn, left as `sample_defective_set` leaves it. They are one
+    reused Generator, so each is valid until the next is taken.
+
+    Each stage runs over many rows with numpy: `SeedSequence`'s hash (uint32
+    arithmetic), PCG64's seeding and LCG steps (O'Neill 2014; 128 bits in
+    32-bit limbs) with its XSL-RR output, numpy's bounded draws (Lemire 2019,
+    on the 32-bit halves of each output, low half first), and the swaps.
+    `sample_defective_set` itself samples a row whose draw numpy would redraw
+    after a Lemire rejection. It samples every row when n > 2^32 - 1 (numpy's
+    64-bit path) or k == n (the last draw, over one value, takes no word),
+    and when a spot check of the first other row against numpy fails: the
+    bit streams of `Generator.integers` are not fixed across numpy releases."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    truths = np.empty((len(seeds), k), dtype=np.int64)  # the draws, until the swaps
+    slow, handoff = np.ones(len(seeds), dtype=bool), [None] * len(seeds)
+    if k < n <= _U32 and len(seeds):
+        for lo in range(0, len(seeds), _BULK_ROWS):
+            rows = slice(lo, lo + _BULK_ROWS)
+            truths[rows], slow[rows], handoff[rows] = _bulk_draws(seeds[rows], n, k)
+        r = int(np.argmin(slow))  # the first row numpy does not redraw
+        check = np.random.Generator(np.random.PCG64(int(seeds[r])))
+        if (slow[r] or check.integers(n - np.arange(k)).tolist() != truths[r].tolist()
+                or handoff[r] != _state_tuple(check)):
+            slow[:] = True
+        j = truths[~slow] + np.arange(k)
+        ordered = np.sort(j, axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        j[repeats] = _swap_chain(j[repeats])
+        truths[~slow] = j
+    for r in np.flatnonzero(slow).tolist():
+        rng = np.random.Generator(np.random.PCG64(int(seeds[r])))
+        truths[r] = np.fromiter(sample_defective_set(n, k, rng), np.int64, k)
+        handoff[r] = _state_tuple(rng)
+    return truths, _handed_on(handoff)
 
 
 def _channel(out: Outcome, u: float, model: NoiseModel) -> Outcome:

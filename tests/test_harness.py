@@ -13,7 +13,9 @@ import grouptest
 from grouptest import bounds
 from grouptest.algorithms import hgbsa
 from grouptest.bounds import NoiseModel, ProblemSize
+from grouptest.cli import main
 from grouptest.harness import (
+    MAX_BUDGETS,
     ExperimentSpec,
     curve_csv_lines,
     capacity_scan,
@@ -117,6 +119,36 @@ class TestSuccessCurve:
         curve = success_curve(spec)
         assert len(curve.points) == 5
         assert curve.points[-1].success >= curve.points[0].success
+
+
+class TestBudgetCap:
+    @pytest.fixture(autouse=True)
+    def no_budget_list(self, monkeypatch):
+        # the count is checked from the range alone; no list is ever built
+        def refuse(self):
+            raise AssertionError("budgets() called")
+        monkeypatch.setattr(ExperimentSpec, "budgets", refuse)
+
+    @pytest.mark.parametrize("alg", ["hgbsa", "rbt", "comp"])
+    def test_more_than_max_budgets_rejected(self, alg):
+        for budget_range in [(0, 10**14, 1), (0, MAX_BUDGETS, 1),
+                             (5, 5 + 3 * MAX_BUDGETS, 3)]:
+            with pytest.raises(ValueError, match="budgets"):
+                ExperimentSpec(size=ProblemSize(10, 2), algorithm=alg, trials=1,
+                               budget_range=budget_range)
+
+    def test_max_budgets_accepted(self):
+        for budget_range in [(0, MAX_BUDGETS - 1, 1), (5, 5 + 3 * MAX_BUDGETS - 1, 3),
+                             (7, 7, 1)]:
+            ExperimentSpec(size=ProblemSize(10, 2), algorithm="hgbsa", trials=1,
+                           budget_range=budget_range)
+
+    def test_cli_sweep_exits_2_before_output(self, capsys):
+        code = main(["sweep", "--alg", "hgbsa", "--n", "10", "--k", "2", "--t-min", "0",
+                     "--t-max", "100000000000000", "--trials", "1"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error:") and str(MAX_BUDGETS) in out.err
 
 
 class TestParallelSerialEquivalence:

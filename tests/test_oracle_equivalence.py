@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from grouptest import harness
+from grouptest import harness, model
 from grouptest.algorithms import (
     SPLIT_GROUP_SIZES,
     SearchOverrun,
@@ -490,6 +490,47 @@ def test_run_trials_equal_run_trial(alg, noise, n, k, trials):
                           noise=NOISES[noise], trials=trials, master_seed=n,
                           comp_t=30 if alg == "comp" else None)
     assert run_trials(spec) == [run_trial(spec, i) for i in range(trials)]
+
+
+@pytest.mark.parametrize("alg,noise,n,k,trials", [
+    ("hgbsa", "noiseless", 10, 10, 20),  # k == n: every row per trial
+    ("variant", "erasure", 10, 10, 20),
+    ("rbt", "erasure", 10, 10, 20),
+    ("hgbsa", "erasure", 50, 1, 40),
+    ("rbt", "noiseless", 50, 1, 40),
+    ("variant", "noiseless", 50, 0, 20),
+    ("hgbsa", "erasure", 50, 0, 20),
+    ("hgbsa", "noiseless", 2**32 + 7, 3, 10),  # numpy's 64-bit bounded draws
+    ("variant", "erasure", 2**32 + 7, 3, 10),
+    ("hgbsa", "noiseless", 100, 4, 1025),  # crosses the batch of 1024
+    ("variant", "erasure", 100, 4, 1025),
+    ("hgbsa", "erasure", 300, 7, 60),  # odd k hands on a buffered 32-bit half
+    ("hgbsa", "erasure", 300, 8, 60),
+])
+def test_run_trials_equal_run_trial_at_the_edges(alg, noise, n, k, trials):
+    spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg, noise=NOISES[noise],
+                          trials=trials, master_seed=k + 1)
+    assert run_trials(spec) == [run_trial(spec, i) for i in range(trials)]
+
+
+@pytest.mark.parametrize("noise", ["noiseless", "erasure"])
+def test_run_trials_fall_back_when_numpy_disagrees(monkeypatch, noise):
+    # a numpy whose bounded draws differ from the bulk arithmetic fails the
+    # spot check, so every trial is sampled per trial and nothing changes
+    spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm="hgbsa",
+                          noise=NOISES[noise], trials=300, master_seed=4)
+    want = [run_trial(spec, i) for i in range(spec.trials)]
+    bulk, per_trial = model._bulk_draws, []
+
+    def shifted(seeds, n, k):
+        draws, rejected, handoff = bulk(seeds, n, k)
+        return (draws + 1) % (n - np.arange(k)), rejected, handoff
+
+    monkeypatch.setattr(model, "_bulk_draws", shifted)
+    monkeypatch.setattr(model, "sample_defective_set",
+                        lambda *a: per_trial.append(1) or sample_defective_set(*a))
+    assert run_trials(spec) == want
+    assert len(per_trial) == spec.trials
 
 
 # sha256 of `grouptest figure1 --trials 50 --seed 0`, computed with the

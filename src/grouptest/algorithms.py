@@ -1,15 +1,18 @@
 """Group-testing algorithms: halving binary search, repeated binary testing,
 Hwang's generalized binary splitting (HGBSA), the tightened splitting variant,
-and the non-adaptive COMP baseline.
+and the non-adaptive COMP baseline. This module owns the splitting schedule;
+the oracle only answers the tests it asks for.
 
-HGBSA and the variant are one splitting loop (`model._split`) with two
-group-size rules for m candidates holding k' hidden defectives: Hwang's
-2^alpha, with alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and
-the variant's ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds
-m-k'. A whole run, every round's group tests and the halving search of its
-positive group, is one `TestOracle.split` call; RBT's and `binary_search`'s
-halving searches are one `TestOracle.search` call each. `SPLIT_GROUP_SIZES`
-holds both rules over arrays, for the harness's batched trials.
+Every adaptive test goes through `oracle.test(pool)`. `_halve` is the halving
+search of RBT and `binary_search`; HGBSA and the variant are one splitting
+loop (`_split`, a `_scan` round at a time) with two group-size rules for m
+candidates holding k' hidden defectives: Hwang's 2^alpha, with
+alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and the variant's
+ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds m-k'.
+
+`batch_runs` answers many runs at once with numpy, where firm outcomes are
+the truth: RBT's firm count is a constant, and `_split_walk` steps every
+splitting run together by the rules over arrays in `SPLIT_GROUP_SIZES`.
 
 All adaptive algorithms assume noiseless-equivalent oracle behaviour, which a
 noiseless oracle gives and an erasure oracle gives by resubmitting every
@@ -26,7 +29,69 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Outcome, SearchOverrun  # noqa: F401 (re-exported)
+from .model import Outcome
+
+
+class SearchOverrun(Exception):
+    """Every candidate of a halving search tested negative: only a noisy
+    channel can do that, after a false positive or a false negative, or a
+    search over candidates that hold no defective. When the number of
+    candidates b is a power of two, the last one is never tested, so a
+    search with no defective returns b - 1 instead of overrunning."""
+
+
+def _halve(candidates: Sequence[int], test) -> int:
+    """The halving schedule: index within `candidates` of the leftmost
+    defective, asking `test(pool)` once per step.
+
+    The list is conceptually padded at the end with dummy non-defective items
+    to a power of two; dummies never reach `test`, so each step tests only
+    the real members of the current first half (always non-empty), and b
+    candidates take ceil(log2 b) steps. Each pool is a slice of `candidates`,
+    so a `range` yields range pools. The last candidate is never tested: for
+    a power-of-two b with no defective, b - 1 is returned, not an overrun."""
+    b = len(candidates)
+    lo, size = 0, 1 << (b - 1).bit_length()
+    while size > 1:
+        size //= 2
+        if test(candidates[lo:min(lo + size, b)]) is not Outcome.POSITIVE:
+            lo += size
+            if lo >= b:
+                raise SearchOverrun(f"all {b} candidates tested negative")
+    return lo
+
+
+def _scan(candidates: Sequence[int], group_size, kp: int, test) -> int | None:
+    """The splitting round, asking `test(pool)` once per group: drop each
+    negative leading group of `group_size(m, kp)` of the m candidates left,
+    and halve the first positive one with `_halve`. Returns the index in
+    `candidates` of the defective found; None once only kp are left, untested;
+    len(candidates) if all tested negative (a noisy channel, or kp too big)."""
+    start, m = 0, len(candidates)
+    while m > kp:
+        group = candidates[start:start + group_size(m, kp)]
+        if test(group) is not Outcome.NEGATIVE:
+            return start + _halve(group, test)
+        start += len(group)
+        m -= len(group)
+    return None if m else start
+
+
+def _split(candidates: Sequence[int], group_size, kp: int, test) -> list:
+    """The splitting loop behind HGBSA and the variant, one `_scan` round at a
+    time while kp defectives stay hidden among the candidates (always a
+    suffix of the item order). Returns the items found: each round's
+    defective, or, once m == kp, every candidate left, untested."""
+    found = []
+    while kp and candidates:
+        lo = _scan(candidates, group_size, kp, test)
+        if lo is None:
+            found.extend(candidates[-kp:])
+            break
+        found.extend(candidates[lo:lo + 1])  # none if every candidate tested negative
+        kp -= 1
+        candidates = candidates[lo + 1:]
+    return found
 
 
 @dataclass(frozen=True)
@@ -45,10 +110,12 @@ class RunResult:
 def binary_search(oracle, candidates: Sequence[int]) -> SearchResult:
     """Locate the leftmost defective among `candidates` (which must contain at
     least one), proving the preceding prefix non-defective. The search itself
-    is `oracle.search`: ceil(log2 b) firm tests, plus any erased submissions,
-    all counted in `tests_spent`."""
+    is `_halve`: ceil(log2 b) firm tests, plus any erased submissions, all
+    counted in `tests_spent`."""
+    if len(candidates) == 0:
+        raise ValueError("a search needs at least one candidate")
     before = oracle.tests_used
-    lo = oracle.search(candidates)
+    lo = _halve(candidates, oracle.test)
     return SearchResult(found=candidates[lo], cleared=tuple(candidates[:lo]),
                         tests_spent=oracle.tests_used - before)
 
@@ -60,7 +127,7 @@ def repeated_binary_testing(oracle, n: int, k: int) -> RunResult:
     found: list[int] = []
     remaining = list(range(n))
     for _ in range(k):
-        found.append(remaining.pop(oracle.search(remaining)))
+        found.append(remaining.pop(_halve(remaining, oracle.test)))
     return RunResult(estimate=frozenset(found), tests_used=oracle.tests_used)
 
 
@@ -96,6 +163,50 @@ def _variant_group_sizes(k: int):
 SPLIT_GROUP_SIZES = {"hgbsa": lambda k: _hwang_group_sizes, "variant": _variant_group_sizes}
 
 
+def batch_runs(algorithm: str, n: int, truths: np.ndarray) -> tuple:
+    """(firm, decoded) of the named adaptive algorithm's run over range(n)
+    for each row of defectives in `truths`, firm outcomes being the truth:
+    the firm tests each run spends and whether it decodes its row. RBT
+    always finds its defectives in order with sum over i < k of
+    ceil(log2(n - i)) firm tests; the splitting runs are walked together by
+    `_split_walk`, on the rows sorted in place."""
+    t, k = truths.shape
+    if algorithm == "rbt":
+        return (np.full(t, sum((n - i - 1).bit_length() for i in range(k))),
+                np.ones(t, dtype=bool))
+    truths.sort(axis=1)
+    return _split_walk(n, truths, SPLIT_GROUP_SIZES[algorithm](k))
+
+
+def _split_walk(n: int, truths: np.ndarray, group_sizes) -> tuple:
+    """Firm tests and success of `_split` over range(n) with kp = k, for
+    each row of sorted defectives in `truths`, one vector step per group
+    test; `group_sizes(m, kp)` is the rule over arrays. With d a row's next
+    defective, a group [c, c+g) is negative iff c + g <= d, and a positive
+    one adds (g-1).bit_length() search steps and finds d. A round stops
+    untested once m = n - c <= kp; the row succeeds iff its unfound
+    defectives are then the last kp items."""
+    t, k = truths.shape
+    truths = np.hstack((truths, np.full((t, 1), n)))  # d = n once all are found
+    tests, success = np.zeros(t, dtype=np.int64), np.ones(t, dtype=bool)
+    live = np.arange(t if 0 < k < n else 0)  # else no test is needed
+    c, ptr, used = (np.zeros(len(live), dtype=np.int64) for _ in range(3))
+    kp, d = np.full(len(live), k), truths[live, 0]
+    while len(live):
+        g = group_sizes(n - c, kp)
+        hit = c + g > d
+        used += 1 + np.where(hit, np.frexp(g - 1)[1], 0)
+        c = np.where(hit, d + 1, c + g)
+        kp, ptr = kp - hit, ptr + hit
+        d = truths[live, ptr]
+        done = (kp == 0) | (n - c <= kp)
+        if done.any():
+            tests[live[done]] = used[done]
+            success[live[done]] = ((kp == 0) | (d >= n - kp))[done]
+            live, c, ptr, used, kp, d = (a[~done] for a in (live, c, ptr, used, kp, d))
+    return tests, success
+
+
 def hgbsa(oracle, n: int, k: int) -> RunResult:
     """Hwang's generalized binary splitting.
 
@@ -104,7 +215,7 @@ def hgbsa(oracle, n: int, k: int) -> RunResult:
     positive is binary-searched. Tests items one at a time once
     m <= 2k'-2. Never exceeds ceil(log2 C(n,k)) + k tests.
     """
-    return RunResult(estimate=frozenset(oracle.split(range(n), _hwang_group_size, k)),
+    return RunResult(estimate=frozenset(_split(range(n), _hwang_group_size, k, oracle.test)),
                      tests_used=oracle.tests_used)
 
 
@@ -118,7 +229,7 @@ def hwang_variant(oracle, n: int, k: int) -> RunResult:
     exceeds N - K', so a negative test cannot leave fewer candidates than
     hidden defectives.
     """
-    return RunResult(estimate=frozenset(oracle.split(range(n), _variant_group_size, k)),
+    return RunResult(estimate=frozenset(_split(range(n), _variant_group_size, k, oracle.test)),
                      tests_used=oracle.tests_used)
 
 

@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=int, default=None)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--step", type=int, default=1)
-    p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figure1", help="budget sweeps at (10,500) and (30,9699)")

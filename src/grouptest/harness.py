@@ -4,7 +4,12 @@ experiment at (k, n) = (10, 500) and (30, 9699), and capacity scans in the
 k = n^(1-beta) regime.
 
 Every trial derives its RNG stream from (master_seed, trial_index), so its
-result does not depend on which other trials run with it.
+result does not depend on which other trials run with it. A trial either
+runs its algorithm against a `TestOracle` (`run_trial`) or, for adaptive
+algorithms on a noiseless or erasure channel, is sampled and answered in a
+batch (`_run_batch`): the algorithm's firm tests come from
+`algorithms.batch_runs`, and the harness only seeds, samples, checks them
+against the guarantee and lands them through the erasures.
 """
 from __future__ import annotations
 
@@ -17,10 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .algorithms import ADAPTIVE_ALGORITHMS, SPLIT_GROUP_SIZES, comp_run
+from .algorithms import ADAPTIVE_ALGORITHMS, SearchOverrun, batch_runs, comp_run
 from .bounds import NoiseKind, NoiseModel, ProblemSize
-from .model import (SearchOverrun, TestOracle, derive_stream_seed, derive_stream_seeds,
-                    make_rng, sample_defective_set, sample_defective_sets)
+from .model import (TestOracle, derive_stream_seed, derive_stream_seeds, make_rng,
+                    sample_defective_set, sample_defective_sets)
 
 _WILSON_Z = 1.959963984540054  # 95%
 # Largest t x n COMP design a spec accepts: `comp_run` peaks near 9 bytes an
@@ -192,20 +197,14 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
     seeded and sampled in bulk (`sample_defective_sets`), with the seeds
     `run_trial` derives; a trial that numpy would sample on a rejection
     redraw, or every trial when the bulk path does not apply, goes through
-    `sample_defective_set`. RBT always finds its defectives in order with sum
-    over i < k of ceil(log2(n - i)) firm tests; the splitting runs are walked
-    by `_split_walk`. Under erasure each trial's generator is handed on to
+    `sample_defective_set`. The algorithm's firm tests and decodes come from
+    `batch_runs`. Under erasure each trial's generator is handed on to
     `_land` as sampling left it."""
     n, k = spec.size.n, spec.size.k
     erasure = spec.noise.kind is NoiseKind.ERASURE
     seeds = derive_stream_seeds(derive_stream_seeds(spec.master_seed, np.arange(start, stop)), 0)
     truths, rngs = sample_defective_sets(n, k, seeds)
-    if spec.algorithm == "rbt":
-        firm = np.full(stop - start, sum((n - i - 1).bit_length() for i in range(k)))
-        success = np.ones(stop - start, dtype=bool)
-    else:
-        truths.sort(axis=1)
-        firm, success = _split_walk(n, truths, SPLIT_GROUP_SIZES[spec.algorithm](k))
+    firm, success = batch_runs(spec.algorithm, n, truths)
     limit = guarantee_for(spec.algorithm, spec.size) if k else 0
     bad = np.flatnonzero(~success | (firm > limit))
     if len(bad):
@@ -217,35 +216,6 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
             f"{firm[i]} firm tests, guarantee {limit}")
     used = _land(firm.tolist(), spec.noise.p, rngs) if erasure else firm.tolist()
     return [TrialResult(s, t) for s, t in zip(success.tolist(), used)]
-
-
-def _split_walk(n: int, truths: np.ndarray, group_sizes) -> tuple:
-    """Firm tests and success of `model._split` over range(n) with kp = k,
-    for each row of sorted defectives in `truths`, one vector step per group
-    test; `group_sizes(m, kp)` is the rule over arrays. With d a row's next
-    defective, a group [c, c+g) is negative iff c + g <= d, and a positive
-    one adds (g-1).bit_length() search steps and finds d. A round stops
-    untested once m = n - c <= kp; the row succeeds iff its unfound
-    defectives are then the last kp items."""
-    t, k = truths.shape
-    truths = np.hstack((truths, np.full((t, 1), n)))  # d = n once all are found
-    tests, success = np.zeros(t, dtype=np.int64), np.ones(t, dtype=bool)
-    live = np.arange(t if 0 < k < n else 0)  # else no test is needed
-    c, ptr, used = (np.zeros(len(live), dtype=np.int64) for _ in range(3))
-    kp, d = np.full(len(live), k), truths[live, 0]
-    while len(live):
-        g = group_sizes(n - c, kp)
-        hit = c + g > d
-        used += 1 + np.where(hit, np.frexp(g - 1)[1], 0)
-        c = np.where(hit, d + 1, c + g)
-        kp, ptr = kp - hit, ptr + hit
-        d = truths[live, ptr]
-        done = (kp == 0) | (n - c <= kp)
-        if done.any():
-            tests[live[done]] = used[done]
-            success[live[done]] = ((kp == 0) | (d >= n - kp))[done]
-            live, c, ptr, used, kp, d = (a[~done] for a in (live, c, ptr, used, kp, d))
-    return tests, success
 
 
 def _land(firm: list[int], p: float, rngs) -> list[int]:
@@ -406,5 +376,5 @@ def capacity_scan(beta: float, n_list: Sequence[int], algorithm: str,
             n=n, k=k, mean_tests=dist.mean,
             achieved_rate=bounds.log2_binom(size) / max(dist.mean, 1.0),
             guarantee_tests=guarantee,
-            guarantee_rate=bounds.rate(size, guarantee)))
+            guarantee_rate=bounds.rate(size, max(guarantee, 1))))
     return rows

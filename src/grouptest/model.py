@@ -3,9 +3,8 @@ channels, and the metered oracle every algorithm talks to.
 
 Pools are sequences of 0-based item indices, and a contiguous pool is best
 passed as a `range`; a non-adaptive design is a boolean t x n array tested
-in one `test_design` call. A whole HGBSA or variant run (each round's group
-tests and the halving search of its positive group) is one `split` call,
-which steps through `test` one group test and one search step at a time.
+in one `test_design` call. The oracle only answers and meters tests; which
+pools to test is the algorithms' business (`grouptest.algorithms`).
 Defective sets are frozensets. One oracle serves one trial and is never
 shared.
 
@@ -88,13 +87,19 @@ def sample_defective_set(n: int, k: int, rng: np.random.Generator) -> frozenset:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    return frozenset(_fisher_yates(rng.integers(n - np.arange(k)).tolist()))
+
+
+def _fisher_yates(draws: list) -> list:
+    """The items partial Fisher-Yates picks when step i swaps positions i and
+    i + draws[i] and picks what lands at i."""
     moved: dict[int, int] = {}
     chosen = []
-    for i, d in enumerate(rng.integers(n - np.arange(k)).tolist()):
+    for i, d in enumerate(draws):
         j = i + d
         chosen.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
-    return frozenset(chosen)
+    return chosen
 
 
 # PCG64's 128-bit LCG multiplier; numpy's SeedSequence hash constants follow.
@@ -202,24 +207,6 @@ def _bulk_draws(seeds: np.ndarray, n: int, k: int) -> tuple:
     return draws, rejected, list(zip(*wide, [k & 1] * len(seeds), last.tolist()))
 
 
-def _swap_chain(j: np.ndarray) -> np.ndarray:
-    """The items partial Fisher-Yates picks, row by row, where step i swaps
-    positions i and j[:, i] >= i and picks what lands at i. Position q holds
-    q until a step l swaps it; the latest such step before b left there what
-    position l held at step l. So each pick follows swaps back to a position
-    no earlier step touched; a row whose j are distinct picks exactly j."""
-    k = j.shape[1]
-    cols = np.arange(k)
-    q, before = j, np.broadcast_to(cols, j.shape)
-    while True:
-        swapped = (j[:, None, :] == q[:, :, None]) & (cols < before[:, :, None])
-        found = swapped.any(axis=2)
-        if not found.any():
-            return q
-        latest = k - 1 - swapped[:, :, ::-1].argmax(axis=2)
-        q, before = np.where(found, latest, q), np.where(found, latest, before)
-
-
 def _state_tuple(rng: np.random.Generator) -> tuple:
     """(state, inc, has_uint32, uinteger) of a PCG64 generator."""
     state = rng.bit_generator.state
@@ -250,8 +237,10 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
 
     Each stage runs over many rows with numpy: `SeedSequence`'s hash (uint32
     arithmetic), PCG64's seeding and LCG steps (O'Neill 2014; 128 bits in
-    32-bit limbs) with its XSL-RR output, numpy's bounded draws (Lemire 2019,
-    on the 32-bit halves of each output, low half first), and the swaps.
+    32-bit limbs) with its XSL-RR output, and numpy's bounded draws (Lemire
+    2019, on the 32-bit halves of each output, low half first). A row whose
+    swap targets are distinct picks them; the others, about k^2 / 2n of the
+    rows, follow their swaps with `_fisher_yates`.
     `sample_defective_set` itself samples a row whose draw numpy would redraw
     after a Lemire rejection. It samples every row when n > 2^32 - 1 (numpy's
     64-bit path) or k == n (the last draw, over one value, takes no word),
@@ -271,11 +260,12 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
         if (slow[r] or check.integers(n - np.arange(k)).tolist() != truths[r].tolist()
                 or handoff[r] != _state_tuple(check)):
             slow[:] = True
-        j = truths[~slow] + np.arange(k)
+        j = truths + np.arange(k)
         ordered = np.sort(j, axis=1)
-        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        j[repeats] = _swap_chain(j[repeats])
-        truths[~slow] = j
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) & ~slow
+        for r in np.flatnonzero(repeats).tolist():
+            j[r] = _fisher_yates(truths[r].tolist())
+        truths[~slow] = j[~slow]
     for r in np.flatnonzero(slow).tolist():
         rng = np.random.Generator(np.random.PCG64(int(seeds[r])))
         truths[r] = np.fromiter(sample_defective_set(n, k, rng), np.int64, k)
@@ -322,68 +312,6 @@ def _channel_column(hit: np.ndarray, u: np.ndarray, model: NoiseModel) -> np.nda
 _BLOCK = 256  # noise uniforms drawn per refill
 
 
-class SearchOverrun(Exception):
-    """Every candidate of a halving search tested negative: only a noisy
-    channel can do that, after a false positive or a false negative, or a
-    search over candidates that hold no defective. When the number of
-    candidates b is a power of two, the last one is never tested, so a
-    search with no defective returns b - 1 instead of overrunning."""
-
-
-def _halve(candidates: Sequence[int], test) -> int:
-    """The halving schedule: index within `candidates` of the leftmost
-    defective, asking `test(pool)` once per step.
-
-    The list is conceptually padded at the end with dummy non-defective items
-    to a power of two; dummies never reach `test`, so each step tests only
-    the real members of the current first half (always non-empty), and b
-    candidates take ceil(log2 b) steps. Each pool is a slice of `candidates`,
-    so a `range` yields range pools. The last candidate is never tested: for
-    a power-of-two b with no defective, b - 1 is returned, not an overrun."""
-    b = len(candidates)
-    lo, size = 0, 1 << (b - 1).bit_length()
-    while size > 1:
-        size //= 2
-        if test(candidates[lo:min(lo + size, b)]) is not Outcome.POSITIVE:
-            lo += size
-            if lo >= b:
-                raise SearchOverrun(f"all {b} candidates tested negative")
-    return lo
-
-
-def _scan(candidates: Sequence[int], group_size, kp: int, test) -> int | None:
-    """The splitting round, asking `test(pool)` once per group: drop each
-    negative leading group of `group_size(m, kp)` of the m candidates left,
-    and halve the first positive one with `_halve`. Returns the index in
-    `candidates` of the defective found; None once only kp are left, untested;
-    len(candidates) if all tested negative (a noisy channel, or kp too big)."""
-    start, m = 0, len(candidates)
-    while m > kp:
-        group = candidates[start:start + group_size(m, kp)]
-        if test(group) is not Outcome.NEGATIVE:
-            return start + _halve(group, test)
-        start += len(group)
-        m -= len(group)
-    return None if m else start
-
-
-def _split(candidates: Sequence[int], group_size, kp: int, test) -> list:
-    """The splitting loop behind HGBSA and the variant, one `_scan` round at a
-    time while kp defectives stay hidden among the candidates (always a
-    suffix of the item order). Returns the items found: each round's
-    defective, or, once m == kp, every candidate left, untested."""
-    found = []
-    while kp and candidates:
-        lo = _scan(candidates, group_size, kp, test)
-        if lo is None:
-            found.extend(candidates[-kp:])
-            break
-        found.extend(candidates[lo:lo + 1])  # none if every candidate tested negative
-        kp -= 1
-        candidates = candidates[lo + 1:]
-    return found
-
-
 class TestOracle:
     """Meters and records every pooled test for one trial.
 
@@ -393,20 +321,19 @@ class TestOracle:
     - A `range` pool with step 1 is tested by bisecting the sorted truth, in
       O(log k), and the range itself is logged. Any other pool is copied to a
       tuple and checked item by item.
-    - `split` runs a whole HGBSA or variant run (`_split`), and `search` a
-      halving search (`_halve`), each test through `test`. The harness
-      batches noiseless and erasure trials outside the oracle
-      (`harness.run_trials`); the oracle is the per-trial definition they
-      are checked against.
+    - The algorithms drive every adaptive test through `test`, one pool at
+      a time. The harness batches noiseless and erasure trials outside the
+      oracle (`harness.run_trials`); the oracle is the per-trial definition
+      they are checked against.
     - `test_design` tests every row of a boolean t x n design at once, with
       the outcomes of t single submissions, and logs the whole batch as one
       entry. `transcript` expands each logged row into its test when it is
       read.
-    - `test` and every test of `search` and `split` resubmit an erased pool
-      until its outcome is firm; a `test_design` row is never resubmitted.
-      Every submission counts in `tests_used`, uses its own uniform and is
-      logged. At erasure probability 1 no submission lands, so `test`,
-      `search` and `split` raise ValueError instead of resubmitting forever.
+    - `test` resubmits an erased pool until its outcome is firm; a
+      `test_design` row is never resubmitted. Every submission counts in
+      `tests_used`, uses its own uniform and is logged. At erasure
+      probability 1 no submission lands, so `test` raises ValueError instead
+      of resubmitting forever.
     - Test j (0-based) is pushed through the noise channel `_channel` with
       the j-th uniform of `rng`; a noiseless test still uses up its uniform.
     - The uniforms are drawn `rng.random(256)` at a time, so after the last
@@ -475,22 +402,6 @@ class TestOracle:
                 return out
             if self.noise.p >= 1.0:
                 raise ValueError("erasure probability 1: no test ever lands")
-
-    def search(self, candidates: Sequence[int]) -> int:
-        """Index within `candidates` of their leftmost defective, by the
-        halving schedule of `_halve`: ceil(log2 b) steps for b candidates, each
-        one `test`, resubmissions included.
-
-        Raises ValueError on no candidates or a test that can never land, and
-        `SearchOverrun` when every candidate tests negative."""
-        if len(candidates) == 0:
-            raise ValueError("a search needs at least one candidate")
-        return _halve(candidates, self.test)
-
-    def split(self, candidates: Sequence[int], group_size, kp: int) -> list:
-        """The items a splitting run by the schedule of `_split` finds, each
-        test through `test`."""
-        return _split(candidates, group_size, kp, self.test)
 
     def test_design(self, design) -> list[Outcome]:
         """Test each row of a boolean t x n design as one pool, in row order.

@@ -9,7 +9,8 @@ whole splitting run stepped test by test.
 import numpy as np
 
 from grouptest.bounds import ceil_log2
-from grouptest.model import Outcome, SearchOverrun, _channel
+from grouptest.algorithms import SearchOverrun
+from grouptest.model import Outcome, _channel
 
 
 def truth_outcome(pool, truth):

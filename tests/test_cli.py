@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from grouptest import algorithms
 from grouptest.algorithms import ALGORITHM_NAMES
-from grouptest.cli import build_parser, main, parse_noise, CliError
+from grouptest.cli import main, parse_noise, CliError
 from grouptest.bounds import NoiseKind
 
 
@@ -210,18 +210,30 @@ def test_threads_flag_exits_2(capsys, tmp_path, argv):
     assert not (tmp_path / "D").exists()
 
 
+def test_sweep_delta_flag_exits_2(capsys):
+    # budgets come from --t-min/--t-max/--step; sweep takes no --delta
+    code, out, err = run_cli(capsys, *"sweep --alg comp --n 10 --k 2 --t-min 1 --t-max 2 "
+                                      "--delta 1 --trials 2".split())
+    assert code == 2 and out == ""
+    assert "--delta" in err
+
+
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
 
-def test_readme_cli_commands_parse():
+def test_readme_cli_commands_parse(capsys, monkeypatch, tmp_path):
+    # each command of the README parses and runs to exit 0
     commands = [shlex.split(line)[1:]
                 for block in re.findall(r"```sh\n(.*?)```", README, re.S)
                 for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("grouptest ")]
     assert {argv[0] for argv in commands} == {
         "bounds", "simulate", "sweep", "figure1", "capacity"}
+    monkeypatch.chdir(tmp_path)  # figure1 writes into out/
     for argv in commands:
-        build_parser().parse_args(argv)  # exits 2 on a flag the CLI lacks
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out and not err
 
 
 def test_readme_library_example_runs():
@@ -271,7 +283,7 @@ def cli_argv(draw):
         flag("--seed", st.integers(-5, 2 ** 70))
     if cmd in ("bounds", "simulate"):
         flag("--t", st.integers(1, 300), st.integers(-1, 0))
-    if cmd in ("simulate", "sweep"):
+    if cmd == "simulate":
         flag("--delta", st.floats(0.01, 5.0), st.floats(-1.0, 0.0))
     if cmd == "sweep":
         t_min = draw(st.integers(0, 150))
@@ -293,6 +305,8 @@ def cli_argv(draw):
 # an adaptive sweep with k = 0 once raised from its guarantee marker
 @example(["sweep", "--alg", "hgbsa", "--n", "1", "--k", "0", "--trials", "1",
           "--t-min", "0", "--t-max", "0"])
+# RBT at n = k = 1 spends no test; its guarantee rate once divided by 0
+@example(["capacity", "--beta", "0.5", "--n-list", "1", "--alg", "rbt", "--trials", "2"])
 @settings(max_examples=150, deadline=None)
 def test_argv_fuzz_exit_codes(argv):
     # with no injected fault, every argv exits 0, 2 or 3 (never 1, never a

@@ -198,3 +198,9 @@ class TestCapacityScan:
         assert rows[-1].k == 10
         assert rows[-1].guarantee_rate == pytest.approx(67.7361 / 78, abs=1e-3)
         assert all(r.guarantee_rate < 1.0 for r in rows)
+
+    def test_rbt_at_one_item_spends_no_test(self):
+        # k = n = 1 needs no test; the rate floors the count at 1, as for the mean
+        (row,) = capacity_scan(0.5, [1], "rbt", trials=2, seed=0)
+        assert (row.n, row.k, row.mean_tests, row.achieved_rate, row.guarantee_tests,
+                row.guarantee_rate) == (1, 1, 0.0, 0.0, 0, 0.0)

@@ -6,7 +6,7 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from grouptest.algorithms import _hwang_group_size
+from grouptest.algorithms import _halve, _hwang_group_size, _split
 from grouptest.bounds import NoiseModel
 from grouptest.model import (
     Outcome,
@@ -128,16 +128,16 @@ class TestOracleBehaviour:
 
     def test_erasure_p1_everything_erased(self):
         # no test ever lands: a design, which is never resubmitted, comes back
-        # all erased; a single test, a search or a splitting run (answered
-        # from the truth or step by step) refuses to resubmit forever
+        # all erased; a single test, or a search or a splitting run through
+        # `test`, refuses to resubmit forever
         def oracle():
             return TestOracle(4, {1}, NoiseModel.erasure(1.0), make_rng(0))
 
         assert oracle().test_design([[True] * 4] * 20) == [Outcome.ERASED] * 20
-        for run in (lambda o: o.test((0, 1, 2)), lambda o: o.search(range(4)),
-                    lambda o: o.search([0, 1, 2, 3]),
-                    lambda o: o.split(range(4), _hwang_group_size, 1),
-                    lambda o: o.split([0, 1, 2, 3], _hwang_group_size, 1)):
+        for run in (lambda o: o.test((0, 1, 2)), lambda o: _halve(range(4), o.test),
+                    lambda o: _halve([0, 1, 2, 3], o.test),
+                    lambda o: _split(range(4), _hwang_group_size, 1, o.test),
+                    lambda o: _split([0, 1, 2, 3], _hwang_group_size, 1, o.test)):
             with pytest.raises(ValueError):
                 run(oracle())
 

@@ -6,9 +6,12 @@ with one scalar draw per test; a search or a splitting run is stepped test
 by test. Every algorithm, under every noise kind, must behave test for test
 the same against `TestOracle` (range pools by bisect, block-drawn uniforms)
 as against the reference, and the sparse sampler must match a dense
-Fisher-Yates draw for draw. The harness's batched trials (`_split_walk` and
-`_land`) must give the reference's test counts and decodes, and
-`run_trials` must equal `run_trial` trial by trial.
+Fisher-Yates draw for draw. A search or a splitting run on `TestOracle` is
+`algorithms._halve` or `algorithms._split` over its `test`, and must match
+the reference's own `search` and `split`. The batched trials
+(`algorithms._split_walk` and `harness._land`) must give the reference's
+test counts and decodes, and `run_trials` must equal `run_trial` trial by
+trial.
 """
 import hashlib
 
@@ -19,7 +22,10 @@ from grouptest import harness, model
 from grouptest.algorithms import (
     SPLIT_GROUP_SIZES,
     SearchOverrun,
+    _halve,
     _hwang_group_size,
+    _split,
+    _split_walk,
     _variant_group_size,
     binary_search,
     comp_run,
@@ -28,8 +34,8 @@ from grouptest.algorithms import (
     repeated_binary_testing,
 )
 from grouptest.bounds import NoiseKind, NoiseModel, ProblemSize
-from grouptest.harness import (ExperimentSpec, _land, _split_walk, figure1_experiment,
-                               run_trial, run_trials)
+from grouptest.harness import (ExperimentSpec, _land, figure1_experiment, run_trial,
+                               run_trials)
 from grouptest.model import TestOracle, make_rng, sample_defective_set
 from oracle_reference import PoolOracle
 
@@ -54,6 +60,20 @@ def settle(fn):
         return fn()
     except SearchOverrun:
         return SearchOverrun
+
+
+def search(oracle, candidates):
+    """A halving search: the reference's own, else `_halve` over `test`."""
+    if isinstance(oracle, PoolOracle):
+        return oracle.search(candidates)
+    return _halve(candidates, oracle.test)
+
+
+def split(oracle, candidates, group_size, kp):
+    """A splitting run: the reference's own, else `_split` over `test`."""
+    if isinstance(oracle, PoolOracle):
+        return oracle.split(candidates, group_size, kp)
+    return _split(candidates, group_size, kp, oracle.test)
 
 
 NOISES = {
@@ -224,13 +244,13 @@ def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
                 oracle.test_design(design)
             elif kind == "list":
                 items = sorted(rng.choice(n, arg, replace=False).tolist())
-                settle(lambda: oracle.search(items))
+                settle(lambda: search(oracle, items))
             else:
                 start = int(rng.integers(n)) if arg is None else arg
                 candidates = range(start, n)
                 if kind == "search":
-                    settle(lambda: oracle.search(list(candidates) if as_list
-                                                 else candidates))
+                    settle(lambda: search(oracle, list(candidates) if as_list
+                                          else candidates))
                     continue
                 rule, align = RULES[step[3]], step[2]
                 cost = noiseless_cost(oracle.truth, candidates, rule, 3)
@@ -239,8 +259,8 @@ def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
                 elif align == "cross":
                     assert cost >= 2
                     single_tests(oracle, rng, (255 - oracle.tests_used) % 256, True)
-                settle(lambda: oracle.split(list(candidates) if as_list
-                                            else candidates, rule, 3))
+                settle(lambda: split(oracle, list(candidates) if as_list
+                                     else candidates, rule, 3))
 
     for seed in range(10):
         truth = sample_defective_set(n, 3, make_rng(seed, 0))
@@ -262,7 +282,7 @@ def test_noiseless_search_without_defective_overruns():
             seen = []
             for cls in (TestOracle, PoolOracle):
                 oracle = cls(200, truth, NOISES["noiseless"], make_rng(b, 1))
-                seen.append((settle(lambda: oracle.search(range(start, start + b))),
+                seen.append((settle(lambda: search(oracle, range(start, start + b))),
                              oracle.tests_used, as_sets(oracle.transcript)))
             assert seen[0] == seen[1]
             assert seen[0][0] == (b - 1 if b & (b - 1) == 0 else SearchOverrun)
@@ -342,7 +362,7 @@ def split_both(n, truth, candidates, rule, kp, noise, make_uniforms, before=0,
             oracle.scan = scan
         for _ in range(before):
             oracle.test(range(1))
-        found = settle(lambda: oracle.split(candidates, rule, kp))
+        found = settle(lambda: split(oracle, candidates, rule, kp))
         for pool in after:
             oracle.test(pool)
         if cls is PoolOracle:

@@ -168,8 +168,8 @@ def comp_test_count(size: ProblemSize, delta: float) -> int:
     ceil((1+delta) * e * k * ln n)."""
     if size.k < 1:
         raise ValueError("COMP count requires k >= 1")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     count = (1.0 + delta) * math.e * size.k * math.log(size.n)
     if count == math.inf:
         raise ValueError(f"COMP count overflows at delta {delta}")

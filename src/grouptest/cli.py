@@ -1,8 +1,12 @@
 """Command-line front end: closed-form bounds, single simulations, budget
 sweeps, the two-panel figure experiment, and capacity scans.
 
-Exit codes: 0 success, 2 argument error, 3 I/O error, 1 internal invariant
-breach. All output is deterministic given the full flag set including --seed.
+Each argument is checked in one place: argparse checks types, choices,
+required flags and flags that exclude each other; `ExperimentSpec` and
+`bounds` check the values of a run; the commands check only what no spec
+holds. `main` alone maps errors to exit codes: 0 success, 2 argument error,
+3 I/O error, 1 internal invariant breach. All output is deterministic given
+the full flag set including --seed.
 """
 from __future__ import annotations
 
@@ -52,11 +56,7 @@ def _size(args) -> ProblemSize:
 
 def _emit(text: str, out_path):
     if out_path:
-        try:
-            Path(out_path).write_text(text)
-        except OSError as e:
-            print(f"error: cannot write {out_path}: {e}", file=sys.stderr)
-            raise SystemExit(3)
+        Path(out_path).write_text(text)
         print(out_path)
     else:
         sys.stdout.write(text)
@@ -82,23 +82,20 @@ def cmd_bounds(args) -> int:
 
 def _spec_from_args(args, budget_range=None) -> harness.ExperimentSpec:
     size = _size(args)
-    noise = parse_noise(args.noise) if getattr(args, "noise", None) else NoiseModel.noiseless()
-    if args.alg not in ALGORITHM_NAMES:
-        raise CliError(f"--alg: unknown algorithm {args.alg!r}")
+    noise = parse_noise(args.noise) if args.noise else NoiseModel.noiseless()
     try:
+        comp_t = getattr(args, "t", None)
+        if getattr(args, "delta", None) is not None:
+            comp_t = bounds.comp_test_count(size, args.delta)
         return harness.ExperimentSpec(
             size=size, algorithm=args.alg, noise=noise, trials=args.trials,
-            master_seed=args.seed, budget_range=budget_range,
-            delta=getattr(args, "delta", None),
-            comp_t=getattr(args, "t", None))
+            master_seed=args.seed, budget_range=budget_range, comp_t=comp_t)
     except ValueError as e:
         raise CliError(str(e))
 
 
 def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    if spec.algorithm == "comp" and spec.comp_t is None and spec.delta is None:
-        raise CliError("--alg comp needs --t or --delta")
     results = harness.run_trials(spec)
     wins = sum(r.success for r in results)
     tests = [r.tests_used for r in results]
@@ -116,14 +113,12 @@ def cmd_simulate(args) -> int:
         if spec.noise.kind in (NoiseKind.SYMMETRIC, NoiseKind.ADDITIVE):
             payload["no_guarantee"] = True  # no decoder exists for these channels
     if spec.algorithm == "comp":
-        payload["t"] = spec.comp_budget()
+        payload["t"] = spec.comp_t
     _emit(_json(payload), args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    if args.t_min is None or args.t_max is None:
-        raise CliError("--t-min and --t-max are required")
     spec = _spec_from_args(args, budget_range=(args.t_min, args.t_max, args.step))
     curve = harness.success_curve(spec)
     _emit("\n".join(harness.curve_csv_lines(curve)) + "\n", args.out)
@@ -131,12 +126,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    try:
-        paths = harness.figure1_experiment(args.out_dir, args.trials, args.seed)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    for p in paths:
+    for p in harness.figure1_experiment(args.out_dir, args.trials, args.seed):
         print(p)
     return 0
 
@@ -144,10 +134,9 @@ def cmd_figure1(args) -> int:
 def cmd_capacity(args) -> int:
     if not 0.0 < args.beta < 1.0:
         raise CliError(f"--beta must be in (0,1), got {args.beta}")
-    if args.alg not in ADAPTIVE_ALGORITHMS:
-        raise CliError(f"--alg: capacity scan needs an adaptive algorithm, got {args.alg!r}")
-    if min(args.n_list) < 1:
-        raise CliError(f"--n-list entries must be >= 1, got {min(args.n_list)}")
+    bad = [n for n in args.n_list if not 1 <= n <= harness.MAX_N]
+    if bad:
+        raise CliError(f"--n-list entries must be in [1, {harness.MAX_N}], got {bad[0]}")
     n_list = sorted(args.n_list)
     rows = harness.capacity_scan(args.beta, n_list, args.alg, args.trials,
                                  args.seed)
@@ -183,14 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one Monte Carlo configuration")
     common(p)
-    p.add_argument("--t", type=int, default=None, help="COMP test budget")
-    p.add_argument("--delta", type=float, default=None, help="COMP error exponent")
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument("--t", type=int, default=None, help="COMP test budget")
+    budget.add_argument("--delta", type=float, default=None,
+                        help="COMP error exponent: t = ceil((1+delta) e k ln n)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="success probability over a budget grid")
     common(p)
-    p.add_argument("--t-min", type=int, default=None)
-    p.add_argument("--t-max", type=int, default=None)
+    p.add_argument("--t-min", type=int, required=True)
+    p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
@@ -203,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="rate scan with k = n^(1-beta)")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--n-list", type=int, nargs="+", required=True, dest="n_list")
-    p.add_argument("--alg", default="hgbsa", choices=ALGORITHM_NAMES)
+    p.add_argument("--alg", default="hgbsa", choices=tuple(ADAPTIVE_ALGORITHMS))
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -224,7 +215,7 @@ def main(argv=None) -> int:
     except harness.InvariantBreach as e:
         print(f"error: invariant breach: {e}", file=sys.stderr)
         return 1
-    except SystemExit as e:  # argparse's errors and --help, `_emit`'s exit 3
+    except SystemExit as e:  # argparse's errors and --help
         return int(e.code or 0)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

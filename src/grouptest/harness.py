@@ -3,6 +3,10 @@ Wilson intervals and analytic bound overlays, the two-panel budget-sweep
 experiment at (k, n) = (10, 500) and (30, 9699), and capacity scans in the
 k = n^(1-beta) regime.
 
+An `ExperimentSpec` checks every run input when it is built, so a bad one
+raises `ValueError` before any trial runs. COMP's budget is its one field
+`comp_t`; `bounds.comp_test_count` turns an error exponent into one.
+
 Every trial derives its RNG stream from (master_seed, trial_index), so its
 result does not depend on which other trials run with it. A trial either
 runs its algorithm against a `TestOracle` (`run_trial`) or, for adaptive
@@ -34,6 +38,9 @@ MAX_COMP_DESIGN_CELLS = 1 << 25
 # Most budgets a sweep accepts: each is a curve point and a CSV row (about
 # 15 us each), and the figure needs a few hundred.
 MAX_BUDGETS = 1 << 16
+# Largest n a spec accepts: the batched walk takes bit lengths with
+# `np.frexp`, exact only for integers up to 2^53.
+MAX_N = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -44,12 +51,13 @@ class ExperimentSpec:
     trials: int = 1000
     master_seed: int = 0
     budget_range: Optional[tuple[int, int, int]] = None  # (t_min, t_max, step)
-    delta: Optional[float] = None     # COMP exponent
-    comp_t: Optional[int] = None      # explicit COMP budget
+    comp_t: Optional[int] = None      # COMP's test budget
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.size.n > MAX_N:
+            raise ValueError(f"n must be <= {MAX_N}, got {self.size.n}")
         if self.budget_range is not None:
             t_min, t_max, step = self.budget_range
             if t_min > t_max or step < 1 or t_min < 0:
@@ -57,10 +65,11 @@ class ExperimentSpec:
             if (t_max - t_min) // step + 1 > MAX_BUDGETS:
                 raise ValueError(f"budget range {self.budget_range} has more than "
                                  f"{MAX_BUDGETS} budgets")
-        if self.delta is not None and not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.algorithm == "comp":
             self._check_comp()
+        elif self.comp_t is not None:
+            raise ValueError(f"only comp takes a test budget; {self.algorithm} "
+                             "runs until it decodes")
         if (self.algorithm in ADAPTIVE_ALGORITHMS
                 and self.noise.kind is NoiseKind.ERASURE and self.noise.p >= 1.0):
             raise ValueError("erasure probability 1 never terminates: "
@@ -71,23 +80,15 @@ class ExperimentSpec:
             raise ValueError("COMP design density 1/k needs k >= 1")
         if self.budget_range is not None:
             t_min, t_max = self.budget_range[:2]
-        elif self.comp_t is not None or self.delta is not None:
-            t_min = t_max = self.comp_budget()
+        elif self.comp_t is not None:
+            t_min = t_max = self.comp_t
         else:
-            return  # `comp_budget` raises when a trial asks for the budget
+            raise ValueError("comp needs a test budget (comp_t) or a budget range")
         if t_min < 1:
             raise ValueError(f"COMP needs t >= 1, got {t_min}")
         if t_max * self.size.n > MAX_COMP_DESIGN_CELLS:
             raise ValueError(f"COMP needs t <= {MAX_COMP_DESIGN_CELLS // self.size.n} "
                              f"at n = {self.size.n} (t x n <= {MAX_COMP_DESIGN_CELLS})")
-
-    def comp_budget(self) -> int:
-        """COMP's test count: `comp_t`, else the count for `delta`."""
-        if self.comp_t is not None:
-            return self.comp_t
-        if self.delta is None:
-            raise ValueError("COMP needs an explicit budget or a delta")
-        return bounds.comp_test_count(self.size, self.delta)
 
     def budgets(self) -> list[int]:
         if self.budget_range is None:
@@ -135,7 +136,10 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
 
 
 def guarantee_for(algorithm: str, size: ProblemSize) -> int:
-    """Budget at which the named adaptive algorithm is certain to finish."""
+    """Budget at which the named adaptive algorithm is certain to finish;
+    0 at k = 0, where no test is needed."""
+    if algorithm in ADAPTIVE_ALGORITHMS and size.k == 0:
+        return 0
     if algorithm == "rbt":
         return bounds.rbt_guarantee(size)
     if algorithm == "hgbsa":
@@ -160,7 +164,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     oracle = TestOracle(n, truth, spec.noise, rng)
     if spec.algorithm == "comp":
         design_rng = make_rng(seed, 1)
-        result = comp_run(oracle, n, k, spec.comp_budget(), design_rng)
+        result = comp_run(oracle, n, k, spec.comp_t, design_rng)
     else:
         try:
             result = ADAPTIVE_ALGORITHMS[spec.algorithm](oracle, n, k)
@@ -205,7 +209,7 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
     seeds = derive_stream_seeds(derive_stream_seeds(spec.master_seed, np.arange(start, stop)), 0)
     truths, rngs = sample_defective_sets(n, k, seeds)
     firm, success = batch_runs(spec.algorithm, n, truths)
-    limit = guarantee_for(spec.algorithm, spec.size) if k else 0
+    limit = guarantee_for(spec.algorithm, spec.size)
     bad = np.flatnonzero(~success | (firm > limit))
     if len(bad):
         i = bad[0]
@@ -283,7 +287,7 @@ def success_curve(spec: ExperimentSpec) -> SuccessCurve:
                            else float("nan")),
         ))
     guarantee = (guarantee_for(spec.algorithm, spec.size)
-                 if spec.algorithm in ADAPTIVE_ALGORITHMS and spec.size.k else 0)
+                 if spec.algorithm in ADAPTIVE_ALGORITHMS else 0)
     return SuccessCurve(algorithm=spec.algorithm, size=spec.size,
                         points=curve_points,
                         log2_binom_marker=bounds.log2_binom(spec.size),

@@ -204,6 +204,11 @@ class TestGuarantees:
         assert comp_test_count(ProblemSize(100, 5), 1.0) == 126
         assert comp_test_count(ProblemSize(3, 1), 0.0001) == 3
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+    def test_comp_rejects_delta_outside_0_inf(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            comp_test_count(ProblemSize(100, 5), delta)
+
     def test_comp_monotone_in_delta(self):
         prev = 0
         for d in (0.1, 0.5, 1.0, 2.0, 5.0):

@@ -187,6 +187,12 @@ class TestCapacityCommand:
     "simulate --alg comp --n 10 --k 2 --delta 1e308 --trials 1",
     "simulate --alg comp --n 1 --k 1 --delta 1 --trials 1",
     "sweep --alg comp --n 100 --k 5 --t-min 1 --t-max 100000000000000 --step 10000000000000",
+    "simulate --alg hgbsa --n 10 --k 2 --t 5 --trials 2",
+    "simulate --alg rbt --n 10 --k 2 --delta 1 --trials 2",
+    "simulate --alg comp --n 100 --k 5 --delta nan --trials 2",
+    "simulate --alg hgbsa --n 18014398509481983 --k 1 --trials 2",
+    "simulate --alg hgbsa --n 9223372036854775808 --k 1 --trials 2",
+    "capacity --beta 0.99 --n-list 18014398509481983 --trials 1",
 ])
 def test_bad_inputs_exit_2(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
@@ -216,6 +222,28 @@ def test_sweep_delta_flag_exits_2(capsys):
                                       "--delta 1 --trials 2".split())
     assert code == 2 and out == ""
     assert "--delta" in err
+
+
+def test_comp_t_and_delta_together_exit_2(capsys):
+    # --t and --delta both set COMP's one budget; argparse takes only one
+    code, out, err = run_cli(capsys, *"simulate --alg comp --n 10 --k 2 --t 5 "
+                                      "--delta 1 --trials 2".split())
+    assert code == 2 and out == ""
+    assert "--delta" in err and "--t" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds --n 10 --k 2 --out {tmp}/no/such/file",
+    "simulate --alg hgbsa --n 10 --k 2 --trials 2 --out {tmp}/no/such/file",
+    "sweep --alg hgbsa --n 10 --k 2 --t-min 1 --t-max 5 --trials 2 --out {tmp}/no/such/file",
+    "capacity --beta 0.5 --n-list 100 --trials 2 --out {tmp}/no/such/file",
+    "figure1 --trials 2 --out-dir {tmp}/file",
+])
+def test_write_errors_exit_3(capsys, tmp_path, argv):
+    (tmp_path / "file").write_text("")  # a file where figure1 wants a directory
+    code, out, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 3 and out == ""
+    assert err.startswith("error:")
 
 
 README = (Path(__file__).parents[1] / "README.md").read_text()

@@ -16,6 +16,7 @@ from grouptest.bounds import NoiseModel, ProblemSize
 from grouptest.cli import main
 from grouptest.harness import (
     MAX_BUDGETS,
+    MAX_N,
     ExperimentSpec,
     curve_csv_lines,
     capacity_scan,
@@ -62,9 +63,27 @@ class TestRunTrial:
             assert r.success and r.tests_used <= 78
 
     def test_comp_needs_budget(self):
-        spec = ExperimentSpec(size=ProblemSize(10, 2), algorithm="comp", trials=1)
         with pytest.raises(ValueError):
+            spec = ExperimentSpec(size=ProblemSize(10, 2), algorithm="comp", trials=1)
             run_trial(spec, 0)
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize("alg", ["rbt", "hgbsa", "variant"])
+    def test_only_comp_takes_a_budget(self, alg):
+        with pytest.raises(ValueError, match="only comp takes a test budget"):
+            ExperimentSpec(size=ProblemSize(10, 2), algorithm=alg, trials=1, comp_t=5)
+
+    @pytest.mark.parametrize("alg", ["rbt", "hgbsa", "variant"])
+    def test_n_above_max_n_rejected(self, alg):
+        # bit lengths of the batched walk are exact only up to 2^53
+        ExperimentSpec(size=ProblemSize(MAX_N, 1), algorithm=alg, trials=1)
+        with pytest.raises(ValueError, match=str(MAX_N)):
+            ExperimentSpec(size=ProblemSize(MAX_N + 1, 1), algorithm=alg, trials=1)
+
+    @pytest.mark.parametrize("alg", ["rbt", "hgbsa", "variant"])
+    def test_guarantee_at_k0_is_zero(self, alg):
+        assert guarantee_for(alg, ProblemSize(5, 0)) == 0
 
 
 class TestTestsDistribution:

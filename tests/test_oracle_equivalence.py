@@ -526,6 +526,8 @@ def test_run_trials_equal_run_trial(alg, noise, n, k, trials):
     ("variant", "erasure", 100, 4, 1025),
     ("hgbsa", "erasure", 300, 7, 60),  # odd k hands on a buffered 32-bit half
     ("hgbsa", "erasure", 300, 8, 60),
+    *[(alg, "noiseless", 2**53, k, 10)  # the largest n a spec accepts
+      for alg in ("hgbsa", "variant") for k in (1, 2, 3)],
 ])
 def test_run_trials_equal_run_trial_at_the_edges(alg, noise, n, k, trials):
     spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg, noise=NOISES[noise],

@@ -3,6 +3,7 @@ reproducible Monte Carlo experiment harness."""
 
 from .bounds import (
     BoundReport,
+    InputError,
     NoiseKind,
     NoiseModel,
     ProblemSize,
@@ -47,7 +48,6 @@ from .harness import (
     run_trial,
     run_trials,
     success_curve,
-    tests_distribution,
     wilson_interval,
 )
 

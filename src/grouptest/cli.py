@@ -2,11 +2,13 @@
 sweeps, the two-panel figure experiment, and capacity scans.
 
 Each argument is checked in one place: argparse checks types, choices,
-required flags and flags that exclude each other; `ExperimentSpec` and
-`bounds` check the values of a run; the commands check only what no spec
-holds. `main` alone maps errors to exit codes: 0 success, 2 argument error,
-3 I/O error, 1 internal invariant breach. All output is deterministic given
-the full flag set including --seed.
+required flags and flags that exclude each other; `ExperimentSpec`,
+`harness.defectives_for_beta` and `bounds` check the values of a run and
+raise `bounds.InputError`, before any output or directory is made. `main`
+alone maps errors to exit codes: 0 success, 2 argument error (argparse's or
+an `InputError`, and no other `ValueError`), 3 I/O error, 1 internal
+invariant breach. All output is deterministic given the full flag set
+including --seed.
 """
 from __future__ import annotations
 
@@ -18,11 +20,7 @@ from pathlib import Path
 
 from . import bounds, harness
 from .algorithms import ADAPTIVE_ALGORITHMS, ALGORITHM_NAMES
-from .bounds import NoiseKind, NoiseModel, ProblemSize
-
-
-class CliError(Exception):
-    """Bad arguments detected after parsing; maps to exit code 2."""
+from .bounds import InputError, NoiseKind, NoiseModel, ProblemSize
 
 
 def parse_noise(text: str) -> NoiseModel:
@@ -31,27 +29,27 @@ def parse_noise(text: str) -> NoiseModel:
     try:
         kind = NoiseKind(kind_text)
     except ValueError:
-        raise CliError(f"--noise: unknown kind {kind_text!r} "
-                       f"(expected one of {[k.value for k in NoiseKind]})")
+        raise InputError(f"--noise: unknown kind {kind_text!r} "
+                         f"(expected one of {[k.value for k in NoiseKind]})")
     p = 0.0
     if p_text:
         try:
             p = float(p_text)
         except ValueError:
-            raise CliError(f"--noise: bad probability {p_text!r}")
+            raise InputError(f"--noise: bad probability {p_text!r}")
     elif kind is not NoiseKind.NOISELESS:
-        raise CliError(f"--noise: {kind.value} needs a probability, e.g. {kind.value}:0.1")
+        raise InputError(f"--noise: {kind.value} needs a probability, e.g. {kind.value}:0.1")
     try:
         return NoiseModel(kind, p)
-    except ValueError as e:
-        raise CliError(f"--noise: {e}")
+    except InputError as e:
+        raise InputError(f"--noise: {e}")
 
 
 def _size(args) -> ProblemSize:
     try:
         return ProblemSize(n=args.n, k=args.k)
-    except ValueError as e:
-        raise CliError(f"--n/--k: {e}")
+    except InputError as e:
+        raise InputError(f"--n/--k: {e}")
 
 
 def _emit(text: str, out_path):
@@ -69,8 +67,6 @@ def _json(payload: dict) -> str:
 def cmd_bounds(args) -> int:
     size = _size(args)
     noise = parse_noise(args.noise) if args.noise else None
-    if args.t is not None and args.t < 1:
-        raise CliError("--t must be >= 1")
     report = bounds.bound_report(size, t=args.t, noise=noise)
     payload = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
     payload.update(n=size.n, k=size.k)
@@ -83,15 +79,12 @@ def cmd_bounds(args) -> int:
 def _spec_from_args(args, budget_range=None) -> harness.ExperimentSpec:
     size = _size(args)
     noise = parse_noise(args.noise) if args.noise else NoiseModel.noiseless()
-    try:
-        comp_t = getattr(args, "t", None)
-        if getattr(args, "delta", None) is not None:
-            comp_t = bounds.comp_test_count(size, args.delta)
-        return harness.ExperimentSpec(
-            size=size, algorithm=args.alg, noise=noise, trials=args.trials,
-            master_seed=args.seed, budget_range=budget_range, comp_t=comp_t)
-    except ValueError as e:
-        raise CliError(str(e))
+    comp_t = getattr(args, "t", None)
+    if getattr(args, "delta", None) is not None:
+        comp_t = bounds.comp_test_count(size, args.delta)
+    return harness.ExperimentSpec(
+        size=size, algorithm=args.alg, noise=noise, trials=args.trials,
+        master_seed=args.seed, budget_range=budget_range, comp_t=comp_t)
 
 
 def cmd_simulate(args) -> int:
@@ -132,14 +125,8 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    if not 0.0 < args.beta < 1.0:
-        raise CliError(f"--beta must be in (0,1), got {args.beta}")
-    bad = [n for n in args.n_list if not 1 <= n <= harness.MAX_N]
-    if bad:
-        raise CliError(f"--n-list entries must be in [1, {harness.MAX_N}], got {bad[0]}")
-    n_list = sorted(args.n_list)
-    rows = harness.capacity_scan(args.beta, n_list, args.alg, args.trials,
-                                 args.seed)
+    rows = harness.capacity_scan(args.beta, sorted(args.n_list), args.alg,
+                                 args.trials, args.seed)
     lines = ["n,k,mean_tests,achieved_rate,guarantee_tests,guarantee_rate"]
     for r in rows:
         lines.append(f"{r.n},{r.k},{r.mean_tests:.6g},{r.achieved_rate:.6g},"
@@ -206,10 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "trials", 1) < 1:  # before figure1 makes its directory
-            raise CliError("--trials must be >= 1")
         return args.func(args)
-    except CliError as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except harness.InvariantBreach as e:

@@ -4,8 +4,10 @@ experiment at (k, n) = (10, 500) and (30, 9699), and capacity scans in the
 k = n^(1-beta) regime.
 
 An `ExperimentSpec` checks every run input when it is built, so a bad one
-raises `ValueError` before any trial runs. COMP's budget is its one field
-`comp_t`; `bounds.comp_test_count` turns an error exponent into one.
+raises `bounds.InputError` before any trial runs. `figure1_experiment` and
+`capacity_scan` build all their specs before they run any, or make any
+directory. COMP's budget is its one field `comp_t`;
+`bounds.comp_test_count` turns an error exponent into one.
 
 Every trial derives its RNG stream from (master_seed, trial_index), so its
 result does not depend on which other trials run with it. A trial either
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import bounds
 from .algorithms import ADAPTIVE_ALGORITHMS, SearchOverrun, batch_runs, comp_run
-from .bounds import NoiseKind, NoiseModel, ProblemSize
+from .bounds import InputError, NoiseKind, NoiseModel, ProblemSize
 from .model import (TestOracle, derive_stream_seed, derive_stream_seeds, make_rng,
                     sample_defective_set, sample_defective_sets)
 
@@ -41,6 +43,10 @@ MAX_BUDGETS = 1 << 16
 # Largest n a spec accepts: the batched walk takes bit lengths with
 # `np.frexp`, exact only for integers up to 2^53.
 MAX_N = 1 << 53
+# Most expected submissions an adaptive erasure spec accepts, trials x
+# guarantee / (1 - p): `_land` deals 1-2e8 uniforms a second, so a run at the
+# cap takes under a minute, while p near 1 would otherwise run for hours.
+MAX_SUBMISSIONS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -55,39 +61,46 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("need at least one trial")
+            raise InputError("need at least one trial")
         if self.size.n > MAX_N:
-            raise ValueError(f"n must be <= {MAX_N}, got {self.size.n}")
+            raise InputError(f"n must be <= {MAX_N}, got {self.size.n}")
         if self.budget_range is not None:
             t_min, t_max, step = self.budget_range
             if t_min > t_max or step < 1 or t_min < 0:
-                raise ValueError(f"bad budget range {self.budget_range}")
+                raise InputError(f"bad budget range {self.budget_range}")
             if (t_max - t_min) // step + 1 > MAX_BUDGETS:
-                raise ValueError(f"budget range {self.budget_range} has more than "
+                raise InputError(f"budget range {self.budget_range} has more than "
                                  f"{MAX_BUDGETS} budgets")
         if self.algorithm == "comp":
             self._check_comp()
         elif self.comp_t is not None:
-            raise ValueError(f"only comp takes a test budget; {self.algorithm} "
+            raise InputError(f"only comp takes a test budget; {self.algorithm} "
                              "runs until it decodes")
-        if (self.algorithm in ADAPTIVE_ALGORITHMS
-                and self.noise.kind is NoiseKind.ERASURE and self.noise.p >= 1.0):
-            raise ValueError("erasure probability 1 never terminates: "
+        if self.algorithm in ADAPTIVE_ALGORITHMS and self.noise.kind is NoiseKind.ERASURE:
+            self._check_erasure()
+
+    def _check_erasure(self):
+        p = self.noise.p
+        if p >= 1.0:
+            raise InputError("erasure probability 1 never terminates: "
                              "every test is retried until it lands")
+        if self.trials * guarantee_for(self.algorithm, self.size) > MAX_SUBMISSIONS * (1.0 - p):
+            raise InputError(f"erasure probability {p} needs about trials x guarantee "
+                             f"/ (1 - p) submissions, more than {MAX_SUBMISSIONS}")
 
     def _check_comp(self):
         if self.size.k < 1:
-            raise ValueError("COMP design density 1/k needs k >= 1")
+            raise InputError("COMP design density 1/k needs k >= 1")
         if self.budget_range is not None:
             t_min, t_max = self.budget_range[:2]
         elif self.comp_t is not None:
             t_min = t_max = self.comp_t
         else:
-            raise ValueError("comp needs a test budget (comp_t) or a budget range")
+            raise InputError("comp needs a test budget (comp_t) or a budget range")
         if t_min < 1:
-            raise ValueError(f"COMP needs t >= 1, got {t_min}")
+            raise InputError(f"COMP needs t >= 1, got {t_min}")
         if t_max * self.size.n > MAX_COMP_DESIGN_CELLS:
-            raise ValueError(f"COMP needs t <= {MAX_COMP_DESIGN_CELLS // self.size.n} "
+            raise InputError(f"COMP needs t <= {MAX_COMP_DESIGN_CELLS // self.size.n} "
                              f"at n = {self.size.n} (t x n <= {MAX_COMP_DESIGN_CELLS})")
 
     def budgets(self) -> list[int]:
@@ -240,21 +253,6 @@ def _land(firm: list[int], p: float, rngs) -> list[int]:
     return used
 
 
-@dataclass
-class TestsDistribution:
-    counts: list
-    mean: float
-    max: int
-
-
-def tests_distribution(spec: ExperimentSpec) -> TestsDistribution:
-    """Empirical distribution of tests_used over the spec's trials."""
-    results = run_trials(spec)
-    counts = sorted(r.tests_used for r in results)
-    return TestsDistribution(counts=counts, mean=sum(counts) / len(counts),
-                             max=counts[-1])
-
-
 def success_curve(spec: ExperimentSpec) -> SuccessCurve:
     """Empirical success probability per budget with bound overlays.
 
@@ -328,19 +326,20 @@ def _figure1_budget_range(size: ProblemSize) -> tuple[int, int, int]:
 def figure1_experiment(out_dir, trials: int, master_seed: int) -> list[Path]:
     """Success-vs-budget CSVs for the splitting algorithms at
     (k, n) = (10, 500) and (30, 9699), with bound overlays and markers.
-    Byte-identical across reruns with the same seed."""
+    Byte-identical across reruns with the same seed. Every spec is built
+    before the directory is made, so a bad input leaves no trace."""
+    panels = [(fname, [ExperimentSpec(size=size, algorithm=alg, trials=trials,
+                                      master_seed=derive_stream_seed(master_seed, alg_index),
+                                      budget_range=_figure1_budget_range(size))
+                       for alg_index, alg in enumerate(("hgbsa", "variant"))])
+              for fname, size in FIGURE1_CONFIGS]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for fname, size in FIGURE1_CONFIGS:
+    for fname, specs in panels:
         lines = [FIG1_HEADER]
-        for alg_index, alg in enumerate(("hgbsa", "variant")):
-            spec = ExperimentSpec(
-                size=size, algorithm=alg, trials=trials,
-                master_seed=derive_stream_seed(master_seed, alg_index),
-                budget_range=_figure1_budget_range(size))
-            curve = success_curve(spec)
-            lines.extend(curve_csv_lines(curve, with_markers=True)[1:])
+        for spec in specs:
+            lines.extend(curve_csv_lines(success_curve(spec), with_markers=True)[1:])
         path = out_dir / fname
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
@@ -348,9 +347,12 @@ def figure1_experiment(out_dir, trials: int, master_seed: int) -> list[Path]:
 
 
 def defectives_for_beta(n: int, beta: float) -> int:
-    """k = n^(1-beta) rounded to the nearest integer, floored at 1."""
+    """k = n^(1-beta) rounded to the nearest integer, floored at 1. n must
+    be in [1, MAX_N], where it converts to a float exactly."""
     if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0,1), got {beta}")
+        raise InputError(f"beta must be in (0,1), got {beta}")
+    if not 1 <= n <= MAX_N:
+        raise InputError(f"n must be in [1, {MAX_N}], got {n}")
     return max(1, int(math.floor(n ** (1.0 - beta) + 0.5)))
 
 
@@ -367,18 +369,20 @@ class CapacityRow:
 def capacity_scan(beta: float, n_list: Sequence[int], algorithm: str,
                   trials: int, seed: int) -> list[CapacityRow]:
     """Achieved and guaranteed rates along a sequence of problem sizes with
-    k = n^(1-beta). For hgbsa the guarantee rate approaches 1 from below."""
+    k = n^(1-beta). For hgbsa the guarantee rate approaches 1 from below.
+    Every spec is built before any trial runs."""
+    specs = [ExperimentSpec(size=ProblemSize(n=n, k=defectives_for_beta(n, beta)),
+                            algorithm=algorithm, trials=trials,
+                            master_seed=derive_stream_seed(seed, idx))
+             for idx, n in enumerate(n_list)]
     rows = []
-    for idx, n in enumerate(n_list):
-        k = defectives_for_beta(n, beta)
-        size = ProblemSize(n=n, k=k)
-        spec = ExperimentSpec(size=size, algorithm=algorithm, trials=trials,
-                              master_seed=derive_stream_seed(seed, idx))
-        dist = tests_distribution(spec)
+    for spec in specs:
+        size = spec.size
+        mean = sum(r.tests_used for r in run_trials(spec)) / spec.trials
         guarantee = guarantee_for(algorithm, size)
         rows.append(CapacityRow(
-            n=n, k=k, mean_tests=dist.mean,
-            achieved_rate=bounds.log2_binom(size) / max(dist.mean, 1.0),
+            n=size.n, k=size.k, mean_tests=mean,
+            achieved_rate=bounds.log2_binom(size) / max(mean, 1.0),
             guarantee_tests=guarantee,
             guarantee_rate=bounds.rate(size, max(guarantee, 1))))
     return rows

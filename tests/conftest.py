@@ -3,6 +3,4 @@ import grouptest.harness
 import grouptest.model
 
 grouptest.model.TestOracle.__test__ = False
-grouptest.harness.tests_distribution.__test__ = False
-grouptest.harness.TestsDistribution.__test__ = False
 grouptest.harness.TrialResult.__test__ = False

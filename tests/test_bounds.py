@@ -68,6 +68,20 @@ class TestLog2Binom:
         assert log2_binom(ProblemSize(n, k)) == pytest.approx(
             log2_binom(ProblemSize(n, n - k)), rel=1e-12, abs=1e-12)
 
+    def test_against_mpmath_up_to_max_n(self):
+        # k' = min(k, n-k) > 64 on a log grid of n and k up to 2^53, where a
+        # difference of log-gamma values near 3e17 was off by up to 1.5e-2
+        mpmath = pytest.importorskip("mpmath")
+        grid = [round(2 ** (e / 4)) for e in range(24, 213, 3)]
+        pairs = [(n, k) for n in grid for k in grid + [n // 2] if min(k, n - k) > 64]
+        assert len(pairs) > 300
+        with mpmath.workdps(40):
+            for n, k in pairs:
+                want = (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                        - mpmath.loggamma(n - k + 1)) / mpmath.log(2)
+                assert log2_binom(ProblemSize(n, k)) == pytest.approx(
+                    float(want), rel=1e-12), (n, k)
+
     def test_pure(self):
         s = ProblemSize(12345, 67)
         assert log2_binom(s) == log2_binom(s)

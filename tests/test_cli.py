@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grouptest import algorithms
+from grouptest import algorithms, harness
 from grouptest.algorithms import ALGORITHM_NAMES
-from grouptest.cli import main, parse_noise, CliError
-from grouptest.bounds import NoiseKind
+from grouptest.cli import main, parse_noise
+from grouptest.bounds import InputError, NoiseKind
 
 
 def run_cli(capsys, *argv):
@@ -34,7 +34,7 @@ class TestNoiseParsing:
 
     def test_bad_specs(self):
         for text in ("bogus", "erasure", "erasure:x", "symmetric:1.5"):
-            with pytest.raises(CliError):
+            with pytest.raises(InputError):
                 parse_noise(text)
 
 
@@ -109,6 +109,12 @@ class TestSimulateCommand:
                                "--trials", "150")
         assert code == 0
         assert json.loads(out)["success_rate"] < 1
+
+    def test_guarantee_at_max_n(self, capsys):
+        # ceil(log2 C(2^53, 100)) + 100; the guarantee is exact at every n <= MAX_N
+        code, out, _ = run_cli(capsys, "simulate", "--alg", "hgbsa", "--n",
+                               "9007199254740992", "--k", "100", "--trials", "3")
+        assert code == 0 and json.loads(out)["guarantee_tests"] == 4876
 
     def test_unknown_algorithm_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--alg", "magic", "--n", "10",
@@ -193,6 +199,8 @@ class TestCapacityCommand:
     "simulate --alg hgbsa --n 18014398509481983 --k 1 --trials 2",
     "simulate --alg hgbsa --n 9223372036854775808 --k 1 --trials 2",
     "capacity --beta 0.99 --n-list 18014398509481983 --trials 1",
+    "capacity --beta 0.5 --n-list 1" + "0" * 400 + " --trials 1",
+    "simulate --alg hgbsa --n 1000 --k 10 --noise erasure:0.9999999999 --trials 1",
 ])
 def test_bad_inputs_exit_2(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
@@ -280,6 +288,15 @@ def test_invariant_breach_exits_1_and_names_the_trial(capsys, monkeypatch, alg, 
     assert "invariant breach" in err and "(master_seed=4, trial_index=0)" in err
 
 
+def test_internal_value_error_is_not_exit_2(monkeypatch):
+    # only an InputError is an argument error; any other ValueError is a fault
+    def fault(spec):
+        raise ValueError("internal")
+    monkeypatch.setattr(harness, "run_trials", fault)
+    with pytest.raises(ValueError, match="internal"):
+        main(["simulate", "--alg", "hgbsa", "--n", "10", "--k", "2", "--trials", "2"])
+
+
 @st.composite
 def cli_argv(draw):
     """An argv of any command, its values mostly good and sometimes bad;
@@ -335,6 +352,8 @@ def cli_argv(draw):
           "--t-min", "0", "--t-max", "0"])
 # RBT at n = k = 1 spends no test; its guarantee rate once divided by 0
 @example(["capacity", "--beta", "0.5", "--n-list", "1", "--alg", "rbt", "--trials", "2"])
+# a negative n once reached k = n^(1-beta) and raised TypeError on a complex
+@example(["capacity", "--beta", "0.5", "--n-list", "-1", "--trials", "1"])
 @settings(max_examples=150, deadline=None)
 def test_argv_fuzz_exit_codes(argv):
     # with no injected fault, every argv exits 0, 2 or 3 (never 1, never a

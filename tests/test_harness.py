@@ -14,9 +14,11 @@ from grouptest import bounds
 from grouptest.algorithms import hgbsa
 from grouptest.bounds import NoiseModel, ProblemSize
 from grouptest.cli import main
+from grouptest.bounds import InputError
 from grouptest.harness import (
     MAX_BUDGETS,
     MAX_N,
+    MAX_SUBMISSIONS,
     ExperimentSpec,
     curve_csv_lines,
     capacity_scan,
@@ -26,7 +28,6 @@ from grouptest.harness import (
     run_trial,
     run_trials,
     success_curve,
-    tests_distribution,
     wilson_interval,
 )
 from grouptest.model import TestOracle, make_rng
@@ -82,6 +83,18 @@ class TestSpecChecks:
             ExperimentSpec(size=ProblemSize(MAX_N + 1, 1), algorithm=alg, trials=1)
 
     @pytest.mark.parametrize("alg", ["rbt", "hgbsa", "variant"])
+    def test_erasure_submissions_capped(self, alg):
+        # at p = 0.5 a spec may need up to MAX_SUBMISSIONS / 2 firm tests in
+        # all; built only, never run
+        size = ProblemSize(1000, 10)
+        trials = MAX_SUBMISSIONS // 2 // guarantee_for(alg, size)
+        ExperimentSpec(size=size, algorithm=alg, noise=NoiseModel.erasure(0.5),
+                       trials=trials)
+        with pytest.raises(InputError, match=str(MAX_SUBMISSIONS)):
+            ExperimentSpec(size=size, algorithm=alg, noise=NoiseModel.erasure(0.5),
+                           trials=trials + 1)
+
+    @pytest.mark.parametrize("alg", ["rbt", "hgbsa", "variant"])
     def test_guarantee_at_k0_is_zero(self, alg):
         assert guarantee_for(alg, ProblemSize(5, 0)) == 0
 
@@ -89,18 +102,19 @@ class TestSpecChecks:
 class TestTestsDistribution:
     def test_degenerate_concentrated_at_zero(self):
         spec = ExperimentSpec(size=ProblemSize(4, 4), algorithm="variant", trials=50)
-        d = tests_distribution(spec)
-        assert d.mean == 0.0 and d.max == 0
+        counts = [r.tests_used for r in run_trials(spec)]
+        assert sum(counts) / len(counts) == 0.0 and max(counts) == 0
 
     def test_mean_floor_and_guarantee(self):
         spec = ExperimentSpec(size=ProblemSize(100, 4), algorithm="hgbsa",
                               trials=800, master_seed=1)
-        d = tests_distribution(spec)
+        counts = [r.tests_used for r in run_trials(spec)]
+        mean = sum(counts) / len(counts)
         size = ProblemSize(100, 4)
-        sem = (sum((c - d.mean) ** 2 for c in d.counts) / len(d.counts)) ** 0.5 \
-            / math.sqrt(len(d.counts))
-        assert d.mean >= bounds.expected_tests_floor(size) - 3 * sem
-        assert d.max <= bounds.hwang_guarantee(size)
+        sem = (sum((c - mean) ** 2 for c in counts) / len(counts)) ** 0.5 \
+            / math.sqrt(len(counts))
+        assert mean >= bounds.expected_tests_floor(size) - 3 * sem
+        assert max(counts) <= bounds.hwang_guarantee(size)
 
 
 class TestSuccessCurve:
@@ -198,6 +212,11 @@ class TestFigure1:
         marker = float(lines[1].split(",")[7])
         assert marker == pytest.approx(67.7361, abs=1e-3)
 
+    def test_bad_input_makes_no_directory(self, tmp_path):
+        with pytest.raises(InputError):
+            figure1_experiment(tmp_path / "D", 0, 0)
+        assert not (tmp_path / "D").exists()
+
 
 class TestCapacityScan:
     def test_beta_to_k(self):
@@ -208,6 +227,19 @@ class TestCapacityScan:
     def test_beta_validated(self):
         with pytest.raises(ValueError):
             defectives_for_beta(100, 1.5)
+
+    def test_negative_n_is_an_input_error(self):
+        # (-5) ** 0.5 is complex; n is checked before k is computed
+        with pytest.raises(InputError):
+            capacity_scan(0.5, [-5], "hgbsa", 2, 0)
+
+    def test_every_spec_built_before_any_trial(self, monkeypatch):
+        import grouptest.harness as hz
+        calls = []
+        monkeypatch.setattr(hz, "run_trials", lambda spec: calls.append(spec) or [])
+        with pytest.raises(InputError):
+            capacity_scan(0.5, [100, MAX_N + 1], "hgbsa", 2, 0)
+        assert calls == []
 
     def test_rates_below_one_and_increasing(self):
         rows = capacity_scan(0.63, [60, 200, 500], "hgbsa", trials=50, seed=1)

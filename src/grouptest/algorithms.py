@@ -12,7 +12,8 @@ ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds m-k'.
 
 `batch_runs` answers many runs at once with numpy, where firm outcomes are
 the truth: RBT's firm count is a constant, and `_split_walk` steps every
-splitting run together by the rules over arrays in `SPLIT_GROUP_SIZES`.
+round of every splitting run together, each an independent row, by the rules
+over arrays in `SPLIT_GROUP_SIZES`.
 
 All adaptive algorithms assume noiseless-equivalent oracle behaviour, which a
 noiseless oracle gives and an erasure oracle gives by resubmitting every
@@ -168,8 +169,8 @@ def batch_runs(algorithm: str, n: int, truths: np.ndarray) -> tuple:
     for each row of defectives in `truths`, firm outcomes being the truth:
     the firm tests each run spends and whether it decodes its row. RBT
     always finds its defectives in order with sum over i < k of
-    ceil(log2(n - i)) firm tests; the splitting runs are walked together by
-    `_split_walk`, on the rows sorted in place."""
+    ceil(log2(n - i)) firm tests; the splitting runs are walked round by
+    round by `_split_walk`, on the rows sorted in place."""
     t, k = truths.shape
     if algorithm == "rbt":
         return (np.full(t, sum((n - i - 1).bit_length() for i in range(k))),
@@ -180,31 +181,31 @@ def batch_runs(algorithm: str, n: int, truths: np.ndarray) -> tuple:
 
 def _split_walk(n: int, truths: np.ndarray, group_sizes) -> tuple:
     """Firm tests and success of `_split` over range(n) with kp = k, for
-    each row of sorted defectives in `truths`, one vector step per group
-    test; `group_sizes(m, kp)` is the rule over arrays. With d a row's next
-    defective, a group [c, c+g) is negative iff c + g <= d, and a positive
-    one adds (g-1).bit_length() search steps and finds d. A round stops
-    untested once m = n - c <= kp; the row succeeds iff its unfound
-    defectives are then the last kp items."""
+    each row of sorted defectives in `truths`; `group_sizes(m, kp)` is the
+    rule over arrays. Round r of a row starts at c = truths[r-1] + 1 (0 at
+    r = 0) with kp = k - r hidden and ends at d = truths[r]: a group [c, c+g)
+    is negative iff c + g <= d, and a positive one adds (g-1).bit_length()
+    search steps. A round stops untested once m = n - c <= kp, and so does
+    every round after it, at no cost: a row's tests are the sum over its
+    rounds, and it succeeds iff each round that stops has d >= n - kp."""
     t, k = truths.shape
-    truths = np.hstack((truths, np.full((t, 1), n)))  # d = n once all are found
-    tests, success = np.zeros(t, dtype=np.int64), np.ones(t, dtype=bool)
-    live = np.arange(t if 0 < k < n else 0)  # else no test is needed
-    c, ptr, used = (np.zeros(len(live), dtype=np.int64) for _ in range(3))
-    kp, d = np.full(len(live), k), truths[live, 0]
+    c, d = np.pad(truths + 1, ((0, 0), (1, 0)))[:, :k].ravel(), truths.ravel()
+    kp = np.tile(np.arange(k, 0, -1), t)
+    tests, stopped = np.zeros(t * k, dtype=np.int64), n - c <= kp
+    live = np.flatnonzero(~stopped)
+    c, step = c[live], 0
     while len(live):
-        g = group_sizes(n - c, kp)
-        hit = c + g > d
-        used += 1 + np.where(hit, np.frexp(g - 1)[1], 0)
-        c = np.where(hit, d + 1, c + g)
-        kp, ptr = kp - hit, ptr + hit
-        d = truths[live, ptr]
-        done = (kp == 0) | (n - c <= kp)
-        if done.any():
-            tests[live[done]] = used[done]
-            success[live[done]] = ((kp == 0) | (d >= n - kp))[done]
-            live, c, ptr, used, kp, d = (a[~done] for a in (live, c, ptr, used, kp, d))
-    return tests, success
+        step += 1
+        g = group_sizes(n - c, kp[live])
+        hit = c + g > d[live]
+        c += g
+        stop = ~hit & (n - c <= kp[live])
+        if (done := hit | stop).any():
+            tests[live[done]] = step + (np.frexp(g - 1)[1] * hit)[done]
+            stopped[live[stop]] = True
+            live, c = live[~done], c[~done]
+    failed = (stopped & (d < n - kp)).reshape(t, k).any(axis=1)
+    return tests.reshape(t, k).sum(axis=1), ~failed
 
 
 def hgbsa(oracle, n: int, k: int) -> RunResult:

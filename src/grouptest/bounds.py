@@ -6,6 +6,7 @@ Everything here is a pure function of its arguments; no randomness, no state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -88,14 +89,18 @@ def log2_binom(size: ProblemSize) -> float:
 
     Computed from k' = min(k, n-k), so C(n, k) and C(n, n-k) agree exactly.
     Exact integer arithmetic for k' <= 64; beyond that, Loader's (2000)
-    saddle-point form, which subtracts no large log-gamma values. Either way
-    the result is within 1e-15 relative error for every n <= 2^53.
+    saddle-point form, which subtracts no large log-gamma values (and needs
+    n within the float range). Either way the result is within 1e-15
+    relative error for every n <= 2^53.
     """
     n, k = size.n, min(size.k, size.n - size.k)
     if k == 0:
         return 0.0
     if k <= _EXACT_K_MAX:
         return math.log2(math.comb(n, k))
+    if n > sys.float_info.max:
+        raise InputError(f"log2 C(n, k) at min(k, n-k) > {_EXACT_K_MAX} needs n <= "
+                         f"{sys.float_info.max:g}")
     ln_c = (_stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
             + k * math.log(n / k) - (n - k) * math.log1p(-k / n)
             - 0.5 * math.log(2.0 * math.pi * k * (n - k) / n))

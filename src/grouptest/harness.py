@@ -37,6 +37,10 @@ _WILSON_Z = 1.959963984540054  # 95%
 # Largest t x n COMP design a spec accepts: `comp_run` peaks near 9 bytes an
 # entry (the uniform draws and the design), so one trial stays under 300 MB.
 MAX_COMP_DESIGN_CELLS = 1 << 25
+# Most trials x k cells sampled and walked together, max(1, BATCH_CELLS // k)
+# trials: the sampler and the walk peak at 80-200 bytes a cell (190 MB at one
+# trial of k = 10^6), and at k = 30 the walk is no slower at 546 than at 1024.
+BATCH_CELLS = 1 << 14
 # Most budgets a sweep accepts: each is a curve point and a CSV row (about
 # 15 us each), and the figure needs a few hundred.
 MAX_BUDGETS = 1 << 16
@@ -194,11 +198,14 @@ def run_trials(spec: ExperimentSpec) -> list[TrialResult]:
     `run_trial` samples them and then walked together (`_run_batch`); the
     results equal `run_trial`'s trial by trial. Other trials go through
     `run_trial`."""
+    if spec.algorithm == "comp" and spec.comp_t is None:
+        raise InputError("comp trials need comp_t; success_curve sweeps a budget range")
     if not (spec.algorithm in ADAPTIVE_ALGORITHMS
             and spec.noise.kind in (NoiseKind.NOISELESS, NoiseKind.ERASURE)):
         return [run_trial(spec, i) for i in range(spec.trials)]
-    return [r for lo in range(0, spec.trials, _BATCH)
-            for r in _run_batch(spec, lo, min(spec.trials, lo + _BATCH))]
+    batch = max(1, BATCH_CELLS // max(spec.size.k, 1))
+    return [r for lo in range(0, spec.trials, batch)
+            for r in _run_batch(spec, lo, min(spec.trials, lo + batch))]
 
 
 class InvariantBreach(Exception):
@@ -206,15 +213,12 @@ class InvariantBreach(Exception):
     `guarantee_for`; the message names its (master_seed, trial_index)."""
 
 
-_BATCH = 1024  # trials sampled and walked together, to bound the arrays
-
-
 def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
-    """Trials start..stop-1, firm outcomes being the truth. The trials are
-    seeded and sampled in bulk (`sample_defective_sets`), with the seeds
-    `run_trial` derives; a trial that numpy would sample on a rejection
-    redraw, or every trial when the bulk path does not apply, goes through
-    `sample_defective_set`. The algorithm's firm tests and decodes come from
+    """Trials start..stop-1, at most `BATCH_CELLS` cells (trials x k) or one
+    trial, firm outcomes being the truth. They are seeded and sampled in bulk
+    (`sample_defective_sets`), with the seeds `run_trial` derives; a trial
+    that numpy would sample on a rejection redraw, or every trial when the
+    bulk path does not apply, goes through `sample_defective_set`. The algorithm's firm tests and decodes come from
     `batch_runs`. Under erasure each trial's generator is handed on to
     `_land` as sampling left it."""
     n, k = spec.size.n, spec.size.k

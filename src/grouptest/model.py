@@ -37,7 +37,8 @@ class Outcome(Enum):
     ERASED = "E"
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """SplitMix64's mix of an int or of a uint64 array (numpy wraps mod 2^64)."""
     x = (x + _GOLDEN) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -52,14 +53,6 @@ def derive_stream_seed(master: int, stream: int) -> int:
     return _splitmix64(_splitmix64(master & _MASK64) ^ _splitmix64(stream & _MASK64))
 
 
-def _splitmix64s(x: np.ndarray) -> np.ndarray:
-    """`_splitmix64` over a uint64 array; numpy wraps mod 2^64 itself."""
-    x = x + _GOLDEN
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-    return x ^ (x >> 31)
-
-
 def _as_uint64(x) -> np.ndarray:
     if isinstance(x, int):
         x &= _MASK64
@@ -69,7 +62,7 @@ def _as_uint64(x) -> np.ndarray:
 def derive_stream_seeds(master, streams) -> np.ndarray:
     """`derive_stream_seed` over arrays: a uint64 seed for each broadcast
     (master, stream) pair. Ints are taken mod 2^64, as there."""
-    return _splitmix64s(_splitmix64s(_as_uint64(master)) ^ _splitmix64s(_as_uint64(streams)))
+    return _splitmix64(_splitmix64(_as_uint64(master)) ^ _splitmix64(_as_uint64(streams)))
 
 
 def make_rng(master: int, stream: int = 0) -> np.random.Generator:
@@ -225,15 +218,13 @@ def _handed_on(handoff):
         yield rng
 
 
-_BULK_ROWS = 256  # rows seeded and drawn at a time, to bound the arrays
-
-
 def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     """`sample_defective_set(n, k, Generator(PCG64(seed)))` for each uint64
     seed, in bulk: (truths, rngs). Row r of the (len(seeds), k) array truths
     holds the k defectives of seed r, in no set order; rngs yields each row's
     generator in turn, left as `sample_defective_set` leaves it. They are one
-    reused Generator, so each is valid until the next is taken.
+    reused Generator, so each is valid until the next is taken. All rows are
+    drawn at once: the caller bounds len(seeds) x k (`harness.BATCH_CELLS`).
 
     Each stage runs over many rows with numpy: `SeedSequence`'s hash (uint32
     arithmetic), PCG64's seeding and LCG steps (O'Neill 2014; 128 bits in
@@ -249,12 +240,10 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    truths = np.empty((len(seeds), k), dtype=np.int64)  # the draws, until the swaps
+    truths = np.empty((len(seeds), k), dtype=np.int64)
     slow, handoff = np.ones(len(seeds), dtype=bool), [None] * len(seeds)
     if k < n <= _U32 and len(seeds):
-        for lo in range(0, len(seeds), _BULK_ROWS):
-            rows = slice(lo, lo + _BULK_ROWS)
-            truths[rows], slow[rows], handoff[rows] = _bulk_draws(seeds[rows], n, k)
+        truths, slow, handoff = _bulk_draws(seeds, n, k)  # the draws, until the swaps
         r = int(np.argmin(slow))  # the first row numpy does not redraw
         check = np.random.Generator(np.random.PCG64(int(seeds[r])))
         if (slow[r] or check.integers(n - np.arange(k)).tolist() != truths[r].tolist()

@@ -66,6 +66,14 @@ class TestBoundsCommand:
         keys = list(json.loads(out1))
         assert keys == sorted(keys)
 
+    def test_n_beyond_float_range_at_small_k(self, capsys):
+        # k' <= 64 takes exact binomials, which need no float n
+        code, out, _ = run_cli(capsys, "bounds", "--n", "1" + "0" * 400, "--k", "5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["log2_binom"] == 6636.949299179116
+        assert payload["hwang_tests"] == 6642
+
     def test_invalid_k(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "4", "--k", "9")
         assert code == 2
@@ -201,6 +209,7 @@ class TestCapacityCommand:
     "capacity --beta 0.99 --n-list 18014398509481983 --trials 1",
     "capacity --beta 0.5 --n-list 1" + "0" * 400 + " --trials 1",
     "simulate --alg hgbsa --n 1000 --k 10 --noise erasure:0.9999999999 --trials 1",
+    "bounds --n 1" + "0" * 400 + " --k 100",  # n beyond the float range, k > 64
 ])
 def test_bad_inputs_exit_2(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())

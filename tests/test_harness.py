@@ -68,6 +68,18 @@ class TestRunTrial:
             spec = ExperimentSpec(size=ProblemSize(10, 2), algorithm="comp", trials=1)
             run_trial(spec, 0)
 
+    def test_comp_range_without_budget_runs_no_trial(self, monkeypatch):
+        # a budget range is swept by success_curve, one comp_t per budget;
+        # run_trials itself has no budget to run at
+        import grouptest.harness as hz
+        spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp", trials=3,
+                              budget_range=(10, 20, 5))
+        calls = []
+        monkeypatch.setattr(hz, "run_trial", lambda *a: calls.append(a))
+        with pytest.raises(InputError):
+            run_trials(spec)
+        assert calls == []
+
 
 class TestSpecChecks:
     @pytest.mark.parametrize("alg", ["rbt", "hgbsa", "variant"])

@@ -522,8 +522,13 @@ def test_run_trials_equal_run_trial(alg, noise, n, k, trials):
     ("hgbsa", "erasure", 50, 0, 20),
     ("hgbsa", "noiseless", 2**32 + 7, 3, 10),  # numpy's 64-bit bounded draws
     ("variant", "erasure", 2**32 + 7, 3, 10),
-    ("hgbsa", "noiseless", 100, 4, 1025),  # crosses the batch of 1024
+    ("hgbsa", "noiseless", 100, 4, 1025),  # within one batch of 4096 at k = 4
     ("variant", "erasure", 100, 4, 1025),
+    # one trial more than a batch of BATCH_CELLS // 200 trials
+    ("hgbsa", "noiseless", 1000, 200, harness.BATCH_CELLS // 200 + 1),
+    ("variant", "erasure", 1000, 200, harness.BATCH_CELLS // 200 + 1),
+    ("hgbsa", "noiseless", 200000, 20000, 3),  # a batch of one trial, 20000 rounds
+    ("variant", "noiseless", 200000, 20000, 3),
     ("hgbsa", "erasure", 300, 7, 60),  # odd k hands on a buffered 32-bit half
     ("hgbsa", "erasure", 300, 8, 60),
     *[(alg, "noiseless", 2**53, k, 10)  # the largest n a spec accepts

@@ -103,7 +103,7 @@ def log2_binom(size: ProblemSize) -> float:
                          f"{sys.float_info.max:g}")
     ln_c = (_stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
             + k * math.log(n / k) - (n - k) * math.log1p(-k / n)
-            - 0.5 * math.log(2.0 * math.pi * k * (n - k) / n))
+            - 0.5 * (math.log(2.0 * math.pi) + math.log(k) + math.log1p(-k / n)))
     return ln_c / LN2
 
 
@@ -182,8 +182,14 @@ def variant_guarantee(size: ProblemSize) -> float:
     n, k = size.n, size.k
     if k < 1:
         raise ValueError("guarantee requires k >= 1")
-    log2_kfact = math.lgamma(k + 1) / LN2
-    return k * math.log2(n) + (1.0 + math.log2(LN2)) * k - log2_kfact
+    try:
+        bound = k * math.log2(n) + (1.0 + math.log2(LN2)) * k - math.lgamma(k + 1) / LN2
+    except OverflowError:  # k itself, or ln k!, beyond the float range
+        bound = math.nan
+    if not math.isfinite(bound):
+        raise InputError("the variant's guarantee needs k log2(n) and log2(k!) within "
+                         f"the float range, below {sys.float_info.max:g}")
+    return bound
 
 
 def comp_test_count(size: ProblemSize, delta: float) -> int:

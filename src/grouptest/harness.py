@@ -10,12 +10,13 @@ directory. COMP's budget is its one field `comp_t`;
 `bounds.comp_test_count` turns an error exponent into one.
 
 Every trial derives its RNG stream from (master_seed, trial_index), so its
-result does not depend on which other trials run with it. A trial either
-runs its algorithm against a `TestOracle` (`run_trial`) or, for adaptive
-algorithms on a noiseless or erasure channel, is sampled and answered in a
-batch (`_run_batch`): the algorithm's firm tests come from
-`algorithms.batch_runs`, and the harness only seeds, samples, checks them
-against the guarantee and lands them through the erasures.
+result does not depend on which other trials run with it. `run_trials`
+seeds and samples every trial in bulk, a batch at a time (`_run_batch`).
+COMP and symmetric or additive trials then run one by one against a
+`TestOracle`; noiseless and erasure adaptive trials are answered together
+by `algorithms.batch_runs`, checked against the guarantee and landed
+through the erasures. `run_trial` seeds and samples one trial on its own:
+it is the reference, and replays any trial.
 """
 from __future__ import annotations
 
@@ -34,9 +35,10 @@ from .model import (TestOracle, derive_stream_seed, derive_stream_seeds, make_rn
                     sample_defective_set, sample_defective_sets)
 
 _WILSON_Z = 1.959963984540054  # 95%
-# Largest t x n COMP design a spec accepts: `comp_run` peaks near 9 bytes an
-# entry (the uniform draws and the design), so one trial stays under 300 MB.
-MAX_COMP_DESIGN_CELLS = 1 << 25
+# Most cells one trial may hold, so that it stays under about 350 MB: COMP's
+# t x n design (`comp_run` peaks near 9 bytes a cell: the uniform draws and
+# the design) and symmetric or additive RBT's n x (k + 4) items (`_check_rbt`).
+MAX_TRIAL_CELLS = 1 << 25
 # Most trials x k cells sampled and walked together, max(1, BATCH_CELLS // k)
 # trials: the sampler and the walk peak at 80-200 bytes a cell (190 MB at one
 # trial of k = 10^6), and at k = 30 the walk is no slower at 546 than at 1024.
@@ -51,6 +53,7 @@ MAX_N = 1 << 53
 # guarantee / (1 - p): `_land` deals 1-2e8 uniforms a second, so a run at the
 # cap takes under a minute, while p near 1 would otherwise run for hours.
 MAX_SUBMISSIONS = 1 << 32
+_NOISY = (NoiseKind.SYMMETRIC, NoiseKind.ADDITIVE)  # channels with no decoder
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,15 @@ class ExperimentSpec:
                              "runs until it decodes")
         if self.algorithm in ADAPTIVE_ALGORITHMS and self.noise.kind is NoiseKind.ERASURE:
             self._check_erasure()
+        if self.algorithm == "rbt" and self.noise.kind in _NOISY:
+            self._check_rbt()
+
+    def _check_rbt(self):
+        # each round the oracle logs a tuple of about n candidates (8 bytes an
+        # item), and the candidate list holds n ints (about 36 bytes each)
+        if self.size.n * (self.size.k + 4) > MAX_TRIAL_CELLS:
+            raise InputError(f"rbt under {self.noise.kind.value} noise holds about "
+                             f"n x (k + 4) items a trial, more than {MAX_TRIAL_CELLS}")
 
     def _check_erasure(self):
         p = self.noise.p
@@ -103,9 +115,9 @@ class ExperimentSpec:
             raise InputError("comp needs a test budget (comp_t) or a budget range")
         if t_min < 1:
             raise InputError(f"COMP needs t >= 1, got {t_min}")
-        if t_max * self.size.n > MAX_COMP_DESIGN_CELLS:
-            raise InputError(f"COMP needs t <= {MAX_COMP_DESIGN_CELLS // self.size.n} "
-                             f"at n = {self.size.n} (t x n <= {MAX_COMP_DESIGN_CELLS})")
+        if t_max * self.size.n > MAX_TRIAL_CELLS:
+            raise InputError(f"COMP needs t <= {MAX_TRIAL_CELLS // self.size.n} "
+                             f"at n = {self.size.n} (t x n <= {MAX_TRIAL_CELLS})")
 
     def budgets(self) -> list[int]:
         if self.budget_range is None:
@@ -169,40 +181,36 @@ def guarantee_for(algorithm: str, size: ProblemSize) -> int:
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
-    """One independent trial, fully determined by (spec, trial_index).
-
-    Under erasure noise the oracle resubmits each erased adaptive test until
-    it lands. A binary search overrun (possible only under symmetric or
-    additive noise) ends the trial as a failure."""
-    n, k = spec.size.n, spec.size.k
+    """One trial, fully determined by (spec, trial_index) and seeded on its
+    own: the reference `run_trials` is checked against, and its replay."""
     seed = derive_stream_seed(spec.master_seed, trial_index)
     rng = make_rng(seed, 0)
-    truth = sample_defective_set(n, k, rng)
+    return _run_oracle(spec, sample_defective_set(spec.size.n, spec.size.k, rng), seed, rng)
+
+
+def _run_oracle(spec: ExperimentSpec, truth, seed: int, rng) -> TrialResult:
+    """The trial of stream seed `seed` and defectives `truth`, run against a
+    `TestOracle` on `rng` as sampling left it; COMP's design comes from
+    `make_rng(seed, 1)`. A binary search overrun (possible only under
+    symmetric or additive noise) ends the trial as a failure."""
+    n, k = spec.size.n, spec.size.k
     oracle = TestOracle(n, truth, spec.noise, rng)
     if spec.algorithm == "comp":
-        design_rng = make_rng(seed, 1)
-        result = comp_run(oracle, n, k, spec.comp_t, design_rng)
+        result = comp_run(oracle, n, k, spec.comp_t, make_rng(seed, 1))
     else:
         try:
             result = ADAPTIVE_ALGORITHMS[spec.algorithm](oracle, n, k)
         except SearchOverrun:
             return TrialResult(success=False, tests_used=oracle.tests_used)
-    return TrialResult(success=result.estimate == truth, tests_used=result.tests_used)
+    return TrialResult(success=result.estimate == oracle.truth, tests_used=result.tests_used)
 
 
 def run_trials(spec: ExperimentSpec) -> list[TrialResult]:
     """All trials of a spec, run serially in one process, in trial-index
-    order.
-
-    Adaptive trials on a noiseless or erasure channel are sampled as
-    `run_trial` samples them and then walked together (`_run_batch`); the
-    results equal `run_trial`'s trial by trial. Other trials go through
-    `run_trial`."""
+    order, in batches of at most `BATCH_CELLS` cells (`_run_batch`). The
+    results equal `run_trial`'s trial by trial."""
     if spec.algorithm == "comp" and spec.comp_t is None:
         raise InputError("comp trials need comp_t; success_curve sweeps a budget range")
-    if not (spec.algorithm in ADAPTIVE_ALGORITHMS
-            and spec.noise.kind in (NoiseKind.NOISELESS, NoiseKind.ERASURE)):
-        return [run_trial(spec, i) for i in range(spec.trials)]
     batch = max(1, BATCH_CELLS // max(spec.size.k, 1))
     return [r for lo in range(0, spec.trials, batch)
             for r in _run_batch(spec, lo, min(spec.trials, lo + batch))]
@@ -215,16 +223,18 @@ class InvariantBreach(Exception):
 
 def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
     """Trials start..stop-1, at most `BATCH_CELLS` cells (trials x k) or one
-    trial, firm outcomes being the truth. They are seeded and sampled in bulk
-    (`sample_defective_sets`), with the seeds `run_trial` derives; a trial
-    that numpy would sample on a rejection redraw, or every trial when the
-    bulk path does not apply, goes through `sample_defective_set`. The algorithm's firm tests and decodes come from
-    `batch_runs`. Under erasure each trial's generator is handed on to
-    `_land` as sampling left it."""
+    trial, seeded and sampled in bulk with `run_trial`'s seeds, sets and
+    generator states. COMP, symmetric and additive trials then run one by
+    one (`_run_oracle`); the others' firm tests and decodes come from
+    `batch_runs`, and under erasure `_land` places the erased submissions."""
     n, k = spec.size.n, spec.size.k
     erasure = spec.noise.kind is NoiseKind.ERASURE
-    seeds = derive_stream_seeds(derive_stream_seeds(spec.master_seed, np.arange(start, stop)), 0)
-    truths, rngs = sample_defective_sets(n, k, seeds)
+    trial_seeds = derive_stream_seeds(spec.master_seed, np.arange(start, stop))
+    truths, rngs = sample_defective_sets(n, k, derive_stream_seeds(trial_seeds, 0))
+    if spec.algorithm == "comp" or spec.noise.kind in _NOISY:
+        # the generators are one reused object: each trial ends before the next is taken
+        return [_run_oracle(spec, truth, seed, rng)
+                for truth, seed, rng in zip(truths.tolist(), trial_seeds.tolist(), rngs)]
     firm, success = batch_runs(spec.algorithm, n, truths)
     limit = guarantee_for(spec.algorithm, spec.size)
     bad = np.flatnonzero(~success | (firm > limit))

@@ -82,6 +82,17 @@ class TestLog2Binom:
                 assert log2_binom(ProblemSize(n, k)) == pytest.approx(
                     float(want), rel=1e-12), (n, k)
 
+    def test_against_mpmath_beyond_max_n(self):
+        # 2 pi k (n - k) overflows a float at these sizes; the last term is a
+        # sum of logs, so the answer stays finite
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(700):
+            for n, k in [(10 ** 200, 5 * 10 ** 199), (10 ** 300, 10 ** 150)]:
+                want = (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                        - mpmath.loggamma(n - k + 1)) / mpmath.log(2)
+                assert log2_binom(ProblemSize(n, k)) == pytest.approx(
+                    float(want), rel=1e-15), (n, k)
+
     def test_pure(self):
         s = ProblemSize(12345, 67)
         assert log2_binom(s) == log2_binom(s)

@@ -2,8 +2,12 @@
 import contextlib
 import io
 import json
+import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -73,6 +77,13 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload["log2_binom"] == 6636.949299179116
         assert payload["hwang_tests"] == 6642
+
+    def test_huge_n_and_k_within_the_float_range(self, capsys):
+        # 2 pi k (n - k) overflows a float here, but log2 C(n, k) does not
+        code, out, _ = run_cli(capsys, "bounds", "--n", str(10 ** 200),
+                               "--k", str(5 * 10 ** 199))
+        assert code == 0
+        assert json.loads(out)["log2_binom"] == pytest.approx(1e200, rel=1e-15)
 
     def test_invalid_k(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "4", "--k", "9")
@@ -210,12 +221,34 @@ class TestCapacityCommand:
     "capacity --beta 0.5 --n-list 1" + "0" * 400 + " --trials 1",
     "simulate --alg hgbsa --n 1000 --k 10 --noise erasure:0.9999999999 --trials 1",
     "bounds --n 1" + "0" * 400 + " --k 100",  # n beyond the float range, k > 64
+    # k beyond the float range: the variant's guarantee cannot be a float
+    f"bounds --n {10 ** 400} --k {10 ** 400}",
+    f"bounds --n {10 ** 400} --k {10 ** 400 - 5}",
 ])
 def test_bad_inputs_exit_2(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
     assert code == 2
     assert err.startswith("error:")
     assert not (tmp_path / "D").exists()  # rejected before any output
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --alg rbt --n 9007199254740992 --k 1 --noise symmetric:0.1 --trials 1",
+    "simulate --alg rbt --n 1000000 --k 1000 --noise symmetric:0.01 --trials 1",
+])
+def test_rbt_beyond_the_trial_cell_budget_exits_2(argv):
+    # per-trial RBT holds about n x (k + 4) items; in a child with a 2 GB
+    # address space and a timeout, a run past the budget fails fast instead
+    # of taking the machine's memory
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "grouptest.cli", *argv.split()],
+                          env=env, preexec_fn=limit_memory, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and str(harness.MAX_TRIAL_CELLS) in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

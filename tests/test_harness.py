@@ -19,6 +19,7 @@ from grouptest.harness import (
     MAX_BUDGETS,
     MAX_N,
     MAX_SUBMISSIONS,
+    MAX_TRIAL_CELLS,
     ExperimentSpec,
     curve_csv_lines,
     capacity_scan,
@@ -105,6 +106,19 @@ class TestSpecChecks:
         with pytest.raises(InputError, match=str(MAX_SUBMISSIONS)):
             ExperimentSpec(size=size, algorithm=alg, noise=NoiseModel.erasure(0.5),
                            trials=trials + 1)
+
+    @pytest.mark.parametrize("noise", [NoiseModel.symmetric(0.01), NoiseModel.additive(0.001)])
+    def test_noisy_rbt_cells_capped(self, noise):
+        # per-trial RBT holds about n x (k + 4) items; built only, never run
+        n = MAX_TRIAL_CELLS // 8
+        for size in (ProblemSize(n, 4), ProblemSize(9699, 30)):
+            ExperimentSpec(size=size, algorithm="rbt", noise=noise, trials=1)
+        for size in (ProblemSize(n + 1, 4), ProblemSize(MAX_TRIAL_CELLS // 4 + 1, 0)):
+            with pytest.raises(InputError, match=str(MAX_TRIAL_CELLS)):
+                ExperimentSpec(size=size, algorithm="rbt", noise=noise, trials=1)
+        # batched RBT keeps no candidate list, and splitting pools are ranges
+        ExperimentSpec(size=ProblemSize(MAX_N, 1), algorithm="rbt", trials=1)
+        ExperimentSpec(size=ProblemSize(MAX_N, 1), algorithm="hgbsa", noise=noise, trials=1)
 
     @pytest.mark.parametrize("alg", ["rbt", "hgbsa", "variant"])
     def test_guarantee_at_k0_is_zero(self, alg):

@@ -10,8 +10,8 @@ Fisher-Yates draw for draw. A search or a splitting run on `TestOracle` is
 `algorithms._halve` or `algorithms._split` over its `test`, and must match
 the reference's own `search` and `split`. The batched trials
 (`algorithms._split_walk` and `harness._land`) must give the reference's
-test counts and decodes, and `run_trials` must equal `run_trial` trial by
-trial.
+test counts and decodes, and `run_trials`, which seeds and samples every
+trial in bulk, must equal `run_trial` trial by trial.
 """
 import hashlib
 
@@ -533,19 +533,40 @@ def test_run_trials_equal_run_trial(alg, noise, n, k, trials):
     ("hgbsa", "erasure", 300, 8, 60),
     *[(alg, "noiseless", 2**53, k, 10)  # the largest n a spec accepts
       for alg in ("hgbsa", "variant") for k in (1, 2, 3)],
+    # COMP and the noisy channels run against an oracle, on the generator
+    # the bulk sampler hands on
+    ("comp", "symmetric", 10, 10, 20),  # k == n
+    ("rbt", "symmetric", 10, 10, 20),
+    ("variant", "additive", 10, 10, 20),
+    ("hgbsa", "symmetric", 50, 0, 20),
+    ("rbt", "additive", 50, 0, 20),
+    ("hgbsa", "additive", 2**32 + 7, 3, 10),  # numpy's 64-bit bounded draws
+    ("variant", "symmetric", 2**32 + 7, 3, 10),
+    ("comp", "additive", 300, 7, 60),  # odd k
+    ("comp", "erasure", 300, 7, 60),
+    ("rbt", "symmetric", 300, 7, 60),
+    ("hgbsa", "additive", 300, 7, 60),
+    ("comp", "noiseless", 1000, 200, harness.BATCH_CELLS // 200 + 1),
+    ("comp", "symmetric", 1000, 200, harness.BATCH_CELLS // 200 + 1),
+    ("hgbsa", "symmetric", 1000, 200, harness.BATCH_CELLS // 200 + 1),
+    ("rbt", "additive", 1000, 200, harness.BATCH_CELLS // 200 + 1),
 ])
 def test_run_trials_equal_run_trial_at_the_edges(alg, noise, n, k, trials):
     spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg, noise=NOISES[noise],
-                          trials=trials, master_seed=k + 1)
+                          trials=trials, master_seed=k + 1,
+                          comp_t=30 if alg == "comp" else None)
     assert run_trials(spec) == [run_trial(spec, i) for i in range(trials)]
 
 
-@pytest.mark.parametrize("noise", ["noiseless", "erasure"])
-def test_run_trials_fall_back_when_numpy_disagrees(monkeypatch, noise):
+@pytest.mark.parametrize("alg,noise", [("hgbsa", "noiseless"), ("hgbsa", "erasure"),
+                                       ("comp", "symmetric"), ("hgbsa", "symmetric")],
+                         ids=["noiseless", "erasure", "comp-symmetric", "symmetric"])
+def test_run_trials_fall_back_when_numpy_disagrees(monkeypatch, alg, noise):
     # a numpy whose bounded draws differ from the bulk arithmetic fails the
     # spot check, so every trial is sampled per trial and nothing changes
-    spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm="hgbsa",
-                          noise=NOISES[noise], trials=300, master_seed=4)
+    spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm=alg,
+                          noise=NOISES[noise], trials=300, master_seed=4,
+                          comp_t=60 if alg == "comp" else None)
     want = [run_trial(spec, i) for i in range(spec.trials)]
     bulk, per_trial = model._bulk_draws, []
 
@@ -558,6 +579,24 @@ def test_run_trials_fall_back_when_numpy_disagrees(monkeypatch, noise):
                         lambda *a: per_trial.append(1) or sample_defective_set(*a))
     assert run_trials(spec) == want
     assert len(per_trial) == spec.trials
+
+
+@pytest.mark.parametrize("alg,noise", [("comp", "noiseless"), ("comp", "erasure"),
+                                       ("rbt", "symmetric"), ("hgbsa", "additive"),
+                                       ("variant", "symmetric")])
+def test_run_trials_never_seeds_or_samples_per_trial(monkeypatch, alg, noise):
+    # every trial is seeded and sampled by `sample_defective_sets`; the only
+    # generator run_trials builds per trial is COMP's design stream 1
+    spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm=alg, noise=NOISES[noise],
+                          trials=50, master_seed=2, comp_t=40 if alg == "comp" else None)
+    want = [run_trial(spec, i) for i in range(spec.trials)]
+    make, streams = harness.make_rng, []
+    monkeypatch.setattr(harness, "make_rng",
+                        lambda seed, stream=0: streams.append(stream) or make(seed, stream))
+    monkeypatch.setattr(harness, "sample_defective_set",
+                        lambda *a: pytest.fail("a trial was sampled per trial"))
+    assert run_trials(spec) == want
+    assert streams == ([1] * spec.trials if alg == "comp" else [])
 
 
 # sha256 of `grouptest figure1 --trials 50 --seed 0`, computed with the

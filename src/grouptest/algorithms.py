@@ -234,10 +234,26 @@ def hwang_variant(oracle, n: int, k: int) -> RunResult:
                      tests_used=oracle.tests_used)
 
 
+def comp_design(rng: np.random.Generator, k: int, design: np.ndarray,
+                uniforms: np.ndarray) -> np.ndarray:
+    """COMP's Bernoulli(1/k) design drawn from `rng` into the boolean t x n
+    `design`, each empty row redrawn until none is; `uniforms` is a float
+    t x n buffer for the draws. Returns `design`."""
+    rng.random(out=uniforms)
+    np.less(uniforms, 1.0 / k, out=design)
+    empty = ~design.any(axis=1)
+    while empty.any():
+        redraw = uniforms[:int(empty.sum())]
+        rng.random(out=redraw)
+        design[empty] = redraw < 1.0 / k
+        empty = ~design.any(axis=1)
+    return design
+
+
 def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunResult:
-    """Non-adaptive COMP: a t x n Bernoulli(1/k) design (empty pools
-    resampled), tested in one `test_design` call; every item seen in a
-    negative pool is eliminated, the rest are declared defective.
+    """Non-adaptive COMP: a t x n Bernoulli(1/k) design (`comp_design`),
+    tested in one `test_design` call; every item seen in a negative pool is
+    eliminated, the rest are declared defective.
 
     On a noiseless oracle the estimate always contains every true defective.
     """
@@ -245,12 +261,7 @@ def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunRes
         raise ValueError(f"COMP needs t >= 1, got {t}")
     if k < 1:
         raise ValueError("COMP design density 1/k needs k >= 1")
-    design = rng.random((t, n)) < (1.0 / k)
-    while True:
-        empty = ~design.any(axis=1)
-        if not empty.any():
-            break
-        design[empty] = rng.random((int(empty.sum()), n)) < (1.0 / k)
+    design = comp_design(rng, k, np.empty((t, n), dtype=bool), np.empty((t, n)))
     negative_outcome = Outcome.NEGATIVE
     negative = np.array([o is negative_outcome for o in oracle.test_design(design)])
     estimate = frozenset(np.flatnonzero(~design[negative].any(axis=0)).tolist())

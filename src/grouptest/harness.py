@@ -12,11 +12,13 @@ directory. COMP's budget is its one field `comp_t`;
 Every trial derives its RNG stream from (master_seed, trial_index), so its
 result does not depend on which other trials run with it. `run_trials`
 seeds and samples every trial in bulk, a batch at a time (`_run_batch`).
-COMP and symmetric or additive trials then run one by one against a
-`TestOracle`; noiseless and erasure adaptive trials are answered together
-by `algorithms.batch_runs`, checked against the guarantee and landed
-through the erasures. `run_trial` seeds and samples one trial on its own:
-it is the reference, and replays any trial.
+COMP trials draw their designs from bulk-seeded streams into one reused
+buffer and decode with numpy (`_run_comp`); symmetric or additive adaptive
+trials run one by one against a `TestOracle`; noiseless and erasure
+adaptive trials are answered together by `algorithms.batch_runs`, checked
+against the guarantee and landed through the erasures. `run_trial` seeds
+and samples one trial on its own: it is the reference, and replays any
+trial.
 """
 from __future__ import annotations
 
@@ -29,15 +31,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .algorithms import ADAPTIVE_ALGORITHMS, SearchOverrun, batch_runs, comp_run
+from .algorithms import (ADAPTIVE_ALGORITHMS, SearchOverrun, batch_runs, comp_design,
+                         comp_run)
 from .bounds import InputError, NoiseKind, NoiseModel, ProblemSize
-from .model import (TestOracle, derive_stream_seed, derive_stream_seeds, make_rng,
-                    sample_defective_set, sample_defective_sets)
+from .model import (TestOracle, derive_stream_seed, derive_stream_seeds, design_negatives,
+                    make_rng, sample_defective_set, sample_defective_sets, seeded_generators)
 
 _WILSON_Z = 1.959963984540054  # 95%
 # Most cells one trial may hold, so that it stays under about 350 MB: COMP's
-# t x n design (`comp_run` peaks near 9 bytes a cell: the uniform draws and
-# the design) and symmetric or additive RBT's n x (k + 4) items (`_check_rbt`).
+# t x n design (`comp_design` draws into a float and a bool t x n buffer,
+# about 9 bytes a cell) and symmetric or additive RBT's n x (k + 4) items
+# (`_check_rbt`).
 MAX_TRIAL_CELLS = 1 << 25
 # Most trials x k cells sampled and walked together, max(1, BATCH_CELLS // k)
 # trials: the sampler and the walk peak at 80-200 bytes a cell (190 MB at one
@@ -224,14 +228,17 @@ class InvariantBreach(Exception):
 def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
     """Trials start..stop-1, at most `BATCH_CELLS` cells (trials x k) or one
     trial, seeded and sampled in bulk with `run_trial`'s seeds, sets and
-    generator states. COMP, symmetric and additive trials then run one by
-    one (`_run_oracle`); the others' firm tests and decodes come from
-    `batch_runs`, and under erasure `_land` places the erased submissions."""
+    generator states. COMP trials then run without an oracle (`_run_comp`),
+    symmetric and additive ones one by one (`_run_oracle`); the others' firm
+    tests and decodes come from `batch_runs`, and under erasure `_land`
+    places the erased submissions."""
     n, k = spec.size.n, spec.size.k
     erasure = spec.noise.kind is NoiseKind.ERASURE
     trial_seeds = derive_stream_seeds(spec.master_seed, np.arange(start, stop))
     truths, rngs = sample_defective_sets(n, k, derive_stream_seeds(trial_seeds, 0))
-    if spec.algorithm == "comp" or spec.noise.kind in _NOISY:
+    if spec.algorithm == "comp":
+        return _run_comp(spec, truths, trial_seeds, rngs)
+    if spec.noise.kind in _NOISY:
         # the generators are one reused object: each trial ends before the next is taken
         return [_run_oracle(spec, truth, seed, rng)
                 for truth, seed, rng in zip(truths.tolist(), trial_seeds.tolist(), rngs)]
@@ -247,6 +254,26 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
             f"{firm[i]} firm tests, guarantee {limit}")
     used = _land(firm.tolist(), spec.noise.p, rngs) if erasure else firm.tolist()
     return [TrialResult(s, t) for s, t in zip(success.tolist(), used)]
+
+
+def _run_comp(spec: ExperimentSpec, truths: np.ndarray, trial_seeds: np.ndarray,
+              rngs) -> list[TrialResult]:
+    """COMP trials as `_run_oracle` runs them, without an oracle: each design
+    comes from stream 1 of its trial seed, seeded in bulk and drawn into one
+    t x n buffer reused by every trial, and its rows' outcomes from the
+    generator sampling left (`design_negatives`). An item in no negative
+    row is declared defective."""
+    n, k, t = spec.size.n, spec.size.k, spec.comp_t
+    design, uniforms = np.empty((t, n), dtype=bool), np.empty((t, n))
+    results = []
+    for truth, rng, design_rng in zip(truths, rngs,
+                                      seeded_generators(derive_stream_seeds(trial_seeds, 1))):
+        comp_design(design_rng, k, design, uniforms)
+        negative = design_negatives(design[:, truth].any(axis=1), spec.noise, rng)
+        cleared = design[negative].any(axis=0)
+        success = not cleared[truth].any() and n - int(np.count_nonzero(cleared)) == k
+        results.append(TrialResult(success=success, tests_used=t))
+    return results
 
 
 def _land(firm: list[int], p: float, rngs) -> list[int]:

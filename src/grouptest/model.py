@@ -15,12 +15,16 @@ and `sample_defective_sets` compute the same seeds, sets and generator states
 for many trials at once with numpy, bit for bit: SeedSequence's hash,
 PCG64's 128-bit LCG in 32-bit limbs and numpy's Lemire bounded draws. A row
 numpy would redraw after a rejection, and every row of a size the bulk path
-does not cover, goes through `sample_defective_set` itself.
+does not cover, goes through `sample_defective_set` itself. The seeding half,
+`SeedSequence` then PCG64's srandom (`_pcg_seeded`), also serves
+`seeded_generators`, which hands out `PCG64(seed)` generators for many seeds
+on one reused object; the LCG jump tables are built once per step count.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,8 +140,14 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
 
 
 def _limbs(values) -> np.ndarray:
-    """128-bit ints as a (4, len) array of 32-bit limbs, lowest first."""
-    return np.array([[v >> 32 * i & _U32 for v in values] for i in range(4)], dtype=np.uint64)
+    """128-bit ints as a (4, len) uint32 array of limbs, lowest first."""
+    return np.array([[v >> 32 * i & _U32 for v in values] for i in range(4)], dtype=np.uint32)
+
+
+def _wide(limbs: np.ndarray) -> list:
+    """A (4, rows) array of 32-bit limbs as a list of 128-bit ints."""
+    return [h << 64 | l for h, l in zip((limbs[3] << 32 | limbs[2]).tolist(),
+                                        (limbs[1] << 32 | limbs[0]).tolist())]
 
 
 def _carry(columns: np.ndarray) -> np.ndarray:
@@ -149,22 +159,49 @@ def _carry(columns: np.ndarray) -> np.ndarray:
     return columns
 
 
-def _pcg_states(x: np.ndarray, inc: np.ndarray, steps: int) -> np.ndarray:
-    """PCG64 states after 1..steps LCG steps s -> s * MULT + inc from state x,
-    as limbs of shape (4, rows, steps). Step e is jumped to directly:
-    MULT^e x + (MULT^(e-1) + ... + 1) inc, mod 2^128."""
+@lru_cache(maxsize=1)
+def _jump_tables(steps: int) -> tuple:
+    """Limbs of MULT^e and of MULT^(e-1) + ... + 1 for e = 0..steps, each a
+    read-only (4, steps + 1) array: they depend on `steps` alone, so batch
+    after batch of one spec reuses them."""
     jumps, sums, a, g = [], [], 1, 0
-    for _ in range(steps):
-        a, g = a * _PCG_MULT & _MASK128, g + a
+    for _ in range(steps + 1):
         jumps.append(a)
         sums.append(g)
-    columns = np.zeros((4, x.shape[1], steps), dtype=np.uint64)
-    for v, c in ((x, _limbs(jumps)), (inc, _limbs(sums))):
+        a, g = a * _PCG_MULT & _MASK128, g + a
+    tables = _limbs(jumps), _limbs(sums)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+# one LCG step, for seeding: kept out of `_jump_tables`, whose one entry is
+# the sampler's
+_ONE_STEP = _limbs([_PCG_MULT]), _limbs([1])
+
+
+def _lcg_jumps(x: np.ndarray, inc: np.ndarray, jumps: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """PCG64 states jumped from each state x by the LCG step
+    s -> s * MULT + inc, as limbs of shape (4, rows, columns of the tables):
+    column e is jumps[e] x + sums[e] inc, mod 2^128."""
+    columns = np.zeros((4, x.shape[1], jumps.shape[1]), dtype=np.uint64)
+    for v, c in ((x, jumps), (inc, sums)):
         for i in range(4):
             p = v[i][:, None] * c[:4 - i, None, :]  # v_i c_j < 2^64, j < 4 - i
             columns[i:] += p & _U32
             columns[i + 1:] += p[:3 - i] >> 32
     return _carry(columns)
+
+
+def _pcg_seeded(seeds: np.ndarray) -> tuple:
+    """(state, inc) of `PCG64(seed)` for each uint64 seed, each as (4, rows)
+    limbs: `SeedSequence(seed)`'s eight words, then srandom, which sets
+    inc = 2 seq + 1 and state = (inc + init) * MULT + inc."""
+    w = _seed_words(seeds)
+    init = np.stack((w[2], w[3], w[0], w[1]))  # the 64-bit words are (high, low)
+    seq = np.stack((w[6], w[7], w[4], w[5]))
+    inc = (seq << 1 | np.vstack((np.ones_like(seeds), seq[:-1] >> 31))) & _U32
+    return _lcg_jumps(_carry(inc + init), inc, *_ONE_STEP)[:, :, 0], inc
 
 
 def _bulk_draws(seeds: np.ndarray, n: int, k: int) -> tuple:
@@ -174,13 +211,9 @@ def _bulk_draws(seeds: np.ndarray, n: int, k: int) -> tuple:
     handoff[r] is the (state, inc, has_uint32, uinteger) of `bit_generator.state`
     that row r is left in; uinteger, the high half of the last output (0 if
     none), is what numpy keeps for the next 32-bit draw when k is odd."""
-    w = _seed_words(seeds)
-    init = np.stack((w[2], w[3], w[0], w[1]))  # the 64-bit words are (high, low)
-    seq = np.stack((w[6], w[7], w[4], w[5]))
-    # srandom: inc = 2 seq + 1; state = (inc + init) * MULT + inc
-    inc = (seq << 1 | np.vstack((np.ones_like(seeds), seq[:-1] >> 31))) & _U32
+    state, inc = _pcg_seeded(seeds)
     outputs = (k + 1) // 2  # each 64-bit output gives two 32-bit words
-    s = _pcg_states(_carry(inc + init), inc, outputs + 1)
+    s = _lcg_jumps(state, inc, *_jump_tables(outputs))
     high, low = s[3] << 32 | s[2], s[1] << 32 | s[0]  # the 64-bit halves
     # XSL-RR: high ^ low rotated right by the top 6 bits of high
     xored, rot = (high ^ low)[:, 1:], high[:, 1:] >> 58
@@ -195,9 +228,8 @@ def _bulk_draws(seeds: np.ndarray, n: int, k: int) -> tuple:
         rejected |= ((m & _U32) < (1 << 32) % ranges).any(axis=1)
         draws[:, half::2] = m >> 32
     last = out[:, -1] >> 32 if outputs else np.zeros(len(seeds), dtype=np.uint64)
-    wide = [[h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
-            for hi, lo in ((high[:, -1], low[:, -1]), (inc[3] << 32 | inc[2], inc[1] << 32 | inc[0]))]
-    return draws, rejected, list(zip(*wide, [k & 1] * len(seeds), last.tolist()))
+    return draws, rejected, list(zip(_wide(s[:, :, -1]), _wide(inc), [k & 1] * len(seeds),
+                                     last.tolist()))
 
 
 def _state_tuple(rng: np.random.Generator) -> tuple:
@@ -216,6 +248,14 @@ def _handed_on(handoff):
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                       "has_uint32": has_uint32, "uinteger": uinteger}
         yield rng
+
+
+def seeded_generators(seeds):
+    """`Generator(PCG64(seed))` for each uint64 seed, yielded in turn and
+    seeded in bulk (`_pcg_seeded`). They are one reused Generator, so each is
+    valid until the next is taken."""
+    state, inc = _pcg_seeded(np.asarray(seeds, dtype=np.uint64))
+    return _handed_on((s, i, 0, 0) for s, i in zip(_wide(state), _wide(inc)))
 
 
 def sample_defective_sets(n: int, k: int, seeds) -> tuple:
@@ -299,6 +339,16 @@ def _channel_column(hit: np.ndarray, u: np.ndarray, model: NoiseModel) -> np.nda
 
 
 _BLOCK = 256  # noise uniforms drawn per refill
+
+
+def design_negatives(hit: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+    """Which rows of a design come out NEGATIVE as the first `test_design` of
+    a fresh `TestOracle` on `rng`, given each row's raw outcome `hit`: the
+    same channel on the same uniforms. The oracle draws them 256 at a time;
+    this draws only those it reads, and a noiseless channel none."""
+    if noise.kind is NoiseKind.NOISELESS:
+        return ~hit
+    return _channel_column(hit, rng.random(len(hit)), noise) == _NEG
 
 
 class TestOracle:

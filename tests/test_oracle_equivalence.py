@@ -512,6 +512,12 @@ def test_run_trials_equal_run_trial(alg, noise, n, k, trials):
     assert run_trials(spec) == [run_trial(spec, i) for i in range(trials)]
 
 
+# (n, k, trials) of the batched COMP edge rows, and the budgets other than 30
+COMP_EDGES = ((3, 3, 20), (6, 3, 20), (20, 2, 20), (10, 10, 20), (300, 7, 60))
+COMP_EDGE_BUDGETS = {(20, 2): 300}
+EDGE_NOISES = {**NOISES, "erasure1.0": NoiseModel.erasure(1.0)}
+
+
 @pytest.mark.parametrize("alg,noise,n,k,trials", [
     ("hgbsa", "noiseless", 10, 10, 20),  # k == n: every row per trial
     ("variant", "erasure", 10, 10, 20),
@@ -550,17 +556,27 @@ def test_run_trials_equal_run_trial(alg, noise, n, k, trials):
     ("comp", "symmetric", 1000, 200, harness.BATCH_CELLS // 200 + 1),
     ("hgbsa", "symmetric", 1000, 200, harness.BATCH_CELLS // 200 + 1),
     ("rbt", "additive", 1000, 200, harness.BATCH_CELLS // 200 + 1),
+    # batched COMP under every channel: empty rows redrawn at (3, 3) and
+    # (6, 3), the oracle's noise draw across a block of 256 at (20, 2), k == n,
+    # odd k
+    *[("comp", noise, n, k, trials) for n, k, trials in COMP_EDGES for noise in NOISES
+      if (noise, n, k) not in (("symmetric", 10, 10), ("additive", 300, 7),
+                               ("erasure", 300, 7))],  # listed above
+    ("comp", "erasure1.0", 6, 3, 20),  # every row erased
+    ("comp", "erasure1.0", 10, 10, 20),
 ])
 def test_run_trials_equal_run_trial_at_the_edges(alg, noise, n, k, trials):
-    spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg, noise=NOISES[noise],
+    spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg, noise=EDGE_NOISES[noise],
                           trials=trials, master_seed=k + 1,
-                          comp_t=30 if alg == "comp" else None)
+                          comp_t=COMP_EDGE_BUDGETS.get((n, k), 30) if alg == "comp" else None)
     assert run_trials(spec) == [run_trial(spec, i) for i in range(trials)]
 
 
 @pytest.mark.parametrize("alg,noise", [("hgbsa", "noiseless"), ("hgbsa", "erasure"),
-                                       ("comp", "symmetric"), ("hgbsa", "symmetric")],
-                         ids=["noiseless", "erasure", "comp-symmetric", "symmetric"])
+                                       ("comp", "symmetric"), ("hgbsa", "symmetric"),
+                                       ("comp", "additive")],
+                         ids=["noiseless", "erasure", "comp-symmetric", "symmetric",
+                              "comp-additive"])
 def test_run_trials_fall_back_when_numpy_disagrees(monkeypatch, alg, noise):
     # a numpy whose bounded draws differ from the bulk arithmetic fails the
     # spot check, so every trial is sampled per trial and nothing changes
@@ -585,8 +601,9 @@ def test_run_trials_fall_back_when_numpy_disagrees(monkeypatch, alg, noise):
                                        ("rbt", "symmetric"), ("hgbsa", "additive"),
                                        ("variant", "symmetric")])
 def test_run_trials_never_seeds_or_samples_per_trial(monkeypatch, alg, noise):
-    # every trial is seeded and sampled by `sample_defective_sets`; the only
-    # generator run_trials builds per trial is COMP's design stream 1
+    # every trial is seeded and sampled by `sample_defective_sets`, and COMP's
+    # design streams are seeded in bulk too: run_trials builds no generator
+    # per trial, only a few bit generators per batch (one batch here)
     spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm=alg, noise=NOISES[noise],
                           trials=50, master_seed=2, comp_t=40 if alg == "comp" else None)
     want = [run_trial(spec, i) for i in range(spec.trials)]
@@ -595,8 +612,11 @@ def test_run_trials_never_seeds_or_samples_per_trial(monkeypatch, alg, noise):
                         lambda seed, stream=0: streams.append(stream) or make(seed, stream))
     monkeypatch.setattr(harness, "sample_defective_set",
                         lambda *a: pytest.fail("a trial was sampled per trial"))
+    pcg64, built = np.random.PCG64, []
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or pcg64(*a))
     assert run_trials(spec) == want
-    assert streams == ([1] * spec.trials if alg == "comp" else [])
+    assert streams == []
+    assert len(built) <= 3
 
 
 # sha256 of `grouptest figure1 --trials 50 --seed 0`, computed with the

@@ -11,9 +11,10 @@ alpha = floor(log2((m-k'+1)/k')), or 1 once m <= 2k'-2; and the variant's
 ceil(m * (1 - 2^(-1/k'))), at least 1, which never exceeds m-k'.
 
 `batch_runs` answers many runs at once with numpy, where firm outcomes are
-the truth: RBT's firm count is a constant, and `_split_walk` steps every
-round of every splitting run together, each an independent row, by the rules
-over arrays in `SPLIT_GROUP_SIZES`.
+the truth (the channels in `model.TRUTHFUL_CHANNELS`): RBT's firm count is a
+constant, and `_split_walk` steps every round of every splitting run
+together, each an independent row, by the rules over arrays in
+`SPLIT_GROUP_SIZES`.
 
 All adaptive algorithms assume noiseless-equivalent oracle behaviour, which a
 noiseless oracle gives and an erasure oracle gives by resubmitting every

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import bounds, harness
 from .algorithms import ADAPTIVE_ALGORITHMS, ALGORITHM_NAMES
 from .bounds import InputError, NoiseKind, NoiseModel, ProblemSize
+from .model import TRUTHFUL_CHANNELS
 
 
 def parse_noise(text: str) -> NoiseModel:
@@ -103,7 +104,7 @@ def cmd_simulate(args) -> int:
     }
     if spec.algorithm in ADAPTIVE_ALGORITHMS and spec.size.k >= 1:
         payload["guarantee_tests"] = harness.guarantee_for(spec.algorithm, spec.size)
-        if spec.noise.kind in (NoiseKind.SYMMETRIC, NoiseKind.ADDITIVE):
+        if spec.noise.kind not in TRUTHFUL_CHANNELS:
             payload["no_guarantee"] = True  # no decoder exists for these channels
     if spec.algorithm == "comp":
         payload["t"] = spec.comp_t

@@ -13,12 +13,13 @@ Every trial derives its RNG stream from (master_seed, trial_index), so its
 result does not depend on which other trials run with it. `run_trials`
 seeds and samples every trial in bulk, a batch at a time (`_run_batch`).
 COMP trials draw their designs from bulk-seeded streams into one reused
-buffer and decode with numpy (`_run_comp`); symmetric or additive adaptive
-trials run one by one against a `TestOracle`; noiseless and erasure
-adaptive trials are answered together by `algorithms.batch_runs`, checked
-against the guarantee and landed through the erasures. `run_trial` seeds
-and samples one trial on its own: it is the reference, and replays any
-trial.
+buffer and decode with numpy (`_run_comp`); adaptive trials on a channel
+in `model.TRUTHFUL_CHANNELS` (noiseless, erasure) are answered together by
+`algorithms.batch_runs`, checked against the guarantee and landed through
+the erasures (`model.erasure_submissions`), and the others run one by one
+against a `TestOracle`. This module reads no noise uniform. `run_trial`
+seeds and samples one trial on its own: it is the reference, and replays
+any trial.
 """
 from __future__ import annotations
 
@@ -34,14 +35,15 @@ from . import bounds
 from .algorithms import (ADAPTIVE_ALGORITHMS, SearchOverrun, batch_runs, comp_design,
                          comp_run)
 from .bounds import InputError, NoiseKind, NoiseModel, ProblemSize
-from .model import (TestOracle, derive_stream_seed, derive_stream_seeds, design_negatives,
-                    make_rng, sample_defective_set, sample_defective_sets, seeded_generators)
+from .model import (TRUTHFUL_CHANNELS, TestOracle, derive_stream_seed, derive_stream_seeds,
+                    design_negatives, erasure_submissions, make_rng, sample_defective_set,
+                    sample_defective_sets, seeded_generators)
 
 _WILSON_Z = 1.959963984540054  # 95%
 # Most cells one trial may hold, so that it stays under about 350 MB: COMP's
 # t x n design (`comp_design` draws into a float and a bool t x n buffer,
-# about 9 bytes a cell) and symmetric or additive RBT's n x (k + 4) items
-# (`_check_rbt`).
+# about 9 bytes a cell), symmetric or additive RBT's n x (k + 4) items
+# (`_check_rbt`), and 32 cells a defective to sample and walk (240 MB at 2^20).
 MAX_TRIAL_CELLS = 1 << 25
 # Most trials x k cells sampled and walked together, max(1, BATCH_CELLS // k)
 # trials: the sampler and the walk peak at 80-200 bytes a cell (190 MB at one
@@ -54,10 +56,9 @@ MAX_BUDGETS = 1 << 16
 # `np.frexp`, exact only for integers up to 2^53.
 MAX_N = 1 << 53
 # Most expected submissions an adaptive erasure spec accepts, trials x
-# guarantee / (1 - p): `_land` deals 1-2e8 uniforms a second, so a run at the
-# cap takes under a minute, while p near 1 would otherwise run for hours.
+# guarantee / (1 - p): `erasure_submissions` deals 1-2e8 uniforms a second, so
+# a run at the cap takes under a minute, while p near 1 would run for hours.
 MAX_SUBMISSIONS = 1 << 32
-_NOISY = (NoiseKind.SYMMETRIC, NoiseKind.ADDITIVE)  # channels with no decoder
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,9 @@ class ExperimentSpec:
             raise InputError("need at least one trial")
         if self.size.n > MAX_N:
             raise InputError(f"n must be <= {MAX_N}, got {self.size.n}")
+        if self.size.k > MAX_TRIAL_CELLS >> 5:
+            raise InputError(f"k must be <= {MAX_TRIAL_CELLS >> 5} (32 cells a defective, "
+                             f"at most {MAX_TRIAL_CELLS} a trial), got {self.size.k}")
         if self.budget_range is not None:
             t_min, t_max, step = self.budget_range
             if t_min > t_max or step < 1 or t_min < 0:
@@ -89,7 +93,7 @@ class ExperimentSpec:
                              "runs until it decodes")
         if self.algorithm in ADAPTIVE_ALGORITHMS and self.noise.kind is NoiseKind.ERASURE:
             self._check_erasure()
-        if self.algorithm == "rbt" and self.noise.kind in _NOISY:
+        if self.algorithm == "rbt" and self.noise.kind not in TRUTHFUL_CHANNELS:
             self._check_rbt()
 
     def _check_rbt(self):
@@ -229,16 +233,15 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
     """Trials start..stop-1, at most `BATCH_CELLS` cells (trials x k) or one
     trial, seeded and sampled in bulk with `run_trial`'s seeds, sets and
     generator states. COMP trials then run without an oracle (`_run_comp`),
-    symmetric and additive ones one by one (`_run_oracle`); the others' firm
-    tests and decodes come from `batch_runs`, and under erasure `_land`
-    places the erased submissions."""
+    those on a channel with no decoder one by one (`_run_oracle`); the
+    others' firm tests and decodes come from `batch_runs`, and their
+    submissions from `erasure_submissions`."""
     n, k = spec.size.n, spec.size.k
-    erasure = spec.noise.kind is NoiseKind.ERASURE
     trial_seeds = derive_stream_seeds(spec.master_seed, np.arange(start, stop))
     truths, rngs = sample_defective_sets(n, k, derive_stream_seeds(trial_seeds, 0))
     if spec.algorithm == "comp":
         return _run_comp(spec, truths, trial_seeds, rngs)
-    if spec.noise.kind in _NOISY:
+    if spec.noise.kind not in TRUTHFUL_CHANNELS:
         # the generators are one reused object: each trial ends before the next is taken
         return [_run_oracle(spec, truth, seed, rng)
                 for truth, seed, rng in zip(truths.tolist(), trial_seeds.tolist(), rngs)]
@@ -252,7 +255,7 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
             f"{spec.algorithm} at n={n}, k={k}, noise {spec.noise.kind.value}:"
             f"{spec.noise.p:g}: decoded {'right' if success[i] else 'wrongly'} in "
             f"{firm[i]} firm tests, guarantee {limit}")
-    used = _land(firm.tolist(), spec.noise.p, rngs) if erasure else firm.tolist()
+    used = erasure_submissions(firm.tolist(), spec.noise, rngs)
     return [TrialResult(s, t) for s, t in zip(success.tolist(), used)]
 
 
@@ -274,24 +277,6 @@ def _run_comp(spec: ExperimentSpec, truths: np.ndarray, trial_seeds: np.ndarray,
         success = not cleared[truth].any() and n - int(np.count_nonzero(cleared)) == k
         results.append(TrialResult(success=success, tests_used=t))
     return results
-
-
-def _land(firm: list[int], p: float, rngs) -> list[int]:
-    """Submissions per trial under erasure: its firm tests land in order on
-    the uniforms u >= p its generator deals next, and each u < p is an
-    erased submission. Draws are capped in size; that changes no value."""
-    used = []
-    for left, rng in zip(firm, rngs):
-        spent = 0
-        while left:
-            u = rng.random(min(1 << 16, int(left / (1 - p)) + 64))
-            lands = np.flatnonzero(u >= p)
-            if len(lands) >= left:
-                spent += int(lands[left - 1]) + 1
-                break
-            spent, left = spent + len(u), left - len(lands)
-        used.append(spent)
-    return used
 
 
 def success_curve(spec: ExperimentSpec) -> SuccessCurve:

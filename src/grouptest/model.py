@@ -19,6 +19,11 @@ does not cover, goes through `sample_defective_set` itself. The seeding half,
 `SeedSequence` then PCG64's srandom (`_pcg_seeded`), also serves
 `seeded_generators`, which hands out `PCG64(seed)` generators for many seeds
 on one reused object; the LCG jump tables are built once per step count.
+
+Each noise channel is defined once, as a row of the transition table
+`_CHANNELS`. `TestOracle` reads it test by test; its batched stand-ins,
+`design_negatives` and `erasure_submissions`, deal a trial the oracle's
+uniforms in bulk. No other module draws or compares a noise uniform.
 """
 from __future__ import annotations
 
@@ -302,40 +307,24 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     return truths, _handed_on(handoff)
 
 
-def _channel(out: Outcome, u: float, model: NoiseModel) -> Outcome:
-    """The noise channel applied to a raw outcome, given its uniform u."""
-    kind = model.kind
-    if kind is NoiseKind.NOISELESS:
-        return out
-    if kind is NoiseKind.ERASURE:
-        return Outcome.ERASED if u < model.p else out
-    if kind is NoiseKind.SYMMETRIC:
-        if u < model.p:
-            return Outcome.NEGATIVE if out is Outcome.POSITIVE else Outcome.POSITIVE
-        return out
-    # Additive (Z-channel): only negatives are corrupted.
-    if out is Outcome.NEGATIVE and u < model.p:
-        return Outcome.POSITIVE
-    return out
+# The noise channels, one transition table: a test of raw outcome `raw` (0
+# negative, 1 positive) and uniform u comes out as _OUTCOMES[_CHANNELS[kind][raw][u < p]].
+_OUTCOMES = (Outcome.NEGATIVE, Outcome.POSITIVE, Outcome.ERASED)
+_CHANNELS = {
+    NoiseKind.NOISELESS: ((0, 0), (1, 1)),
+    NoiseKind.ERASURE: ((0, 2), (1, 2)),
+    NoiseKind.SYMMETRIC: ((0, 1), (1, 0)),
+    NoiseKind.ADDITIVE: ((0, 1), (1, 1)),  # the Z-channel: only negatives are corrupted
+}
+# The channels whose firm (not erased) outcomes are the truth, so a trial is
+# answered from its truth alone (`algorithms.batch_runs`); the rest have no decoder.
+TRUTHFUL_CHANNELS = frozenset(kind for kind, (neg, pos) in _CHANNELS.items()
+                              if {*neg} <= {0, 2} and {*pos} <= {1, 2})
 
 
-_NEG, _POS, _ERA = 0, 1, 2  # outcome codes of `_channel_column`
-_OUTCOMES = np.array([Outcome.NEGATIVE, Outcome.POSITIVE, Outcome.ERASED], dtype=object)
-
-
-def _channel_column(hit: np.ndarray, u: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """`_channel` over a column of raw outcomes (`hit` is True for positive),
-    one uniform each; returns outcome codes indexing `_OUTCOMES`."""
-    kind = model.kind
-    out = hit.astype(np.int8)
-    if kind is NoiseKind.NOISELESS:
-        return out
-    if kind is NoiseKind.ERASURE:
-        return np.where(u < model.p, _ERA, out)
-    if kind is NoiseKind.SYMMETRIC:
-        return np.where(u < model.p, _POS - out, out)
-    # Additive (Z-channel): only negatives are corrupted.
-    return np.where((out == _NEG) & (u < model.p), _POS, out)
+def _channel_codes(hit: np.ndarray, u: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """The outcome codes of raw outcomes `hit` (True: positive), given uniforms `u`."""
+    return np.array(_CHANNELS[noise.kind])[hit.astype(np.intp), (u < noise.p).astype(np.intp)]
 
 
 _BLOCK = 256  # noise uniforms drawn per refill
@@ -348,7 +337,29 @@ def design_negatives(hit: np.ndarray, noise: NoiseModel, rng: np.random.Generato
     this draws only those it reads, and a noiseless channel none."""
     if noise.kind is NoiseKind.NOISELESS:
         return ~hit
-    return _channel_column(hit, rng.random(len(hit)), noise) == _NEG
+    return _channel_codes(hit, rng.random(len(hit)), noise) == 0
+
+
+def erasure_submissions(firm: list[int], noise: NoiseModel, rngs) -> list[int]:
+    """Each trial's submissions on a channel in `TRUTHFUL_CHANNELS`, as
+    `TestOracle.test` makes them on the generator `rngs` yields for it. Under
+    erasure its `firm` tests land in order on the uniforms u >= p dealt next,
+    and each u < p is an erased one; the noiseless channel returns `firm` and
+    takes no generator. Draws are capped in size; that changes no value."""
+    if noise.kind is not NoiseKind.ERASURE:
+        return firm
+    p, used = noise.p, []
+    for left, rng in zip(firm, rngs):
+        spent = 0
+        while left:
+            u = rng.random(min(1 << 16, int(left / (1 - p)) + 64))
+            lands = np.flatnonzero(u >= p)
+            if len(lands) >= left:
+                spent += int(lands[left - 1]) + 1
+                break
+            spent, left = spent + len(u), left - len(lands)
+        used.append(spent)
+    return used
 
 
 class TestOracle:
@@ -373,8 +384,8 @@ class TestOracle:
       `tests_used`, uses its own uniform and is logged. At erasure
       probability 1 no submission lands, so `test` raises ValueError instead
       of resubmitting forever.
-    - Test j (0-based) is pushed through the noise channel `_channel` with
-      the j-th uniform of `rng`; a noiseless test still uses up its uniform.
+    - Test j (0-based) goes through the channel table `_CHANNELS` with the
+      j-th uniform of `rng`; a noiseless test still uses up its uniform.
     - The uniforms are drawn `rng.random(256)` at a time, so after the last
       test `rng` sits ceil(tests_used / 256) * 256 draws on. Do not draw from
       `rng` once it is handed to the oracle.
@@ -394,6 +405,7 @@ class TestOracle:
         self._log: list = []
         self._sorted_truth = sorted(truth)
         self._uniforms: list[float] = []
+        self._channel = _CHANNELS[noise.kind]
 
     @property
     def transcript(self) -> list[tuple[Sequence[int], Outcome]]:
@@ -429,17 +441,17 @@ class TestOracle:
             hit = not self.truth.isdisjoint(pool)
         if not pool:
             raise ValueError("cannot test an empty pool")
-        raw = Outcome.POSITIVE if hit else Outcome.NEGATIVE
+        row, p = self._channel[hit], self.noise.p
         while True:
             j = self.tests_used % _BLOCK
             if j == 0:
                 self._uniforms = self.rng.random(_BLOCK).tolist()
-            out = _channel(raw, self._uniforms[j], self.noise)
+            out = _OUTCOMES[row[self._uniforms[j] < p]]
             self.tests_used += 1
             self._log.append((pool, out))
             if out is not Outcome.ERASED:
                 return out
-            if self.noise.p >= 1.0:
+            if p >= 1.0:
                 raise ValueError("erasure probability 1: no test ever lands")
 
     def test_design(self, design) -> list[Outcome]:
@@ -454,9 +466,9 @@ class TestOracle:
             raise ValueError("cannot test an empty pool")
         design.flags.writeable = False
         u = self._take_uniforms(len(design))
-        codes = _channel_column(design[:, self._sorted_truth].any(axis=1),
-                                np.asarray(u), self.noise)
-        outs = _OUTCOMES[codes].tolist()
+        codes = _channel_codes(design[:, self._sorted_truth].any(axis=1), np.asarray(u),
+                               self.noise)
+        outs = [_OUTCOMES[c] for c in codes.tolist()]
         self._log.append((design, outs))
         return outs
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from grouptest.bounds import ceil_log2
 from grouptest.algorithms import SearchOverrun
-from grouptest.model import Outcome, _channel
+from grouptest.model import _CHANNELS, _OUTCOMES, Outcome
 
 
 def truth_outcome(pool, truth):
@@ -26,12 +26,12 @@ def apply_noise(out, model, rng):
 
     Always consumes exactly one RNG variate, `rng.random()`, even for the
     noiseless channel, so transcripts stay aligned across noise models under
-    a shared seed. `TestOracle` applies the same channel to the same stream
-    of uniforms, one per test.
+    a shared seed. `TestOracle` reads the same channel table on the same
+    stream of uniforms, one per test.
     """
     if out is Outcome.ERASED:
         raise ValueError("noise channels apply to raw outcomes only, not ERASED")
-    return _channel(out, rng.random(), model)
+    return _OUTCOMES[_CHANNELS[model.kind][_OUTCOMES.index(out)][rng.random() < model.p]]
 
 
 class PoolOracle:

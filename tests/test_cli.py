@@ -232,14 +232,9 @@ def test_bad_inputs_exit_2(capsys, tmp_path, argv):
     assert not (tmp_path / "D").exists()  # rejected before any output
 
 
-@pytest.mark.parametrize("argv", [
-    "simulate --alg rbt --n 9007199254740992 --k 1 --noise symmetric:0.1 --trials 1",
-    "simulate --alg rbt --n 1000000 --k 1000 --noise symmetric:0.01 --trials 1",
-])
-def test_rbt_beyond_the_trial_cell_budget_exits_2(argv):
-    # per-trial RBT holds about n x (k + 4) items; in a child with a 2 GB
-    # address space and a timeout, a run past the budget fails fast instead
-    # of taking the machine's memory
+def assert_exits_2_in_bounded_memory(argv):
+    """In a child with a 2 GB address space and a timeout, a run past the
+    per-trial cell budget fails fast instead of taking the machine's memory."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1]),
@@ -249,6 +244,25 @@ def test_rbt_beyond_the_trial_cell_budget_exits_2(argv):
                           text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and str(harness.MAX_TRIAL_CELLS) in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --alg rbt --n 9007199254740992 --k 1 --noise symmetric:0.1 --trials 1",
+    "simulate --alg rbt --n 1000000 --k 1000 --noise symmetric:0.01 --trials 1",
+])
+def test_rbt_beyond_the_trial_cell_budget_exits_2(argv):
+    # per-trial RBT holds about n x (k + 4) items
+    assert_exits_2_in_bounded_memory(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    "capacity --beta 0.5 --n-list 9007199254740992 --trials 1",  # k about 9.5e7
+    "simulate --alg hgbsa --n 4000000000 --k 20000000 --trials 1",
+])
+def test_k_beyond_the_trial_cell_budget_exits_2(argv):
+    # sampling and walking a trial holds about 32 cells a defective, so k is
+    # capped at 2^20; both ended in a MemoryError traceback before the cap
+    assert_exits_2_in_bounded_memory(argv)
 
 
 @pytest.mark.parametrize("argv", [

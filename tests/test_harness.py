@@ -83,6 +83,16 @@ class TestRunTrial:
 
 
 class TestSpecChecks:
+    def test_k_above_the_trial_cell_budget_rejected(self):
+        # one trial holds about 32 cells a defective, so k <= 2^20
+        assert MAX_TRIAL_CELLS >> 5 == 1 << 20
+        for alg, comp_t in (("hgbsa", None), ("rbt", None), ("comp", 1)):
+            ExperimentSpec(size=ProblemSize(1 << 21, 1 << 20), algorithm=alg, trials=1,
+                           comp_t=comp_t)
+            with pytest.raises(InputError, match=str(MAX_TRIAL_CELLS)):
+                ExperimentSpec(size=ProblemSize(1 << 21, (1 << 20) + 1), algorithm=alg,
+                               trials=1, comp_t=comp_t)
+
     @pytest.mark.parametrize("alg", ["rbt", "hgbsa", "variant"])
     def test_only_comp_takes_a_budget(self, alg):
         with pytest.raises(ValueError, match="only comp takes a test budget"):

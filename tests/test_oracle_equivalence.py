@@ -9,9 +9,9 @@ as against the reference, and the sparse sampler must match a dense
 Fisher-Yates draw for draw. A search or a splitting run on `TestOracle` is
 `algorithms._halve` or `algorithms._split` over its `test`, and must match
 the reference's own `search` and `split`. The batched trials
-(`algorithms._split_walk` and `harness._land`) must give the reference's
-test counts and decodes, and `run_trials`, which seeds and samples every
-trial in bulk, must equal `run_trial` trial by trial.
+(`algorithms._split_walk` and `model.erasure_submissions`) must give the
+reference's test counts and decodes, and `run_trials`, which seeds and
+samples every trial in bulk, must equal `run_trial` trial by trial.
 """
 import hashlib
 
@@ -33,11 +33,11 @@ from grouptest.algorithms import (
     hwang_variant,
     repeated_binary_testing,
 )
-from grouptest.bounds import NoiseKind, NoiseModel, ProblemSize
-from grouptest.harness import (ExperimentSpec, _land, figure1_experiment, run_trial,
-                               run_trials)
-from grouptest.model import TestOracle, make_rng, sample_defective_set
-from oracle_reference import PoolOracle
+from grouptest.bounds import NoiseModel, ProblemSize
+from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
+from grouptest.model import (Outcome, TestOracle, design_negatives, erasure_submissions,
+                             make_rng, sample_defective_set)
+from oracle_reference import PoolOracle, apply_noise
 
 
 def dense_fisher_yates(n, k, rng):
@@ -180,11 +180,11 @@ ALGORITHM = {"hwang": "hgbsa", "variant": "variant"}
 
 def batch_both(n, truths, rule, noise, make_uniforms):
     """The batch's walk (`_split_walk`) and, under erasure, its landing step
-    (`_land`) on `truths` (all of one size k), against `PoolOracle.split` in
-    the shape a trial uses: range(n), kp = k. Truth j's uniforms come from
-    `make_uniforms(j)`, a fresh one for each side. Both must give the same
-    tests_used, and success iff the reference found the truth. Returns the
-    tests_used."""
+    (`erasure_submissions`) on `truths` (all of one size k), against
+    `PoolOracle.split` in the shape a trial uses: range(n), kp = k. Truth j's
+    uniforms come from `make_uniforms(j)`, a fresh one for each side. Both
+    must give the same tests_used, and success iff the reference found the
+    truth. Returns the tests_used."""
     k = len(truths[0])
     want = []
     for j, truth in enumerate(truths):
@@ -193,9 +193,8 @@ def batch_both(n, truths, rule, noise, make_uniforms):
                      ref.tests_used))
     rows = np.array([sorted(t) for t in truths], dtype=np.int64).reshape(len(truths), k)
     firm, success = _split_walk(n, rows, SPLIT_GROUP_SIZES[ALGORITHM[rule]](k))
-    used = firm.tolist()
-    if noise.kind is NoiseKind.ERASURE:
-        used = _land(used, noise.p, [make_uniforms(j) for j in range(len(truths))])
+    used = erasure_submissions(firm.tolist(), noise,
+                               (make_uniforms(j) for j in range(len(truths))))
     assert list(zip(success.tolist(), used)) == want
     assert all(ok for ok, _ in want)
     return used
@@ -321,8 +320,41 @@ class CyclingUniforms:
         return self.values[np.arange(self.drawn - size, self.drawn) % len(self.values)]
 
 
+N, P, E = Outcome.NEGATIVE, Outcome.POSITIVE, Outcome.ERASED
+# Each channel's outcome for a raw NEGATIVE and a raw POSITIVE test whose
+# uniform is below p, equal to p and above p, from the channels' definitions:
+# only u < p corrupts a test.
+CHANNEL_CELLS = [
+    (NoiseModel.noiseless(), {N: (N, N, N), P: (P, P, P)}),  # the identity
+    (NoiseModel.erasure(0.25), {N: (E, N, N), P: (E, P, P)}),  # erases both
+    (NoiseModel.symmetric(0.25), {N: (P, N, N), P: (N, P, P)}),  # flips both
+    (NoiseModel.additive(0.25), {N: (P, N, N), P: (P, P, P)}),  # flips NEGATIVE only
+]
+
+
+@pytest.mark.parametrize("noise,cells", CHANNEL_CELLS,
+                         ids=[noise.kind.value for noise, _ in CHANNEL_CELLS])
+def test_every_cell_of_the_channel_table(noise, cells):
+    # item 0 is negative and item 1 positive; the stand-in deals p - 1/8, p
+    # and p + 1/8 (so -1/8 under the noiseless channel, p = 0) in turn, to
+    # the scalar reference, to single tests (an erased one is resubmitted on
+    # the next uniform), to one design and to the batched COMP decode
+    dealt = [noise.p - 0.125, noise.p, noise.p + 0.125]
+    for raw, pool in ((N, range(0, 1)), (P, range(1, 2))):
+        assert [apply_noise(raw, noise, CyclingUniforms([u])) for u in dealt] == list(cells[raw])
+        oracle = TestOracle(2, {1}, noise, CyclingUniforms(dealt))
+        while oracle.tests_used < 3:
+            oracle.test(pool)
+        assert [out for _, out in oracle.transcript] == list(cells[raw])
+    oracle = TestOracle(2, {1}, noise, CyclingUniforms(dealt))
+    assert oracle.test_design([[1, 0]] * 3 + [[0, 1]] * 3) == [*cells[N], *cells[P]]
+    hit = np.array([False] * 3 + [True] * 3)
+    assert (design_negatives(hit, noise, CyclingUniforms(dealt)).tolist()
+            == [out is N for out in (*cells[N], *cells[P])])
+
+
 @pytest.mark.parametrize("values", [
-    # u equal to p lands: `_channel` erases only u < p; 5 shifts against 256
+    # u equal to p lands: the erasure channel erases only u < p; 5 shifts against 256
     [0.25, 0.1, 0.7, 0.25, 0.2],
     # one firm test in 97 submissions: a splitting round's resubmissions
     # cross several blocks of 256

@@ -225,8 +225,14 @@ def run_trials(spec: ExperimentSpec) -> list[TrialResult]:
 
 
 class InvariantBreach(Exception):
-    """A batched trial decoded wrongly or spent more firm tests than
-    `guarantee_for`; the message names its (master_seed, trial_index)."""
+    """A batched trial on a channel in `TRUTHFUL_CHANNELS` decoded wrongly,
+    spent more firm tests than `guarantee_for`, or (COMP) cleared a
+    defective; the message names its (master_seed, trial_index)."""
+
+    def __init__(self, spec: ExperimentSpec, trial_index: int, what: str):
+        super().__init__(f"trial (master_seed={spec.master_seed}, trial_index={trial_index})"
+                         f" of {spec.algorithm} at n={spec.size.n}, k={spec.size.k}, noise "
+                         f"{spec.noise.kind.value}:{spec.noise.p:g}: {what}")
 
 
 def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
@@ -240,7 +246,7 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
     trial_seeds = derive_stream_seeds(spec.master_seed, np.arange(start, stop))
     truths, rngs = sample_defective_sets(n, k, derive_stream_seeds(trial_seeds, 0))
     if spec.algorithm == "comp":
-        return _run_comp(spec, truths, trial_seeds, rngs)
+        return _run_comp(spec, start, truths, trial_seeds, rngs)
     if spec.noise.kind not in TRUTHFUL_CHANNELS:
         # the generators are one reused object: each trial ends before the next is taken
         return [_run_oracle(spec, truth, seed, rng)
@@ -250,31 +256,34 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
     bad = np.flatnonzero(~success | (firm > limit))
     if len(bad):
         i = bad[0]
-        raise InvariantBreach(
-            f"trial (master_seed={spec.master_seed}, trial_index={start + i}) of "
-            f"{spec.algorithm} at n={n}, k={k}, noise {spec.noise.kind.value}:"
-            f"{spec.noise.p:g}: decoded {'right' if success[i] else 'wrongly'} in "
-            f"{firm[i]} firm tests, guarantee {limit}")
+        verdict = "right" if success[i] else "wrongly"
+        raise InvariantBreach(spec, start + i,
+                              f"decoded {verdict} in {firm[i]} firm tests, guarantee {limit}")
     used = erasure_submissions(firm.tolist(), spec.noise, rngs)
     return [TrialResult(s, t) for s, t in zip(success.tolist(), used)]
 
 
-def _run_comp(spec: ExperimentSpec, truths: np.ndarray, trial_seeds: np.ndarray,
+def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds: np.ndarray,
               rngs) -> list[TrialResult]:
-    """COMP trials as `_run_oracle` runs them, without an oracle: each design
-    comes from stream 1 of its trial seed, seeded in bulk and drawn into one
-    t x n buffer reused by every trial, and its rows' outcomes from the
-    generator sampling left (`design_negatives`). An item in no negative
-    row is declared defective."""
+    """COMP trials start, start + 1, ... as `_run_oracle` runs them, without
+    an oracle: each design comes from stream 1 of its trial seed, seeded in
+    bulk and drawn into one t x n buffer reused by every trial, and its rows'
+    outcomes from the generator sampling left (`design_negatives`). An item
+    in no negative row is declared defective. On a channel in
+    `TRUTHFUL_CHANNELS` a negative row holds no defective, so one that
+    clears a defective is an `InvariantBreach`."""
     n, k, t = spec.size.n, spec.size.k, spec.comp_t
     design, uniforms = np.empty((t, n), dtype=bool), np.empty((t, n))
     results = []
-    for truth, rng, design_rng in zip(truths, rngs,
-                                      seeded_generators(derive_stream_seeds(trial_seeds, 1))):
+    for i, (truth, rng, design_rng) in enumerate(zip(
+            truths, rngs, seeded_generators(derive_stream_seeds(trial_seeds, 1)))):
         comp_design(design_rng, k, design, uniforms)
         negative = design_negatives(design[:, truth].any(axis=1), spec.noise, rng)
         cleared = design[negative].any(axis=0)
-        success = not cleared[truth].any() and n - int(np.count_nonzero(cleared)) == k
+        missed = bool(cleared[truth].any())
+        if missed and spec.noise.kind in TRUTHFUL_CHANNELS:
+            raise InvariantBreach(spec, start + i, "a negative test cleared a defective")
+        success = not missed and n - int(np.count_nonzero(cleared)) == k
         results.append(TrialResult(success=success, tests_used=t))
     return results
 

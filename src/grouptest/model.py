@@ -10,15 +10,16 @@ shared.
 
 A trial's generator is `np.random.PCG64(seed)` with its seed mixed from
 (master seed, stream) by `derive_stream_seed`, and its defective set is
-`sample_defective_set`'s partial Fisher-Yates over it. `derive_stream_seeds`
-and `sample_defective_sets` compute the same seeds, sets and generator states
-for many trials at once with numpy, bit for bit: SeedSequence's hash,
-PCG64's 128-bit LCG in 32-bit limbs and numpy's Lemire bounded draws. A row
-numpy would redraw after a rejection, and every row of a size the bulk path
-does not cover, goes through `sample_defective_set` itself. The seeding half,
-`SeedSequence` then PCG64's srandom (`_pcg_seeded`), also serves
-`seeded_generators`, which hands out `PCG64(seed)` generators for many seeds
-on one reused object; the LCG jump tables are built once per step count.
+`sample_defective_set`'s partial Fisher-Yates over it, its bounded draws
+defined on PCG64's raw output (which NEP 19 keeps stable) as numpy 2.4.6
+takes them. `derive_stream_seeds` and `sample_defective_sets` compute the
+same seeds, sets and generator states for many trials at once with numpy,
+bit for bit: SeedSequence's hash, PCG64's 128-bit LCG in 32-bit limbs and
+the same Lemire step; only a row they do not cover builds a numpy
+generator. The seeding half, `SeedSequence` then PCG64's srandom
+(`_pcg_seeded`), also serves `seeded_generators`, which hands out
+`PCG64(seed)` generators for many seeds on one reused object; the LCG jump
+tables are built once per step count.
 
 Each noise channel is defined once, as a row of the transition table
 `_CHANNELS`. `TestOracle` reads it test by test; its batched stand-ins,
@@ -81,15 +82,89 @@ def make_rng(master: int, stream: int = 0) -> np.random.Generator:
 def sample_defective_set(n: int, k: int, rng: np.random.Generator) -> frozenset:
     """Uniformly random k-subset of {0, ..., n-1} via partial Fisher-Yates.
 
-    The swaps are kept in a dict, so the cost is O(k), not O(n). The k bounded
-    draws come from one vectorised call, which yields the same values and
-    leaves the generator in the same state as k scalar draws. This is the
-    per-trial definition; `sample_defective_sets` computes it for many fresh
-    generators at once and is checked against it.
+    The swaps are kept in a dict, so the cost is O(k), not O(n). Draw i is
+    uniform on [0, n - i), taken from PCG64's raw output (`_bounded_draws`).
+    This is the per-trial definition; `sample_defective_sets` computes it for
+    many fresh generators at once.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return frozenset(_fisher_yates(rng.integers(n - np.arange(k)).tolist()))
+    return frozenset(_fisher_yates(_bounded_draws(n, k, rng.bit_generator)))
+
+
+def _bounded_draws(n: int, k: int, bits) -> list:
+    """Draws uniform on [0, n), [0, n - 1), ..., [0, n - k + 1) from the raw
+    output of the PCG64 `bits`, taken and leaving `bits.state` as numpy
+    2.4.6's `Generator.integers(n - arange(k))` does (Lemire 2019). A range
+    of 1 takes no word; one up to 2^32 a 32-bit word, the halves of each
+    output low first, after a half `bits` holds (`has_uint32`, `uinteger`);
+    a larger one a whole output (`_lemire_runs`)."""
+    start = bits.state
+    half = start["uinteger"]
+
+    def halves(count):
+        nonlocal half
+        raw = bits.random_raw((count + 1) // 2)
+        half = int(raw[-1] >> 32)
+        return raw.astype("<u8", copy=False).view("<u4")  # low half first
+
+    ranges = n - np.arange(k - (k == n), dtype=np.uint64)
+    wide = min(len(ranges), max(0, n - (1 << 32)))  # the ranges above 2^32 come first
+    draws, _ = _lemire_runs(ranges[:wide], np.empty(0, np.uint64), bits.random_raw, 64)
+    narrow, held = _lemire_runs(ranges[wide:], np.array([half] * start["has_uint32"], np.uint32),
+                                halves, 32)
+    bits.state = {**bits.state, "has_uint32": len(held), "uinteger": half}
+    return draws + narrow + [0] * (k == n)
+
+
+def _lemire_runs(ranges: np.ndarray, held: np.ndarray, more, b: int) -> tuple:
+    """Lemire's draws over `ranges` on b-bit words, `held` and then those
+    `more(count)` draws (count, or one half more), drawn only as the draws
+    need them: (draws, words left). Word w gives w * range >> b, unless
+    w * range mod 2^b < 2^b mod range: then the draw is made again on the
+    next word. Each pass tries a window of draws at once and keeps those
+    before its first rejection; the first window holds every draw, so with
+    no rejection one `more` call serves them all. Where rejections come
+    thick, the rest go word by word, in Python ints."""
+    draws, window = [], len(ranges)
+    while len(draws) < len(ranges):
+        r = ranges[len(draws):len(draws) + window]
+        if len(held) < len(r):
+            held = np.concatenate((held, more(len(r) - len(held))))
+        m, rejected = (_lemire32 if b == 32 else _lemire64)(held[:len(r)], r)
+        j = int(rejected.argmax()) if rejected.any() else len(r)  # the first rejection
+        draws += m[:j].tolist()
+        held, window = held[j + (j < len(r)):], 2 * j + 64
+        if j < min(16, len(r)):
+            break
+    else:
+        return draws, held
+    words, t = held.tolist(), 0
+    for r in ranges[len(draws):].tolist():
+        while True:
+            if t == len(words):
+                words += more(len(ranges) - len(draws)).tolist()
+            x, t = words[t] * r, t + 1
+            if x & ((1 << b) - 1) >= (1 << b) % r:
+                break
+        draws.append(x >> b)
+    return draws, np.array(words[t:], dtype=held.dtype)
+
+
+def _lemire32(words: np.ndarray, ranges: np.ndarray) -> tuple:
+    """Lemire's draws on 32-bit words over ranges up to 2^32: (draws,
+    rejected), rejected where the draw is to be made again."""
+    m = words * ranges
+    return m >> 32, (m & _U32) < (1 << 32) % ranges
+
+
+def _lemire64(words: np.ndarray, ranges: np.ndarray) -> tuple:
+    """`_lemire32` on 64-bit words over ranges above 2^32, the 128-bit
+    products taken in 32-bit limbs."""
+    a0, a1, b0, b1 = words & _U32, words >> 32, ranges & _U32, ranges >> 32
+    cross = (a0 * b0 >> 32) + (a1 * b0 & _U32) + (a0 * b1 & _U32)
+    high = a1 * b1 + (a1 * b0 >> 32) + (a0 * b1 >> 32) + (cross >> 32)
+    return high, words * ranges < (_MASK64 - ranges + 1) % ranges
 
 
 def _fisher_yates(draws: list) -> list:
@@ -210,12 +285,12 @@ def _pcg_seeded(seeds: np.ndarray) -> tuple:
 
 
 def _bulk_draws(seeds: np.ndarray, n: int, k: int) -> tuple:
-    """`Generator(PCG64(seed)).integers(n - arange(k))` for each seed, with
-    0 < n - i < 2^32: (draws, rejected, handoff). A rejected row hit a Lemire
-    rejection, after which numpy draws again, so its draws are not numpy's.
-    handoff[r] is the (state, inc, has_uint32, uinteger) of `bit_generator.state`
-    that row r is left in; uinteger, the high half of the last output (0 if
-    none), is what numpy keeps for the next 32-bit draw when k is odd."""
+    """`_bounded_draws(n, k, PCG64(seed))` for each seed, with
+    0 < n - i < 2^32: (draws, rejected, handoff). A rejected row's draws are
+    not the definition's, which draws again after a rejection. handoff[r] is
+    the (state, inc, has_uint32, uinteger) of `bit_generator.state` that row
+    r is left in; uinteger, the high half of the last output (0 if none), is
+    held for the next 32-bit draw when k is odd."""
     state, inc = _pcg_seeded(seeds)
     outputs = (k + 1) // 2  # each 64-bit output gives two 32-bit words
     s = _lcg_jumps(state, inc, *_jump_tables(outputs))
@@ -223,25 +298,11 @@ def _bulk_draws(seeds: np.ndarray, n: int, k: int) -> tuple:
     # XSL-RR: high ^ low rotated right by the top 6 bits of high
     xored, rot = (high ^ low)[:, 1:], high[:, 1:] >> 58
     out = xored >> rot | xored << (-rot & 63)
-    # Lemire on draw i: word * (n - i), the high half the draw, rejected iff
-    # the low half < 2^32 % (n - i); even draws take low halves, odd ones high
-    draws = np.empty((len(seeds), k), dtype=np.int64)
-    rejected = np.zeros(len(seeds), dtype=bool)
-    for half, word in ((0, out & _U32), (1, out >> 32)):
-        ranges = (n - np.arange(half, k, 2)).astype(np.uint64)
-        m = word[:, :len(ranges)] * ranges
-        rejected |= ((m & _U32) < (1 << 32) % ranges).any(axis=1)
-        draws[:, half::2] = m >> 32
+    words = out.astype("<u8", copy=False).view("<u4")[:, :k]  # low half first
+    draws, rejected = _lemire32(words, n - np.arange(k, dtype=np.uint64))
     last = out[:, -1] >> 32 if outputs else np.zeros(len(seeds), dtype=np.uint64)
-    return draws, rejected, list(zip(_wide(s[:, :, -1]), _wide(inc), [k & 1] * len(seeds),
-                                     last.tolist()))
-
-
-def _state_tuple(rng: np.random.Generator) -> tuple:
-    """(state, inc, has_uint32, uinteger) of a PCG64 generator."""
-    state = rng.bit_generator.state
-    return (state["state"]["state"], state["state"]["inc"], state["has_uint32"],
-            state["uinteger"])
+    return draws.astype(np.int64), rejected.any(axis=1), list(zip(
+        _wide(s[:, :, -1]), _wide(inc), [k & 1] * len(seeds), last.tolist()))
 
 
 def _handed_on(handoff):
@@ -273,15 +334,13 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
 
     Each stage runs over many rows with numpy: `SeedSequence`'s hash (uint32
     arithmetic), PCG64's seeding and LCG steps (O'Neill 2014; 128 bits in
-    32-bit limbs) with its XSL-RR output, and numpy's bounded draws (Lemire
-    2019, on the 32-bit halves of each output, low half first). A row whose
-    swap targets are distinct picks them; the others, about k^2 / 2n of the
-    rows, follow their swaps with `_fisher_yates`.
-    `sample_defective_set` itself samples a row whose draw numpy would redraw
-    after a Lemire rejection. It samples every row when n > 2^32 - 1 (numpy's
-    64-bit path) or k == n (the last draw, over one value, takes no word),
-    and when a spot check of the first other row against numpy fails: the
-    bit streams of `Generator.integers` are not fixed across numpy releases."""
+    32-bit limbs) with its XSL-RR output, and the bounded draws on the 32-bit
+    halves of each output (`_lemire32`, as `_bounded_draws` takes them). A
+    row whose swap targets are distinct picks them; the others, about
+    k^2 / 2n of the rows, follow their swaps with `_fisher_yates`.
+    `sample_defective_set` itself samples a row with a rejected draw, and
+    every row when n > 2^32 - 1 (64-bit draws) or k == n (the last draw, over
+    one value, takes no word); only these rows build a numpy generator."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -289,11 +348,6 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     slow, handoff = np.ones(len(seeds), dtype=bool), [None] * len(seeds)
     if k < n <= _U32 and len(seeds):
         truths, slow, handoff = _bulk_draws(seeds, n, k)  # the draws, until the swaps
-        r = int(np.argmin(slow))  # the first row numpy does not redraw
-        check = np.random.Generator(np.random.PCG64(int(seeds[r])))
-        if (slow[r] or check.integers(n - np.arange(k)).tolist() != truths[r].tolist()
-                or handoff[r] != _state_tuple(check)):
-            slow[:] = True
         j = truths + np.arange(k)
         ordered = np.sort(j, axis=1)
         repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) & ~slow
@@ -303,7 +357,8 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     for r in np.flatnonzero(slow).tolist():
         rng = np.random.Generator(np.random.PCG64(int(seeds[r])))
         truths[r] = np.fromiter(sample_defective_set(n, k, rng), np.int64, k)
-        handoff[r] = _state_tuple(rng)
+        s = rng.bit_generator.state
+        handoff[r] = (s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"])
     return truths, _handed_on(handoff)
 
 

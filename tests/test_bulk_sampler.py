@@ -1,18 +1,23 @@
-"""Gate for the bulk sampler: `derive_stream_seeds` and `sample_defective_sets`
-must give, seed for seed, what `run_trial`'s per-trial numpy path gives (the
-scalar seed mix, `np.random.PCG64(seed)` and `sample_defective_set`),
-including the generator state handed on to the erasure uniforms.
+"""Gate for the sampler: `sample_defective_set`, the per-trial definition,
+draws from PCG64's raw output (`model._bounded_draws`), and
+`derive_stream_seeds` and `sample_defective_sets` must give, seed for seed,
+what `run_trial` gives (the scalar seed mix, `np.random.PCG64(seed)` and
+`sample_defective_set`), including the generator state handed on to the
+erasure uniforms.
 
-These depend on numpy's `SeedSequence` and PCG64 seeding and on
-`Generator.integers`; the bounded draws are not fixed across numpy releases
-(NEP 19), so CI pins numpy.
+NEP 19 keeps PCG64's raw stream fixed across numpy releases, but not
+`Generator.integers`. The definition follows numpy 2.4.6's bounded draws,
+and the tests here pin it to them: every bulk row and every reference row
+equals partial Fisher-Yates on `Generator(PCG64(seed)).integers(n - arange(k))`,
+with the same bit-generator state, on numpy 2.4.6 (CI pins it). On another
+numpy these pins may fail while the package's output stays the same.
 """
 import numpy as np
 import pytest
 
 from grouptest import model
-from grouptest.model import (derive_stream_seed, derive_stream_seeds, sample_defective_set,
-                             sample_defective_sets)
+from grouptest.model import (_fisher_yates, derive_stream_seed, derive_stream_seeds,
+                             sample_defective_set, sample_defective_sets)
 
 SEEDS = 100_000
 BATCH = 1024  # as the harness batches
@@ -27,19 +32,30 @@ def per_trial(monkeypatch):
     return rows
 
 
+def numpy_sample(n, k, rng):
+    """The set numpy 2.4.6's bounded draws pick on `rng`, and the state they
+    leave it in."""
+    draws = rng.integers(n - np.arange(k)).tolist()
+    return frozenset(_fisher_yates(draws)), rng.bit_generator.state
+
+
+def fresh(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 @pytest.mark.parametrize("n,k", [(500, 10), (9699, 30), (100000, 71)])
 def test_bulk_sampler_matches_per_trial_numpy(per_trial, n, k):
     for lo in range(0, SEEDS, BATCH):
         seeds = derive_stream_seeds(derive_stream_seeds(k, np.arange(lo, lo + BATCH)), 0)
         truths, rngs = sample_defective_sets(n, k, seeds)
         for seed, row, rng in zip(seeds.tolist(), truths.tolist(), rngs):
-            ref = np.random.Generator(np.random.PCG64(seed))
-            assert frozenset(row) == sample_defective_set(n, k, ref)
-            assert rng.bit_generator.state == ref.bit_generator.state
-    # Only rows numpy redraws after a Lemire rejection go through
-    # `sample_defective_set`: the sum over i < k of (2^32 mod (n - i)) / 2^32,
-    # 8e-4 at (100000, 71), 4e-5 and 6e-7 at the figure's sizes. Those rows
-    # matched above too.
+            want, state = numpy_sample(n, k, fresh(seed))
+            assert frozenset(row) == want and rng.bit_generator.state == state
+            ref = fresh(seed)
+            assert sample_defective_set(n, k, ref) == want and ref.bit_generator.state == state
+    # Only rows with a rejected draw go through `sample_defective_set`: the
+    # sum over i < k of (2^32 mod (n - i)) / 2^32, 8e-4 at (100000, 71), 4e-5
+    # and 6e-7 at the figure's sizes. Those rows matched above too.
     assert len(per_trial) < SEEDS // 100
     if n == 100000:
         assert per_trial
@@ -67,6 +83,28 @@ def test_handed_on_state_by_parity_of_k(per_trial):
             assert rng.integers(2**31, size=3).tolist() == ref.integers(2**31, size=3).tolist()
             assert rng.random() == ref.random()
     assert not per_trial  # all drawn in bulk
+
+
+@pytest.mark.parametrize("n,k", [
+    (3 * 10**9, 40),  # 2^32 mod n is 30% of 2^32: nearly every row draws again
+    (2**32, 3),  # a range of exactly 2^32 takes a whole 32-bit word
+    (2**32 + 2, 5),  # 64-bit words, then 32-bit ones from range 2^32 down
+    (2**33, 5), (2**62, 5),  # 64-bit words
+    (3 * 2**61, 5),  # 64-bit words, 2^64 mod n a quarter of 2^64
+    (10, 10), (1, 1),  # k == n: the last draw takes no word
+    (2**32 - 1, 2), (100000, 71),  # 32-bit words, in numpy
+    (10**6, 1000),  # a rejection in about 1 row in 6: more passes, over windows
+])
+@pytest.mark.parametrize("before", [0, 1, 2])  # 32-bit draws made first; 1 holds a half
+def test_reference_matches_numpy(n, k, before):
+    for seed in range(200):
+        rng, ref = fresh(seed), fresh(seed)
+        for g in (rng, ref):
+            g.integers(2**31, size=before)
+        assert ref.bit_generator.state["has_uint32"] == before & 1
+        want, state = numpy_sample(n, k, rng)
+        assert sample_defective_set(n, k, ref) == want
+        assert ref.bit_generator.state == state
 
 
 @pytest.mark.parametrize("master", [-5, 0, 2**64 + 3])

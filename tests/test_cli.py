@@ -344,6 +344,50 @@ def test_invariant_breach_exits_1_and_names_the_trial(capsys, monkeypatch, alg, 
     assert "invariant breach" in err and "(master_seed=4, trial_index=0)" in err
 
 
+@pytest.mark.parametrize("noise,code", [("noiseless", 1), ("erasure:0.2", 1),
+                                        ("symmetric:0.01", 0)])
+def test_comp_clearing_a_defective_exits_1_on_a_truthful_channel(capsys, monkeypatch,
+                                                                  noise, code):
+    # the first positive row of each design reads negative: on a channel in
+    # TRUTHFUL_CHANNELS that cannot happen, elsewhere it is a failed trial
+    negatives = harness.design_negatives
+
+    def flipped(hit, noise, rng):
+        negative = negatives(hit, noise, rng)
+        negative[np.flatnonzero(hit)[:1]] = True
+        return negative
+
+    monkeypatch.setattr(harness, "design_negatives", flipped)
+    got, out, err = run_cli(capsys, "simulate", "--alg", "comp", "--n", "100", "--k", "5",
+                            "--t", "60", "--noise", noise, "--trials", "5", "--seed", "4")
+    assert got == code
+    if code:
+        assert out == ""
+        assert "invariant breach" in err and "(master_seed=4, trial_index=0)" in err
+
+
+NOISELESS_RUNS = """
+import sys, tempfile
+import grouptest.cli as cli
+assert "numpy.random" not in sys.modules, "imported by grouptest.cli"
+with tempfile.TemporaryDirectory() as tmp:
+    for argv in (["figure1", "--trials", "5", "--out-dir", tmp],
+                 ["simulate", "--alg", "variant", "--n", "500", "--k", "10", "--trials", "20"]):
+        assert cli.main(argv) == 0, argv
+        assert "numpy.random" not in sys.modules, argv
+"""
+
+
+def test_noiseless_adaptive_runs_never_import_numpy_random():
+    # defective sets are drawn from PCG64's raw output by the package's own
+    # arithmetic, so a noiseless adaptive run builds no numpy generator and
+    # never pays numpy.random's import; checked in a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", NOISELESS_RUNS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_internal_value_error_is_not_exit_2(monkeypatch):
     # only an InputError is an argument error; any other ValueError is a fault
     def fault(spec):

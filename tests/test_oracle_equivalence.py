@@ -18,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from grouptest import harness, model
+from grouptest import harness
 from grouptest.algorithms import (
     SPLIT_GROUP_SIZES,
     SearchOverrun,
@@ -609,24 +609,22 @@ def test_run_trials_equal_run_trial_at_the_edges(alg, noise, n, k, trials):
                                        ("comp", "additive")],
                          ids=["noiseless", "erasure", "comp-symmetric", "symmetric",
                               "comp-additive"])
-def test_run_trials_fall_back_when_numpy_disagrees(monkeypatch, alg, noise):
-    # a numpy whose bounded draws differ from the bulk arithmetic fails the
-    # spot check, so every trial is sampled per trial and nothing changes
+def test_run_trials_and_run_trial_never_call_generator_integers(monkeypatch, alg, noise):
+    # the defective sets are defined on PCG64's raw output, not on numpy's
+    # `Generator.integers`, whose bit streams numpy does not keep fixed
+    # across releases: with it raising, both paths still give the same trials
     spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm=alg,
                           noise=NOISES[noise], trials=300, master_seed=4,
                           comp_t=60 if alg == "comp" else None)
     want = [run_trial(spec, i) for i in range(spec.trials)]
-    bulk, per_trial = model._bulk_draws, []
 
-    def shifted(seeds, n, k):
-        draws, rejected, handoff = bulk(seeds, n, k)
-        return (draws + 1) % (n - np.arange(k)), rejected, handoff
+    class NoIntegers(np.random.Generator):  # Generator's own methods are read-only
+        def integers(self, *args, **kwargs):
+            raise AssertionError("Generator.integers was called")
 
-    monkeypatch.setattr(model, "_bulk_draws", shifted)
-    monkeypatch.setattr(model, "sample_defective_set",
-                        lambda *a: per_trial.append(1) or sample_defective_set(*a))
+    monkeypatch.setattr(np.random, "Generator", NoIntegers)
     assert run_trials(spec) == want
-    assert len(per_trial) == spec.trials
+    assert [run_trial(spec, i) for i in range(spec.trials)] == want
 
 
 @pytest.mark.parametrize("alg,noise", [("comp", "noiseless"), ("comp", "erasure"),

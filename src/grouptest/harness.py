@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,8 +37,8 @@ from .algorithms import (ADAPTIVE_ALGORITHMS, SearchOverrun, batch_runs, comp_de
                          comp_run)
 from .bounds import InputError, NoiseKind, NoiseModel, ProblemSize
 from .model import (TRUTHFUL_CHANNELS, TestOracle, derive_stream_seed, derive_stream_seeds,
-                    design_negatives, erasure_submissions, make_rng, sample_defective_set,
-                    sample_defective_sets, seeded_generators)
+                    design_negatives, erasure_submissions, handed_on, make_rng,
+                    sample_defective_set, sample_defective_sets, seeded_generators)
 
 _WILSON_Z = 1.959963984540054  # 95%
 # Most cells one trial may hold, so that it stays under about 350 MB: COMP's
@@ -56,8 +57,8 @@ MAX_BUDGETS = 1 << 16
 # `np.frexp`, exact only for integers up to 2^53.
 MAX_N = 1 << 53
 # Most expected submissions an adaptive erasure spec accepts, trials x
-# guarantee / (1 - p): `erasure_submissions` deals 1-2e8 uniforms a second, so
-# a run at the cap takes under a minute, while p near 1 would run for hours.
+# guarantee / (1 - p): `erasure_submissions` steps 1-3e7 PCG64 outputs a second,
+# so a run at the cap takes a few minutes, while p near 1 would run for days.
 MAX_SUBMISSIONS = 1 << 32
 
 
@@ -244,13 +245,13 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
     submissions from `erasure_submissions`."""
     n, k = spec.size.n, spec.size.k
     trial_seeds = derive_stream_seeds(spec.master_seed, np.arange(start, stop))
-    truths, rngs = sample_defective_sets(n, k, derive_stream_seeds(trial_seeds, 0))
+    truths, handoff = sample_defective_sets(n, k, derive_stream_seeds(trial_seeds, 0))
     if spec.algorithm == "comp":
-        return _run_comp(spec, start, truths, trial_seeds, rngs)
+        return _run_comp(spec, start, truths, trial_seeds, handoff)
     if spec.noise.kind not in TRUTHFUL_CHANNELS:
         # the generators are one reused object: each trial ends before the next is taken
-        return [_run_oracle(spec, truth, seed, rng)
-                for truth, seed, rng in zip(truths.tolist(), trial_seeds.tolist(), rngs)]
+        return [_run_oracle(spec, truth, seed, rng) for truth, seed, rng
+                in zip(truths.tolist(), trial_seeds.tolist(), handed_on(handoff))]
     firm, success = batch_runs(spec.algorithm, n, truths)
     limit = guarantee_for(spec.algorithm, spec.size)
     bad = np.flatnonzero(~success | (firm > limit))
@@ -259,22 +260,24 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
         verdict = "right" if success[i] else "wrongly"
         raise InvariantBreach(spec, start + i,
                               f"decoded {verdict} in {firm[i]} firm tests, guarantee {limit}")
-    used = erasure_submissions(firm.tolist(), spec.noise, rngs)
+    used = erasure_submissions(firm.tolist(), spec.noise, handoff)
     return [TrialResult(s, t) for s, t in zip(success.tolist(), used)]
 
 
 def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds: np.ndarray,
-              rngs) -> list[TrialResult]:
+              handoff: np.ndarray) -> list[TrialResult]:
     """COMP trials start, start + 1, ... as `_run_oracle` runs them, without
     an oracle: each design comes from stream 1 of its trial seed, seeded in
     bulk and drawn into one t x n buffer reused by every trial, and its rows'
-    outcomes from the generator sampling left (`design_negatives`). An item
+    outcomes from the generator sampling left (`design_negatives`), set from
+    the handoff only on a noisy channel, the one that draws from it. An item
     in no negative row is declared defective. On a channel in
     `TRUTHFUL_CHANNELS` a negative row holds no defective, so one that
     clears a defective is an `InvariantBreach`."""
     n, k, t = spec.size.n, spec.size.k, spec.comp_t
     design, uniforms = np.empty((t, n), dtype=bool), np.empty((t, n))
     results = []
+    rngs = repeat(None) if spec.noise.kind is NoiseKind.NOISELESS else handed_on(handoff)
     for i, (truth, rng, design_rng) in enumerate(zip(
             truths, rngs, seeded_generators(derive_stream_seeds(trial_seeds, 1)))):
         comp_design(design_rng, k, design, uniforms)

@@ -14,12 +14,11 @@ A trial's generator is `np.random.PCG64(seed)` with its seed mixed from
 defined on PCG64's raw output (which NEP 19 keeps stable) as numpy 2.4.6
 takes them. `derive_stream_seeds` and `sample_defective_sets` compute the
 same seeds, sets and generator states for many trials at once with numpy,
-bit for bit: SeedSequence's hash, PCG64's 128-bit LCG in 32-bit limbs and
-the same Lemire step; only a row they do not cover builds a numpy
-generator. The seeding half, `SeedSequence` then PCG64's srandom
-(`_pcg_seeded`), also serves `seeded_generators`, which hands out
-`PCG64(seed)` generators for many seeds on one reused object; the LCG jump
-tables are built once per step count.
+bit for bit: SeedSequence's hash, PCG64 with its 128-bit state in two
+uint64 halves (`_lcg_run`) and the same Lemire step. They hand on each
+trial's generator as plain numbers (see `_pcg_seeded`), from which
+`handed_on` sets a numpy Generator only for a consumer that draws through
+one; `seeded_generators` serves COMP's design streams the same way.
 
 Each noise channel is defined once, as a row of the transition table
 `_CHANNELS`. `TestOracle` reads it test by test; its batched stand-ins,
@@ -28,9 +27,9 @@ uniforms in bulk. No other module draws or compares a noise uniform.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,32 +88,36 @@ def sample_defective_set(n: int, k: int, rng: np.random.Generator) -> frozenset:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return frozenset(_fisher_yates(_bounded_draws(n, k, rng.bit_generator)))
-
-
-def _bounded_draws(n: int, k: int, bits) -> list:
-    """Draws uniform on [0, n), [0, n - 1), ..., [0, n - k + 1) from the raw
-    output of the PCG64 `bits`, taken and leaving `bits.state` as numpy
-    2.4.6's `Generator.integers(n - arange(k))` does (Lemire 2019). A range
-    of 1 takes no word; one up to 2^32 a 32-bit word, the halves of each
-    output low first, after a half `bits` holds (`has_uint32`, `uinteger`);
-    a larger one a whole output (`_lemire_runs`)."""
+    bits = rng.bit_generator
     start = bits.state
-    half = start["uinteger"]
+    draws, has_uint32, uinteger = _bounded_draws(n, k, bits.random_raw, start["has_uint32"],
+                                                 start["uinteger"])
+    bits.state = {**bits.state, "has_uint32": has_uint32, "uinteger": uinteger}
+    return frozenset(_fisher_yates(draws))
+
+
+def _bounded_draws(n: int, k: int, raw, has_uint32: int, uinteger: int) -> tuple:
+    """Draws uniform on [0, n), [0, n - 1), ..., [0, n - k + 1) from the PCG64
+    outputs `raw(count)` yields, taken as numpy 2.4.6's
+    `Generator.integers(n - arange(k))` takes them (Lemire 2019) from a bit
+    generator that holds the 32-bit half `uinteger` if `has_uint32`:
+    (draws, has_uint32, uinteger) as the draws leave them. A range of 1 takes
+    no word; one up to 2^32 a 32-bit word, the halves of each output low
+    first, after a held half; a larger one a whole output (`_lemire_runs`)."""
+    half = uinteger
 
     def halves(count):
         nonlocal half
-        raw = bits.random_raw((count + 1) // 2)
-        half = int(raw[-1] >> 32)
-        return raw.astype("<u8", copy=False).view("<u4")  # low half first
+        out = raw((count + 1) // 2)
+        half = int(out[-1] >> 32)
+        return out.astype("<u8", copy=False).view("<u4")  # low half first
 
     ranges = n - np.arange(k - (k == n), dtype=np.uint64)
     wide = min(len(ranges), max(0, n - (1 << 32)))  # the ranges above 2^32 come first
-    draws, _ = _lemire_runs(ranges[:wide], np.empty(0, np.uint64), bits.random_raw, 64)
-    narrow, held = _lemire_runs(ranges[wide:], np.array([half] * start["has_uint32"], np.uint32),
+    draws, _ = _lemire_runs(ranges[:wide], np.empty(0, np.uint64), raw, 64)
+    narrow, held = _lemire_runs(ranges[wide:], np.array([uinteger] * has_uint32, np.uint32),
                                 halves, 32)
-    bits.state = {**bits.state, "has_uint32": len(held), "uinteger": half}
-    return draws + narrow + [0] * (k == n)
+    return draws + narrow + [0] * (k == n), len(held), half
 
 
 def _lemire_runs(ranges: np.ndarray, held: np.ndarray, more, b: int) -> tuple:
@@ -159,12 +162,17 @@ def _lemire32(words: np.ndarray, ranges: np.ndarray) -> tuple:
 
 
 def _lemire64(words: np.ndarray, ranges: np.ndarray) -> tuple:
-    """`_lemire32` on 64-bit words over ranges above 2^32, the 128-bit
-    products taken in 32-bit limbs."""
-    a0, a1, b0, b1 = words & _U32, words >> 32, ranges & _U32, ranges >> 32
-    cross = (a0 * b0 >> 32) + (a1 * b0 & _U32) + (a0 * b1 & _U32)
-    high = a1 * b1 + (a1 * b0 >> 32) + (a0 * b1 >> 32) + (cross >> 32)
-    return high, words * ranges < (_MASK64 - ranges + 1) % ranges
+    """`_lemire32` on 64-bit words over ranges above 2^32."""
+    return _mulhi(words, ranges), words * ranges < (_MASK64 - ranges + 1) % ranges
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a * b of uint64 arrays, taken
+    in 32-bit limbs."""
+    a0, a1, b0, b1 = a & _U32, a >> 32, b & _U32, b >> 32
+    high_low = a1 * b0
+    cross = (a0 * b0 >> 32) + (high_low & _U32) + a0 * b1  # at most 2^64 - 1
+    return a1 * b1 + (high_low >> 32) + (cross >> 32)
 
 
 def _fisher_yates(draws: list) -> list:
@@ -181,7 +189,6 @@ def _fisher_yates(draws: list) -> list:
 
 # PCG64's 128-bit LCG multiplier; numpy's SeedSequence hash constants follow.
 _U32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -219,100 +226,96 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASHES)
 
 
-def _limbs(values) -> np.ndarray:
-    """128-bit ints as a (4, len) uint32 array of limbs, lowest first."""
-    return np.array([[v >> 32 * i & _U32 for v in values] for i in range(4)], dtype=np.uint32)
+def _jump_table(mult: int, add: int) -> np.ndarray:
+    """e steps of x -> x * mult + add for e = 1..`_STEPS`, as the read-only
+    halves (high, low) of mult^e and add (mult^(e-1) + ... + 1) mod 2^128."""
+    columns, a, c = [], 1, 0
+    for _ in range(_STEPS):
+        a, c = a * mult % (1 << 128), (c * mult + add) % (1 << 128)
+        columns.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    table = np.array(columns, dtype=np.uint64).T
+    table.flags.writeable = False
+    return table
 
 
-def _wide(limbs: np.ndarray) -> list:
-    """A (4, rows) array of 32-bit limbs as a list of 128-bit ints."""
-    return [h << 64 | l for h, l in zip((limbs[3] << 32 | limbs[2]).tolist(),
-                                        (limbs[1] << 32 | limbs[0]).tolist())]
+_STEPS = 64  # LCG steps in a block of raw outputs, and blocks in a pass
+_JUMPS = _jump_table(_PCG_MULT, 1)  # e LCG steps
+# e blocks of `_STEPS` LCG steps: the affine map of one block, stepped
+_STRIDES = _jump_table(*(int(h) << 64 | int(l) for h, l in _JUMPS[:, -1].reshape(2, 2)))
 
 
-def _carry(columns: np.ndarray) -> np.ndarray:
-    """Column sums of 32-bit limbs (first axis, lowest first) reduced in
-    place to limbs, mod 2^128."""
-    for m in range(3):
-        columns[m + 1] += columns[m] >> 32
-    columns &= _U32
-    return columns
+def _mul(a: tuple, b: tuple) -> tuple:
+    """a * b mod 2^128 in (high, low) uint64 halves, whose products wrap mod
+    2^64: only low x low needs its high half (`_mulhi`)."""
+    return _mulhi(a[1], b[1]) + a[0] * b[1] + a[1] * b[0], a[1] * b[1]
 
 
-@lru_cache(maxsize=1)
-def _jump_tables(steps: int) -> tuple:
-    """Limbs of MULT^e and of MULT^(e-1) + ... + 1 for e = 0..steps, each a
-    read-only (4, steps + 1) array: they depend on `steps` alone, so batch
-    after batch of one spec reuses them."""
-    jumps, sums, a, g = [], [], 1, 0
-    for _ in range(steps + 1):
-        jumps.append(a)
-        sums.append(g)
-        a, g = a * _PCG_MULT & _MASK128, g + a
-    tables = _limbs(jumps), _limbs(sums)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+def _add(a: tuple, b: tuple) -> tuple:
+    """a + b mod 2^128, in (high, low) halves."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
 
 
-# one LCG step, for seeding: kept out of `_jump_tables`, whose one entry is
-# the sampler's
-_ONE_STEP = _limbs([_PCG_MULT]), _limbs([1])
+def _lcg_run(h: np.ndarray, count: int, inc_terms: np.ndarray) -> tuple:
+    """The states of the PCG64 of each column of the handoff h after 1, ...,
+    count <= `_STEPS`^2 LCG steps, as halves of shape (rows, count). Step e
+    of a block is MULT^e s plus inc_terms[:, :, e - 1] (`_inc_terms`) from
+    its first state s, which `_STRIDES` jumps to; all blocks step at once."""
+    starts, steps = h[:2, :, None], min(count, _STEPS)
+    if count > _STEPS:
+        strides = _STRIDES[:, :-(-count // _STEPS) - 1]
+        jumped = _add(_mul(starts, strides[:2]), _mul(h[2:4, :, None], strides[2:]))
+        starts = np.concatenate((starts, jumped), axis=2)
+    high, low = _add(_mul(starts[..., None], _JUMPS[:2, :steps]), inc_terms[:, :, None, :steps])
+    return high.reshape(len(high), -1)[:, :count], low.reshape(len(low), -1)[:, :count]
 
 
-def _lcg_jumps(x: np.ndarray, inc: np.ndarray, jumps: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """PCG64 states jumped from each state x by the LCG step
-    s -> s * MULT + inc, as limbs of shape (4, rows, columns of the tables):
-    column e is jumps[e] x + sums[e] inc, mod 2^128."""
-    columns = np.zeros((4, x.shape[1], jumps.shape[1]), dtype=np.uint64)
-    for v, c in ((x, jumps), (inc, sums)):
-        for i in range(4):
-            p = v[i][:, None] * c[:4 - i, None, :]  # v_i c_j < 2^64, j < 4 - i
-            columns[i:] += p & _U32
-            columns[i + 1:] += p[:3 - i] >> 32
-    return _carry(columns)
+def _inc_terms(h: np.ndarray, steps: int = _STEPS) -> np.ndarray:
+    """(MULT^(e-1) + ... + 1) inc for e = 1..steps, the inc term of e LCG
+    steps, of each column of the handoff h: halves, shape (2, rows, steps)."""
+    return np.array(_mul(h[2:4, :, None], _JUMPS[2:, :steps]))
 
 
-def _pcg_seeded(seeds: np.ndarray) -> tuple:
-    """(state, inc) of `PCG64(seed)` for each uint64 seed, each as (4, rows)
-    limbs: `SeedSequence(seed)`'s eight words, then srandom, which sets
+def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """PCG64's output of each state: high ^ low rotated right by the top 6
+    bits of high."""
+    xored, rot = high ^ low, high >> 58
+    return xored >> rot | xored << (-rot & 63)
+
+
+def _raw_outputs(h: np.ndarray, count: int) -> np.ndarray:
+    """The next `count` raw outputs of the PCG64 of each column of the
+    handoff h, as a (rows, count) uint64 array, in passes of `_lcg_run`;
+    h's states are moved past them in place."""
+    blocks, inc_terms = [np.empty((h.shape[1], 0), dtype=np.uint64)], _inc_terms(h, count)
+    for done in range(0, count, _STEPS ** 2):
+        high, low = _lcg_run(h, min(_STEPS ** 2, count - done), inc_terms)
+        h[0], h[1] = high[:, -1], low[:, -1]
+        blocks.append(_xsl_rr(high, low))
+    return np.concatenate(blocks, axis=1)
+
+
+def _pcg_seeded(seeds: np.ndarray) -> np.ndarray:
+    """The handoff of `PCG64(seed)`: a (6, seeds) uint64 array, a column per
+    seed of its state and inc, each in high and low halves, then has_uint32
+    and uinteger (both 0). `SeedSequence(seed)`'s eight words, then srandom:
     inc = 2 seq + 1 and state = (inc + init) * MULT + inc."""
     w = _seed_words(seeds)
-    init = np.stack((w[2], w[3], w[0], w[1]))  # the 64-bit words are (high, low)
-    seq = np.stack((w[6], w[7], w[4], w[5]))
-    inc = (seq << 1 | np.vstack((np.ones_like(seeds), seq[:-1] >> 31))) & _U32
-    return _lcg_jumps(_carry(inc + init), inc, *_ONE_STEP)[:, :, 0], inc
+    init_high, init_low, seq_high, seq_low = w[1::2] << 32 | w[::2]  # 64-bit words, high first
+    h = np.zeros((6, len(seeds)), dtype=np.uint64)
+    h[2], h[3] = seq_high << 1 | seq_low >> 63, seq_low << 1 | 1
+    h[:2] = _add(_mul(_add(h[2:4], (init_high, init_low)), _JUMPS[:2, :1]), h[2:4])
+    return h
 
 
-def _bulk_draws(seeds: np.ndarray, n: int, k: int) -> tuple:
-    """`_bounded_draws(n, k, PCG64(seed))` for each seed, with
-    0 < n - i < 2^32: (draws, rejected, handoff). A rejected row's draws are
-    not the definition's, which draws again after a rejection. handoff[r] is
-    the (state, inc, has_uint32, uinteger) of `bit_generator.state` that row
-    r is left in; uinteger, the high half of the last output (0 if none), is
-    held for the next 32-bit draw when k is odd."""
-    state, inc = _pcg_seeded(seeds)
-    outputs = (k + 1) // 2  # each 64-bit output gives two 32-bit words
-    s = _lcg_jumps(state, inc, *_jump_tables(outputs))
-    high, low = s[3] << 32 | s[2], s[1] << 32 | s[0]  # the 64-bit halves
-    # XSL-RR: high ^ low rotated right by the top 6 bits of high
-    xored, rot = (high ^ low)[:, 1:], high[:, 1:] >> 58
-    out = xored >> rot | xored << (-rot & 63)
-    words = out.astype("<u8", copy=False).view("<u4")[:, :k]  # low half first
-    draws, rejected = _lemire32(words, n - np.arange(k, dtype=np.uint64))
-    last = out[:, -1] >> 32 if outputs else np.zeros(len(seeds), dtype=np.uint64)
-    return draws.astype(np.int64), rejected.any(axis=1), list(zip(
-        _wide(s[:, :, -1]), _wide(inc), [k & 1] * len(seeds), last.tolist()))
-
-
-def _handed_on(handoff):
-    """One Generator, set in turn to each (state, inc, has_uint32, uinteger)
-    and yielded."""
+def handed_on(handoff: np.ndarray):
+    """One Generator, set in turn to the PCG64 of each column of the handoff
+    (see `_pcg_seeded`) and yielded."""
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for state, inc, has_uint32, uinteger in handoff:
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": has_uint32, "uinteger": uinteger}
+    for sh, sl, ih, il, has_uint32, uinteger in map(np.ndarray.tolist, handoff.T):
+        bits.state = {"bit_generator": "PCG64", "has_uint32": has_uint32, "uinteger": uinteger,
+                      "state": {"state": sh << 64 | sl, "inc": ih << 64 | il}}
         yield rng
 
 
@@ -320,34 +323,38 @@ def seeded_generators(seeds):
     """`Generator(PCG64(seed))` for each uint64 seed, yielded in turn and
     seeded in bulk (`_pcg_seeded`). They are one reused Generator, so each is
     valid until the next is taken."""
-    state, inc = _pcg_seeded(np.asarray(seeds, dtype=np.uint64))
-    return _handed_on((s, i, 0, 0) for s, i in zip(_wide(state), _wide(inc)))
+    return handed_on(_pcg_seeded(np.asarray(seeds, dtype=np.uint64)))
 
 
 def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     """`sample_defective_set(n, k, Generator(PCG64(seed)))` for each uint64
-    seed, in bulk: (truths, rngs). Row r of the (len(seeds), k) array truths
-    holds the k defectives of seed r, in no set order; rngs yields each row's
-    generator in turn, left as `sample_defective_set` leaves it. They are one
-    reused Generator, so each is valid until the next is taken. All rows are
+    seed, in bulk: (truths, handoff). Row r of the (len(seeds), k) array
+    truths holds the k defectives of seed r, in no set order; column r of
+    the handoff is its PCG64 as `sample_defective_set` leaves it (see
+    `_pcg_seeded`), and `handed_on` sets a Generator to it. All rows are
     drawn at once: the caller bounds len(seeds) x k (`harness.BATCH_CELLS`).
 
     Each stage runs over many rows with numpy: `SeedSequence`'s hash (uint32
-    arithmetic), PCG64's seeding and LCG steps (O'Neill 2014; 128 bits in
-    32-bit limbs) with its XSL-RR output, and the bounded draws on the 32-bit
-    halves of each output (`_lemire32`, as `_bounded_draws` takes them). A
-    row whose swap targets are distinct picks them; the others, about
-    k^2 / 2n of the rows, follow their swaps with `_fisher_yates`.
-    `sample_defective_set` itself samples a row with a rejected draw, and
-    every row when n > 2^32 - 1 (64-bit draws) or k == n (the last draw, over
-    one value, takes no word); only these rows build a numpy generator."""
+    arithmetic), PCG64's seeding and LCG steps (O'Neill 2014; `_lcg_run`)
+    with its XSL-RR output, and the bounded draws on the 32-bit halves of
+    each output (`_lemire32`). A row whose swap targets are distinct picks
+    them; the others, about k^2 / 2n of the rows, follow their swaps with
+    `_fisher_yates`. A row with a rejected draw, and every row when
+    n > 2^32 - 1 (64-bit draws) or k == n (the last draw takes no word), is
+    drawn on its own by `_bounded_draws` on the same arithmetic."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    truths = np.empty((len(seeds), k), dtype=np.int64)
-    slow, handoff = np.ones(len(seeds), dtype=bool), [None] * len(seeds)
-    if k < n <= _U32 and len(seeds):
-        truths, slow, handoff = _bulk_draws(seeds, n, k)  # the draws, until the swaps
+    seeded = _pcg_seeded(np.asarray(seeds, dtype=np.uint64))
+    handoff = seeded.copy()
+    truths = np.empty((seeded.shape[1], k), dtype=np.int64)
+    slow = np.ones(len(truths), dtype=bool)
+    if k < n <= _U32 and len(truths):
+        out = _raw_outputs(handoff, (k + 1) // 2)  # two 32-bit words an output, low first
+        draws, rejected = _lemire32(out.astype("<u8", copy=False).view("<u4")[:, :k],
+                                    n - np.arange(k, dtype=np.uint64))
+        truths, slow = draws.astype(np.int64), rejected.any(axis=1)  # slow rows: drawn again
+        if k:  # an odd k leaves the last output's high half held
+            handoff[4], handoff[5] = k & 1, out[:, -1] >> 32
         j = truths + np.arange(k)
         ordered = np.sort(j, axis=1)
         repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) & ~slow
@@ -355,11 +362,11 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
             j[r] = _fisher_yates(truths[r].tolist())
         truths[~slow] = j[~slow]
     for r in np.flatnonzero(slow).tolist():
-        rng = np.random.Generator(np.random.PCG64(int(seeds[r])))
-        truths[r] = np.fromiter(sample_defective_set(n, k, rng), np.int64, k)
-        s = rng.bit_generator.state
-        handoff[r] = (s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"])
-    return truths, _handed_on(handoff)
+        row = handoff[:, r:r + 1]
+        row[:] = seeded[:, r:r + 1]
+        draws, row[4], row[5] = _bounded_draws(n, k, lambda c: _raw_outputs(row, c)[0], 0, 0)
+        truths[r] = _fisher_yates(draws)
+    return truths, handoff
 
 
 # The noise channels, one transition table: a test of raw outcome `raw` (0
@@ -383,6 +390,7 @@ def _channel_codes(hit: np.ndarray, u: np.ndarray, noise: NoiseModel) -> np.ndar
 
 
 _BLOCK = 256  # noise uniforms drawn per refill
+_LANDING_ROWS = 256  # trials a landing pass steps together, 64 to 4096 outputs each
 
 
 def design_negatives(hit: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
@@ -395,26 +403,34 @@ def design_negatives(hit: np.ndarray, noise: NoiseModel, rng: np.random.Generato
     return _channel_codes(hit, rng.random(len(hit)), noise) == 0
 
 
-def erasure_submissions(firm: list[int], noise: NoiseModel, rngs) -> list[int]:
+def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray) -> list[int]:
     """Each trial's submissions on a channel in `TRUTHFUL_CHANNELS`, as
-    `TestOracle.test` makes them on the generator `rngs` yields for it. Under
-    erasure its `firm` tests land in order on the uniforms u >= p dealt next,
-    and each u < p is an erased one; the noiseless channel returns `firm` and
-    takes no generator. Draws are capped in size; that changes no value."""
+    `TestOracle.test` makes them on the generator `handed_on` sets to its
+    column of the handoff. Under erasure its `firm` tests land in order on
+    the uniforms u >= p dealt next, and each u < p is an erased one; the
+    noiseless channel returns `firm`. `Generator.random` deals
+    u = (raw >> 11) 2^-53, ignoring a held half, so u < p iff
+    raw >> 11 < ceil(p 2^53): the trials step on PCG64's raw outputs
+    256 at a time, and a trial drops out once its firm tests have landed."""
     if noise.kind is not NoiseKind.ERASURE:
         return firm
-    p, used = noise.p, []
-    for left, rng in zip(firm, rngs):
-        spent = 0
-        while left:
-            u = rng.random(min(1 << 16, int(left / (1 - p)) + 64))
-            lands = np.flatnonzero(u >= p)
-            if len(lands) >= left:
-                spent += int(lands[left - 1]) + 1
-                break
-            spent, left = spent + len(u), left - len(lands)
-        used.append(spent)
-    return used
+    if noise.p >= 1.0 and any(firm):
+        raise ValueError("erasure probability 1: no test ever lands")
+    used, firm = np.zeros(len(firm), dtype=np.int64), np.array(firm, dtype=np.int64)
+    erased = math.ceil(noise.p * 2.0 ** 53) << 11  # raw < erased
+    for first in range(0, len(firm), _LANDING_ROWS):  # passes of at most 2^14 outputs
+        rows = first + np.flatnonzero(firm[first:first + _LANDING_ROWS])
+        left, h, inc_terms = firm[rows], handoff[:4, rows], _inc_terms(handoff[:4, rows])
+        while len(rows):
+            high, low = _lcg_run(h, _STEPS * min(_STEPS, _LANDING_ROWS // len(rows)), inc_terms)
+            lands = _xsl_rr(high, low) >= erased
+            landed = np.count_nonzero(lands, axis=1)
+            done = landed >= left
+            used[rows] += np.where(done, 0, lands.shape[1])
+            used[rows[done]] += (lands[done].cumsum(axis=1) < left[done, None]).sum(axis=1) + 1
+            h[0], h[1], left = high[:, -1], low[:, -1], left - landed
+            h, inc_terms, rows, left = h[:, ~done], inc_terms[:, ~done], rows[~done], left[~done]
+    return used.tolist()
 
 
 class TestOracle:

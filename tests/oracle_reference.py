@@ -4,11 +4,13 @@
 channel, one pool and one uniform at a time. `PoolOracle` is the reference
 oracle built from them: every pool copied to a tuple, one scalar draw per
 test, a design tested row by row, and a search, a splitting round or a
-whole splitting run stepped test by test.
+whole splitting run stepped test by test. `erasure_landing` lands a batch's
+firm tests trial by trial on numpy's uniforms, and `handoff_of` hands numpy
+bit generators' states to the package's own PCG64 arithmetic.
 """
 import numpy as np
 
-from grouptest.bounds import ceil_log2
+from grouptest.bounds import NoiseKind, ceil_log2
 from grouptest.algorithms import SearchOverrun
 from grouptest.model import _CHANNELS, _OUTCOMES, Outcome
 
@@ -114,3 +116,38 @@ class PoolOracle:
             kp -= 1
             candidates = candidates[lo + 1:]
         return found
+
+
+def erasure_landing(firm, noise, rngs):
+    """Each trial's submissions when its `firm` tests land in order on the
+    uniforms u >= p that the generator `rngs` yields for it deals next, each
+    u < p an erased one, drawn with `random` a trial at a time: the
+    reference `model.erasure_submissions` is checked against. The noiseless
+    channel returns `firm`. Draws are capped in size; that changes no value."""
+    if noise.kind is not NoiseKind.ERASURE:
+        return firm
+    used = []
+    for left, rng in zip(firm, rngs):
+        spent = 0
+        while left:
+            u = rng.random(min(1 << 16, int(left / (1 - noise.p)) + 64))
+            lands = np.flatnonzero(u >= noise.p)
+            if len(lands) >= left:
+                spent += int(lands[left - 1]) + 1
+                break
+            spent, left = spent + len(u), left - len(lands)
+        used.append(spent)
+    return used
+
+
+def handoff_of(bit_generators):
+    """The handoff (see `model._pcg_seeded`) of numpy PCG64 bit generators:
+    each one's state and inc as high and low 64-bit halves, has_uint32 and
+    uinteger."""
+    columns = []
+    for bits in bit_generators:
+        s = bits.state
+        state, inc = s["state"]["state"], s["state"]["inc"]
+        columns.append((state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1,
+                        s["has_uint32"], s["uinteger"]))
+    return np.array(columns, dtype=np.uint64).reshape(-1, 6).T.copy()

@@ -3,7 +3,9 @@ draws from PCG64's raw output (`model._bounded_draws`), and
 `derive_stream_seeds` and `sample_defective_sets` must give, seed for seed,
 what `run_trial` gives (the scalar seed mix, `np.random.PCG64(seed)` and
 `sample_defective_set`), including the generator state handed on to the
-erasure uniforms.
+erasure uniforms. The bulk sampler steps PCG64 with the package's own
+128-bit arithmetic (`model._raw_outputs`), checked here against
+`PCG64.random_raw`.
 
 NEP 19 keeps PCG64's raw stream fixed across numpy releases, but not
 `Generator.integers`. The definition follows numpy 2.4.6's bounded draws,
@@ -16,8 +18,10 @@ import numpy as np
 import pytest
 
 from grouptest import model
-from grouptest.model import (_fisher_yates, derive_stream_seed, derive_stream_seeds,
-                             sample_defective_set, sample_defective_sets)
+from grouptest.model import (_STEPS, _fisher_yates, _raw_outputs, derive_stream_seed,
+                             derive_stream_seeds, handed_on, sample_defective_set,
+                             sample_defective_sets)
+from oracle_reference import handoff_of
 
 SEEDS = 100_000
 BATCH = 1024  # as the harness batches
@@ -25,10 +29,17 @@ BATCH = 1024  # as the harness batches
 
 @pytest.fixture
 def per_trial(monkeypatch):
-    """Counts the rows `sample_defective_sets` hands to `sample_defective_set`."""
-    rows = []
-    monkeypatch.setattr(model, "sample_defective_set",
-                        lambda *a: rows.append(1) or sample_defective_set(*a))
+    """Counts the rows `sample_defective_sets` draws one by one: the calls of
+    `_bounded_draws` on the package's own PCG64, not on a numpy bit
+    generator."""
+    rows, bounded = [], model._bounded_draws
+
+    def counted(n, k, raw, *held):
+        if not isinstance(getattr(raw, "__self__", None), np.random.PCG64):
+            rows.append(1)
+        return bounded(n, k, raw, *held)
+
+    monkeypatch.setattr(model, "_bounded_draws", counted)
     return rows
 
 
@@ -47,13 +58,13 @@ def fresh(seed):
 def test_bulk_sampler_matches_per_trial_numpy(per_trial, n, k):
     for lo in range(0, SEEDS, BATCH):
         seeds = derive_stream_seeds(derive_stream_seeds(k, np.arange(lo, lo + BATCH)), 0)
-        truths, rngs = sample_defective_sets(n, k, seeds)
-        for seed, row, rng in zip(seeds.tolist(), truths.tolist(), rngs):
+        truths, handoff = sample_defective_sets(n, k, seeds)
+        for seed, row, rng in zip(seeds.tolist(), truths.tolist(), handed_on(handoff)):
             want, state = numpy_sample(n, k, fresh(seed))
             assert frozenset(row) == want and rng.bit_generator.state == state
             ref = fresh(seed)
             assert sample_defective_set(n, k, ref) == want and ref.bit_generator.state == state
-    # Only rows with a rejected draw go through `sample_defective_set`: the
+    # Only rows with a rejected draw are drawn one by one: the
     # sum over i < k of (2^32 mod (n - i)) / 2^32, 8e-4 at (100000, 71), 4e-5
     # and 6e-7 at the figure's sizes. Those rows matched above too.
     assert len(per_trial) < SEEDS // 100
@@ -74,8 +85,8 @@ def test_handed_on_state_by_parity_of_k(per_trial):
     # odd k leaves the high half of the last output for the next 32-bit draw
     seeds = derive_stream_seeds(3, np.arange(200))
     for k in (1, 2, 7, 8):
-        _, rngs = sample_defective_sets(1000, k, seeds)
-        for seed, rng in zip(seeds.tolist(), rngs):
+        _, handoff = sample_defective_sets(1000, k, seeds)
+        for seed, rng in zip(seeds.tolist(), handed_on(handoff)):
             ref = np.random.Generator(np.random.PCG64(seed))
             sample_defective_set(1000, k, ref)
             state = rng.bit_generator.state
@@ -123,10 +134,10 @@ def test_derive_stream_seeds_matches_scalar(master):
 def test_bulk_sampler_edges(per_trial, n, k, bulk):
     # k == n and n > 2^32 - 1 take the per-trial path for every row
     seeds = derive_stream_seeds(7, np.arange(300))
-    truths, rngs = sample_defective_sets(n, k, seeds)
+    truths, handoff = sample_defective_sets(n, k, seeds)
     assert truths.shape == (300, k)
     assert len(per_trial) == (0 if bulk else 300)
-    for seed, row, rng in zip(seeds.tolist(), truths.tolist(), rngs):
+    for seed, row, rng in zip(seeds.tolist(), truths.tolist(), handed_on(handoff)):
         ref = np.random.Generator(np.random.PCG64(seed))
         assert frozenset(row) == sample_defective_set(n, k, ref) and len(set(row)) == k
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -136,3 +147,25 @@ def test_bad_sizes_rejected():
     for n, k in ((5, 6), (5, -1)):
         with pytest.raises(ValueError):
             sample_defective_sets(n, k, derive_stream_seeds(0, np.arange(3)))
+
+
+@pytest.mark.parametrize("count", [0, 1, _STEPS - 1, _STEPS, _STEPS + 1, 1000,
+                                   _STEPS**2 - 1, _STEPS**2 + 1, 3 * _STEPS**2 + 5])
+def test_raw_outputs_match_random_raw(count):
+    # random 128-bit states and odd incs, stepped by the package's halves
+    # arithmetic, against numpy's C PCG64 from the same state; the counts
+    # cross a block of _STEPS and a pass of _STEPS^2
+    rng = np.random.default_rng(count)
+    states = [(int.from_bytes(rng.bytes(16), "little"), int.from_bytes(rng.bytes(16), "little") | 1)
+              for _ in range(12)] + [(2**128 - 1, 2**128 - 1), (0, 1)]
+    bits = [np.random.PCG64(0) for _ in states]
+    for b, (state, inc) in zip(bits, states):
+        b.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
+    h = handoff_of(bits)
+    out = _raw_outputs(h, count)
+    assert out.shape == (len(states), count)
+    for b, row, moved in zip(bits, out, h.T.tolist()):
+        assert row.tolist() == b.random_raw(count).tolist()
+        assert moved == handoff_of([b])[:, 0].tolist()  # moved past them
+

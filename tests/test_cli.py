@@ -388,6 +388,34 @@ def test_noiseless_adaptive_runs_never_import_numpy_random():
     assert proc.returncode == 0, proc.stderr
 
 
+ERASURE_AND_REJECTED_ROW_RUNS = """
+import sys, tempfile
+import grouptest.cli as cli
+from grouptest import model
+drawn, bounded = [], model._bounded_draws
+model._bounded_draws = lambda *a: drawn.append(a[:2]) or bounded(*a)
+erasure = ["simulate", "--alg", "hgbsa", "--n", "100000", "--k", "71", "--noise", "erasure:0.25",
+           "--trials", "100", "--seed"]
+with tempfile.TemporaryDirectory() as tmp:
+    for argv, rejected in ((erasure + ["25"], True), (erasure + ["1"], False),
+                           (["figure1", "--trials", "500", "--seed", "58", "--out-dir", tmp], True)):
+        drawn.clear()
+        assert cli.main(argv) == 0, argv
+        assert bool(drawn) == rejected, (argv, drawn)  # rows drawn one by one
+        assert "numpy.random" not in sys.modules, argv
+"""
+
+
+def test_erasure_and_rejected_row_runs_never_import_numpy_random():
+    # the erasure landing reads PCG64's raw output, and a row with a rejected
+    # draw is drawn again on the same arithmetic, so neither builds a numpy
+    # generator; seed 25 at (100000, 71) and figure1's seed 58 have such rows
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", ERASURE_AND_REJECTED_ROW_RUNS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_internal_value_error_is_not_exit_2(monkeypatch):
     # only an InputError is an argument error; any other ValueError is a fault
     def fault(spec):

@@ -13,12 +13,14 @@ the reference's own `search` and `split`. The batched trials
 reference's test counts and decodes, and `run_trials`, which seeds and
 samples every trial in bulk, must equal `run_trial` trial by trial.
 """
+import contextlib
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from grouptest import harness
+from grouptest import harness, model
 from grouptest.algorithms import (
     SPLIT_GROUP_SIZES,
     SearchOverrun,
@@ -35,9 +37,9 @@ from grouptest.algorithms import (
 )
 from grouptest.bounds import NoiseModel, ProblemSize
 from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
-from grouptest.model import (Outcome, TestOracle, design_negatives, erasure_submissions,
-                             make_rng, sample_defective_set)
-from oracle_reference import PoolOracle, apply_noise
+from grouptest.model import (_PCG_MULT, Outcome, TestOracle, design_negatives,
+                             erasure_submissions, make_rng, sample_defective_set)
+from oracle_reference import PoolOracle, apply_noise, erasure_landing, handoff_of
 
 
 def dense_fisher_yates(n, k, rng):
@@ -180,11 +182,13 @@ ALGORITHM = {"hwang": "hgbsa", "variant": "variant"}
 
 def batch_both(n, truths, rule, noise, make_uniforms):
     """The batch's walk (`_split_walk`) and, under erasure, its landing step
-    (`erasure_submissions`) on `truths` (all of one size k), against
-    `PoolOracle.split` in the shape a trial uses: range(n), kp = k. Truth j's
-    uniforms come from `make_uniforms(j)`, a fresh one for each side. Both
-    must give the same tests_used, and success iff the reference found the
-    truth. Returns the tests_used."""
+    on `truths` (all of one size k), against `PoolOracle.split` in the shape
+    a trial uses: range(n), kp = k. Truth j's uniforms come from
+    `make_uniforms(j)`, a fresh one for each side. Both must give the same
+    tests_used, and success iff the reference found the truth. The landing
+    is `erasure_submissions`', on the generators' states or, for dealt
+    uniforms, on `dealt_raw_outputs`; it must equal `erasure_landing`'s.
+    Returns the tests_used."""
     k = len(truths[0])
     want = []
     for j, truth in enumerate(truths):
@@ -193,11 +197,38 @@ def batch_both(n, truths, rule, noise, make_uniforms):
                      ref.tests_used))
     rows = np.array([sorted(t) for t in truths], dtype=np.int64).reshape(len(truths), k)
     firm, success = _split_walk(n, rows, SPLIT_GROUP_SIZES[ALGORITHM[rule]](k))
-    used = erasure_submissions(firm.tolist(), noise,
-                               (make_uniforms(j) for j in range(len(truths))))
+    uniforms = [make_uniforms(j) for j in range(len(truths))]
+    if isinstance(uniforms[0], CyclingUniforms):
+        with dealt_raw_outputs(uniforms[0].values):
+            used = erasure_submissions(firm.tolist(), noise,
+                                       np.zeros((6, len(truths)), dtype=np.uint64))
+    else:
+        used = erasure_submissions(firm.tolist(), noise,
+                                   handoff_of(u.bit_generator for u in uniforms))
+    assert used == erasure_landing(firm.tolist(), noise, uniforms)
     assert list(zip(success.tolist(), used)) == want
     assert all(ok for ok, _ in want)
     return used
+
+
+@contextlib.contextmanager
+def dealt_raw_outputs(values):
+    """Within it, every PCG64 that `erasure_submissions` steps deals `values`
+    over and over, as `CyclingUniforms` does: a state's high half counts the
+    outputs taken, and output j is the raw output whose uniform is the
+    largest not above values[j mod len], so a value at or above p = 0.25
+    stays there. The landing's own threshold, passes and counts run
+    unchanged."""
+    raws = np.array([int(v * 2**53) << 11 for v in values], dtype=np.uint64)
+
+    def run(h, count, inc_terms):
+        high = h[0][:, None] + np.arange(1, count + 1, dtype=np.uint64)
+        return high, np.zeros_like(high)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_lcg_run", run)
+        mp.setattr(model, "_xsl_rr", lambda high, low: raws[(high - 1) % len(raws)])
+        yield
 
 
 def noiseless_cost(truth, candidates, group_size, kp):
@@ -351,6 +382,87 @@ def test_every_cell_of_the_channel_table(noise, cells):
     hit = np.array([False] * 3 + [True] * 3)
     assert (design_negatives(hit, noise, CyclingUniforms(dealt)).tolist()
             == [out is N for out in (*cells[N], *cells[P])])
+
+
+# erasure probabilities from the smallest positive p a uniform can beat (only
+# u = 0 is erased) to one where a submission lands about once in 10^9
+LANDING_PS = [1e-300, 0.001, 0.25, 0.5, 0.9, 1 - 1e-9]
+
+
+def next_raw_is(rng, raw):
+    """`rng`, its PCG64 moved (inc kept) to where its next raw output is
+    `raw`: the state after the step is raw itself, whose high half 0 rotates
+    nothing."""
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (raw - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+def landing_generators(p, firm):
+    """A fresh generator for each firm count, some holding a 32-bit half
+    (which `random` ignores). At p = 1 - 1e-9 a row of one firm test starts
+    where PCG64's next output is its largest, 2^64 - 1, so that it lands."""
+    rngs = [make_rng(int(p * 1000), j) for j in range(len(firm))]
+    for rng in rngs[::2]:
+        rng.integers(2**31)  # has_uint32 = 1
+    if p > 0.99:
+        next_raw_is(rngs[1], 2**64 - 1)
+    return rngs
+
+
+@pytest.mark.parametrize("p", [0.25, 0.1], ids=["u-equal-p", "least-u-above-p"])
+def test_erasure_lands_the_raw_output_at_the_threshold(p):
+    # the raw output ceil(p 2^53) << 11 deals the least u >= p (at p = 0.25,
+    # p 2^53 is whole, so u = p; at p = 0.1 it is not) and lands; the raw
+    # output below it deals u < p and is erased. One firm test each: the
+    # first takes 1 submission.
+    t = math.ceil(p * 2**53) << 11
+
+    def rngs():
+        return [next_raw_is(make_rng(5, j), raw) for j, raw in enumerate((t, t - 1))]
+
+    assert [rng.bit_generator.random_raw() for rng in rngs()] == [t, t - 1]
+    u = [rng.random() for rng in rngs()]
+    assert u[0] >= p > u[1] and (u[0] == p) == (p == 0.25)
+    noise = NoiseModel.erasure(p)
+    used = erasure_submissions([1, 1], noise, handoff_of(rng.bit_generator for rng in rngs()))
+    assert used[0] == 1 < used[1]
+    assert used == erasure_landing([1, 1], noise, rngs())
+
+
+@pytest.mark.parametrize("p", LANDING_PS)
+def test_erasure_submissions_match_the_reference_landing(p):
+    # firm 0 takes no draw; some counts need more than the reference's 2^16
+    # uniforms in one call, and near p = 1 only the prepared row can land
+    firm = ([0, 1, 0, 3, 17, 300] + [int(70000 * (1 - p)) + 1] * 2 if p < 0.99 else [0, 1, 0])
+    noise = NoiseModel.erasure(p)
+    rngs = landing_generators(p, firm)
+    handoff = handoff_of(rng.bit_generator for rng in rngs)
+    want = erasure_landing(firm, noise, rngs)
+    assert erasure_submissions(firm, noise, handoff) == want
+    assert want[0] == 0 and max(want) > (1 << 16 if p < 0.99 else 0)
+    assert erasure_submissions(firm, NoiseModel.noiseless(), None) == firm
+
+
+@pytest.mark.parametrize("p", LANDING_PS)
+def test_uniform_below_p_is_a_raw_output_below_a_threshold(p):
+    # `Generator.random` deals (raw >> 11) 2^-53, so u < p iff
+    # (raw >> 11) < ceil(p 2^53): checked on a stream and at the threshold
+    bits = np.random.PCG64(17)
+    raw = np.random.PCG64(17).random_raw(10000) >> 11
+    assert (np.random.Generator(bits).random(10000) == raw * 2.0**-53).all()
+    t = math.ceil(p * 2**53)
+    tops = np.concatenate((raw, [v for v in (0, 1, t - 1, t, t + 1, 2**53 - 1) if 0 <= v < 2**53]))
+    assert ((tops * 2.0**-53 < p) == (tops < t)).all()
+
+
+def test_erasure_submissions_at_p1():
+    handoff = handoff_of(np.random.PCG64(j) for j in range(3))
+    assert erasure_submissions([0, 0, 0], NoiseModel.erasure(1.0), handoff) == [0, 0, 0]
+    with pytest.raises(ValueError, match="no test ever lands"):
+        erasure_submissions([0, 2, 0], NoiseModel.erasure(1.0), handoff)
 
 
 @pytest.mark.parametrize("values", [

@@ -16,9 +16,9 @@ takes them. `derive_stream_seeds` and `sample_defective_sets` compute the
 same seeds, sets and generator states for many trials at once with numpy,
 bit for bit: SeedSequence's hash, PCG64 with its 128-bit state in two
 uint64 halves (`_lcg_run`) and the same Lemire step. They hand on each
-trial's generator as plain numbers (see `_pcg_seeded`), from which
-`handed_on` sets a numpy Generator only for a consumer that draws through
-one; `seeded_generators` serves COMP's design streams the same way.
+trial's PCG64 state and inc as plain numbers (see `_pcg_seeded`), from
+which `handed_on` sets a numpy Generator only for a consumer that draws
+through one; `seeded_generators` serves COMP's design streams the same way.
 
 Each noise channel is defined once, as a row of the transition table
 `_CHANNELS`. `TestOracle` reads it test by test; its batched stand-ins,
@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -296,13 +297,13 @@ def _raw_outputs(h: np.ndarray, count: int) -> np.ndarray:
 
 
 def _pcg_seeded(seeds: np.ndarray) -> np.ndarray:
-    """The handoff of `PCG64(seed)`: a (6, seeds) uint64 array, a column per
-    seed of its state and inc, each in high and low halves, then has_uint32
-    and uinteger (both 0). `SeedSequence(seed)`'s eight words, then srandom:
-    inc = 2 seq + 1 and state = (inc + init) * MULT + inc."""
+    """The handoff of `PCG64(seed)`: a (4, seeds) uint64 array, a column per
+    seed of its state and inc, each in high and low halves: all of PCG64
+    that a draw after sampling reads. `SeedSequence(seed)`'s eight words,
+    then srandom: inc = 2 seq + 1 and state = (inc + init) * MULT + inc."""
     w = _seed_words(seeds)
     init_high, init_low, seq_high, seq_low = w[1::2] << 32 | w[::2]  # 64-bit words, high first
-    h = np.zeros((6, len(seeds)), dtype=np.uint64)
+    h = np.empty((4, len(seeds)), dtype=np.uint64)
     h[2], h[3] = seq_high << 1 | seq_low >> 63, seq_low << 1 | 1
     h[:2] = _add(_mul(_add(h[2:4], (init_high, init_low)), _JUMPS[:2, :1]), h[2:4])
     return h
@@ -310,11 +311,12 @@ def _pcg_seeded(seeds: np.ndarray) -> np.ndarray:
 
 def handed_on(handoff: np.ndarray):
     """One Generator, set in turn to the PCG64 of each column of the handoff
-    (see `_pcg_seeded`) and yielded."""
+    (see `_pcg_seeded`) and yielded, holding no 32-bit half: every draw made
+    on it is 64 bits wide (`Generator.random`), and such a draw ignores one."""
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for sh, sl, ih, il, has_uint32, uinteger in map(np.ndarray.tolist, handoff.T):
-        bits.state = {"bit_generator": "PCG64", "has_uint32": has_uint32, "uinteger": uinteger,
+    for sh, sl, ih, il in map(np.ndarray.tolist, handoff.T):
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                       "state": {"state": sh << 64 | sl, "inc": ih << 64 | il}}
         yield rng
 
@@ -330,9 +332,11 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     """`sample_defective_set(n, k, Generator(PCG64(seed)))` for each uint64
     seed, in bulk: (truths, handoff). Row r of the (len(seeds), k) array
     truths holds the k defectives of seed r, in no set order; column r of
-    the handoff is its PCG64 as `sample_defective_set` leaves it (see
-    `_pcg_seeded`), and `handed_on` sets a Generator to it. All rows are
-    drawn at once: the caller bounds len(seeds) x k (`harness.BATCH_CELLS`).
+    the handoff is the state and inc of its PCG64 as `sample_defective_set`
+    leaves it (see `_pcg_seeded`), and `handed_on` sets a Generator to it.
+    A 32-bit half that an odd k leaves held is not handed on: no draw after
+    sampling reads one. All rows are drawn at once: the caller bounds
+    len(seeds) x k (`harness.BATCH_CELLS`).
 
     Each stage runs over many rows with numpy: `SeedSequence`'s hash (uint32
     arithmetic), PCG64's seeding and LCG steps (O'Neill 2014; `_lcg_run`)
@@ -353,8 +357,6 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
         draws, rejected = _lemire32(out.astype("<u8", copy=False).view("<u4")[:, :k],
                                     n - np.arange(k, dtype=np.uint64))
         truths, slow = draws.astype(np.int64), rejected.any(axis=1)  # slow rows: drawn again
-        if k:  # an odd k leaves the last output's high half held
-            handoff[4], handoff[5] = k & 1, out[:, -1] >> 32
         j = truths + np.arange(k)
         ordered = np.sort(j, axis=1)
         repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) & ~slow
@@ -364,7 +366,7 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     for r in np.flatnonzero(slow).tolist():
         row = handoff[:, r:r + 1]
         row[:] = seeded[:, r:r + 1]
-        draws, row[4], row[5] = _bounded_draws(n, k, lambda c: _raw_outputs(row, c)[0], 0, 0)
+        draws, _, _ = _bounded_draws(n, k, lambda c: _raw_outputs(row, c)[0], 0, 0)
         truths[r] = _fisher_yates(draws)
     return truths, handoff
 
@@ -409,7 +411,7 @@ def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray)
     column of the handoff. Under erasure its `firm` tests land in order on
     the uniforms u >= p dealt next, and each u < p is an erased one; the
     noiseless channel returns `firm`. `Generator.random` deals
-    u = (raw >> 11) 2^-53, ignoring a held half, so u < p iff
+    u = (raw >> 11) 2^-53, so u < p iff
     raw >> 11 < ceil(p 2^53): the trials step on PCG64's raw outputs
     256 at a time, and a trial drops out once its firm tests have landed."""
     if noise.kind is not NoiseKind.ERASURE:
@@ -420,7 +422,7 @@ def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray)
     erased = math.ceil(noise.p * 2.0 ** 53) << 11  # raw < erased
     for first in range(0, len(firm), _LANDING_ROWS):  # passes of at most 2^14 outputs
         rows = first + np.flatnonzero(firm[first:first + _LANDING_ROWS])
-        left, h, inc_terms = firm[rows], handoff[:4, rows], _inc_terms(handoff[:4, rows])
+        left, h, inc_terms = firm[rows], handoff[:, rows], _inc_terms(handoff[:, rows])
         while len(rows):
             high, low = _lcg_run(h, _STEPS * min(_STEPS, _LANDING_ROWS // len(rows)), inc_terms)
             lands = _xsl_rr(high, low) >= erased
@@ -431,6 +433,12 @@ def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray)
             h[0], h[1], left = high[:, -1], low[:, -1], left - landed
             h, inc_terms, rows, left = h[:, ~done], inc_terms[:, ~done], rows[~done], left[~done]
     return used.tolist()
+
+
+def _uniform_stream(rng: np.random.Generator) -> Iterator[float]:
+    """The uniforms of `rng`, one at a time, drawn `_BLOCK` at a time: the
+    next block is drawn only once the last is used up."""
+    return chain.from_iterable(map(np.ndarray.tolist, map(rng.random, repeat(_BLOCK))))
 
 
 class TestOracle:
@@ -457,8 +465,9 @@ class TestOracle:
       of resubmitting forever.
     - Test j (0-based) goes through the channel table `_CHANNELS` with the
       j-th uniform of `rng`; a noiseless test still uses up its uniform.
-    - The uniforms are drawn `rng.random(256)` at a time, so after the last
-      test `rng` sits ceil(tests_used / 256) * 256 draws on. Do not draw from
+      `test` and `test_design` read one stream of them (`_uniform_stream`).
+    - The stream draws `rng.random(256)` at a time, so after the last test
+      `rng` sits ceil(tests_used / 256) * 256 draws on. Do not draw from
       `rng` once it is handed to the oracle.
     """
 
@@ -475,7 +484,7 @@ class TestOracle:
         # (pool, outcome) or (design, [outcome per row])
         self._log: list = []
         self._sorted_truth = sorted(truth)
-        self._uniforms: list[float] = []
+        self._uniforms = _uniform_stream(rng)
         self._channel = _CHANNELS[noise.kind]
 
     @property
@@ -490,19 +499,6 @@ class TestOracle:
                 tests.append((pool, out))
         return tests
 
-    def _take_uniforms(self, t: int):
-        """Count t more tests and return their uniforms, drawing one fresh
-        block for each block boundary they cross."""
-        left = -self.tests_used % _BLOCK  # uniforms left in the current block
-        u = self._uniforms[_BLOCK - left:_BLOCK - left + t]
-        if t > left:
-            blocks = -((left - t) // _BLOCK)  # ceil((t - left) / _BLOCK)
-            fresh = self.rng.random(blocks * _BLOCK)
-            self._uniforms = fresh[-_BLOCK:].tolist()
-            u = np.concatenate((u, fresh[:t - left]))
-        self.tests_used += t
-        return u
-
     def test(self, pool: Sequence[int]) -> Outcome:
         if type(pool) is range and pool.step == 1:
             i = bisect_left(self._sorted_truth, pool.start)  # the next defective
@@ -514,10 +510,7 @@ class TestOracle:
             raise ValueError("cannot test an empty pool")
         row, p = self._channel[hit], self.noise.p
         while True:
-            j = self.tests_used % _BLOCK
-            if j == 0:
-                self._uniforms = self.rng.random(_BLOCK).tolist()
-            out = _OUTCOMES[row[self._uniforms[j] < p]]
+            out = _OUTCOMES[row[next(self._uniforms) < p]]
             self.tests_used += 1
             self._log.append((pool, out))
             if out is not Outcome.ERASED:
@@ -536,9 +529,10 @@ class TestOracle:
         if not design.any(axis=1).all():
             raise ValueError("cannot test an empty pool")
         design.flags.writeable = False
-        u = self._take_uniforms(len(design))
-        codes = _channel_codes(design[:, self._sorted_truth].any(axis=1), np.asarray(u),
-                               self.noise)
+        t = len(design)
+        u = np.fromiter(islice(self._uniforms, t), float, t)
+        self.tests_used += t
+        codes = _channel_codes(design[:, self._sorted_truth].any(axis=1), u, self.noise)
         outs = [_OUTCOMES[c] for c in codes.tolist()]
         self._log.append((design, outs))
         return outs

@@ -142,12 +142,10 @@ def erasure_landing(firm, noise, rngs):
 
 def handoff_of(bit_generators):
     """The handoff (see `model._pcg_seeded`) of numpy PCG64 bit generators:
-    each one's state and inc as high and low 64-bit halves, has_uint32 and
-    uinteger."""
+    each one's state and inc as high and low 64-bit halves."""
     columns = []
     for bits in bit_generators:
-        s = bits.state
-        state, inc = s["state"]["state"], s["state"]["inc"]
-        columns.append((state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1,
-                        s["has_uint32"], s["uinteger"]))
-    return np.array(columns, dtype=np.uint64).reshape(-1, 6).T.copy()
+        s = bits.state["state"]
+        state, inc = s["state"], s["inc"]
+        columns.append((state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1))
+    return np.array(columns, dtype=np.uint64).reshape(-1, 4).T.copy()

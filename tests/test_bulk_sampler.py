@@ -2,16 +2,18 @@
 draws from PCG64's raw output (`model._bounded_draws`), and
 `derive_stream_seeds` and `sample_defective_sets` must give, seed for seed,
 what `run_trial` gives (the scalar seed mix, `np.random.PCG64(seed)` and
-`sample_defective_set`), including the generator state handed on to the
-erasure uniforms. The bulk sampler steps PCG64 with the package's own
-128-bit arithmetic (`model._raw_outputs`), checked here against
-`PCG64.random_raw`.
+`sample_defective_set`), including the PCG64 state and inc handed on to
+the noise and erasure uniforms. The handoff holds no 32-bit half that an odd
+k leaves buffered: every draw after sampling is 64 bits wide and ignores
+one. The bulk sampler steps PCG64 with the package's own 128-bit arithmetic
+(`model._raw_outputs`), checked here against `PCG64.random_raw`.
 
 NEP 19 keeps PCG64's raw stream fixed across numpy releases, but not
 `Generator.integers`. The definition follows numpy 2.4.6's bounded draws,
 and the tests here pin it to them: every bulk row and every reference row
 equals partial Fisher-Yates on `Generator(PCG64(seed)).integers(n - arange(k))`,
-with the same bit-generator state, on numpy 2.4.6 (CI pins it). On another
+a reference row with the same bit-generator state and a bulk row with the
+same state and inc, on numpy 2.4.6 (CI pins it). On another
 numpy these pins may fail while the package's output stays the same.
 """
 import numpy as np
@@ -61,7 +63,7 @@ def test_bulk_sampler_matches_per_trial_numpy(per_trial, n, k):
         truths, handoff = sample_defective_sets(n, k, seeds)
         for seed, row, rng in zip(seeds.tolist(), truths.tolist(), handed_on(handoff)):
             want, state = numpy_sample(n, k, fresh(seed))
-            assert frozenset(row) == want and rng.bit_generator.state == state
+            assert frozenset(row) == want and rng.bit_generator.state["state"] == state["state"]
             ref = fresh(seed)
             assert sample_defective_set(n, k, ref) == want and ref.bit_generator.state == state
     # Only rows with a rejected draw are drawn one by one: the
@@ -81,19 +83,30 @@ def test_derive_stream_seeds_matches_scalar_per_trial():
                                   for i in range(SEEDS)]
 
 
-def test_handed_on_state_by_parity_of_k(per_trial):
-    # odd k leaves the high half of the last output for the next 32-bit draw
-    seeds = derive_stream_seeds(3, np.arange(200))
-    for k in (1, 2, 7, 8):
-        _, handoff = sample_defective_sets(1000, k, seeds)
-        for seed, rng in zip(seeds.tolist(), handed_on(handoff)):
-            ref = np.random.Generator(np.random.PCG64(seed))
-            sample_defective_set(1000, k, ref)
-            state = rng.bit_generator.state
-            assert state == ref.bit_generator.state and state["has_uint32"] == k & 1
-            assert rng.integers(2**31, size=3).tolist() == ref.integers(2**31, size=3).tolist()
-            assert rng.random() == ref.random()
-    assert not per_trial  # all drawn in bulk
+@pytest.mark.parametrize("n,k,master", [
+    *[(1000, k, 3) for k in (0, 1, 2, 7, 8)],  # odd k leaves a 32-bit half held
+    (100000, 71, 25),  # as the harness seeds master 25: a row with a rejected draw
+    (2**32 + 7, 3, 3),  # 64-bit draws: every row on its own
+])
+def test_handoff_is_state_and_inc(per_trial, n, k, master):
+    # the handoff is each PCG64's state and inc as the reference sampler
+    # leaves them, and no held half: the next uniform is the reference's
+    seeds = derive_stream_seeds(derive_stream_seeds(master, np.arange(200)), 0)
+    _, handoff = sample_defective_sets(n, k, seeds)
+    assert handoff.shape == (4, len(seeds))
+    for seed, rng in zip(seeds.tolist(), handed_on(handoff)):
+        ref = fresh(seed)
+        sample_defective_set(n, k, ref)
+        state = rng.bit_generator.state
+        assert state["state"] == ref.bit_generator.state["state"] and state["has_uint32"] == 0
+        assert rng.random() == ref.random()
+    # rows drawn one by one: none, those with a rejected draw, or all at 64-bit draws
+    if n == 1000:
+        assert not per_trial
+    elif n < 2**32:
+        assert 0 < len(per_trial) < len(seeds)
+    else:
+        assert len(per_trial) == len(seeds)
 
 
 @pytest.mark.parametrize("n,k", [
@@ -140,7 +153,7 @@ def test_bulk_sampler_edges(per_trial, n, k, bulk):
     for seed, row, rng in zip(seeds.tolist(), truths.tolist(), handed_on(handoff)):
         ref = np.random.Generator(np.random.PCG64(seed))
         assert frozenset(row) == sample_defective_set(n, k, ref) and len(set(row)) == k
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
 
 
 def test_bad_sizes_rejected():

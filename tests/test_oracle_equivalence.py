@@ -201,7 +201,7 @@ def batch_both(n, truths, rule, noise, make_uniforms):
     if isinstance(uniforms[0], CyclingUniforms):
         with dealt_raw_outputs(uniforms[0].values):
             used = erasure_submissions(firm.tolist(), noise,
-                                       np.zeros((6, len(truths)), dtype=np.uint64))
+                                       np.zeros((4, len(truths)), dtype=np.uint64))
     else:
         used = erasure_submissions(firm.tolist(), noise,
                                    handoff_of(u.bit_generator for u in uniforms))
@@ -679,7 +679,7 @@ EDGE_NOISES = {**NOISES, "erasure1.0": NoiseModel.erasure(1.0)}
     ("variant", "erasure", 1000, 200, harness.BATCH_CELLS // 200 + 1),
     ("hgbsa", "noiseless", 200000, 20000, 3),  # a batch of one trial, 20000 rounds
     ("variant", "noiseless", 200000, 20000, 3),
-    ("hgbsa", "erasure", 300, 7, 60),  # odd k hands on a buffered 32-bit half
+    ("hgbsa", "erasure", 300, 7, 60),  # odd k holds a 32-bit half, which is not handed on
     ("hgbsa", "erasure", 300, 8, 60),
     *[(alg, "noiseless", 2**53, k, 10)  # the largest n a spec accepts
       for alg in ("hgbsa", "variant") for k in (1, 2, 3)],

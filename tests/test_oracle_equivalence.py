@@ -36,6 +36,7 @@ from grouptest.algorithms import (
     repeated_binary_testing,
 )
 from grouptest.bounds import NoiseModel, ProblemSize
+from grouptest.cli import main
 from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
 from grouptest.model import (_PCG_MULT, Outcome, TestOracle, design_negatives,
                              erasure_submissions, make_rng, sample_defective_set)
@@ -773,6 +774,24 @@ def test_figure1_csvs_pinned(tmp_path):
     paths = figure1_experiment(tmp_path, trials=50, master_seed=0)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert got == FIGURE1_SHA256
+
+
+# sha256 of `cli.main`'s stdout for the argvs of the comp-sweep and
+# erasure-large-n benchmark workloads, computed while PCG64 was stepped in
+# blocks of 64 steps from two jump tables.
+CLI_STDOUT_SHA256 = {
+    "sweep --alg comp --n 100 --k 5 --t-min 40 --t-max 160 --step 10 --trials 300 --seed 1":
+        "65f1a3457bda2d053cd0102bf737299a8614f01e48325db50589772701fdddc9",
+    "simulate --alg hgbsa --n 100000 --k 71 --noise erasure:0.25 --trials 100 --seed 1":
+        "f5541502c0fdece7565775b3bd5a904c9257cc61bafb65404c27fd5304191c0a",
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_STDOUT_SHA256))
+def test_cli_stdout_pinned(capsys, argv):
+    assert main(argv.split()) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == CLI_STDOUT_SHA256[argv]
 
 
 # sha256 of the per-trial "success,tests_used" lines of `run_trials` at

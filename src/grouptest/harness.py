@@ -57,8 +57,9 @@ MAX_BUDGETS = 1 << 16
 # `np.frexp`, exact only for integers up to 2^53.
 MAX_N = 1 << 53
 # Most expected submissions an adaptive erasure spec accepts, trials x
-# guarantee / (1 - p): `erasure_submissions` steps 1-3e7 PCG64 outputs a second,
-# so a run at the cap takes a few minutes, while p near 1 would run for days.
+# guarantee / (1 - p): `erasure_submissions` steps 2-3e7 PCG64 outputs a second
+# (2-core x86-64 VM, numpy 2.4.6), so a run at the cap takes a few minutes,
+# while p near 1 would run for days.
 MAX_SUBMISSIONS = 1 << 32
 
 

@@ -15,10 +15,11 @@ defined on PCG64's raw output (which NEP 19 keeps stable) as numpy 2.4.6
 takes them. `derive_stream_seeds` and `sample_defective_sets` compute the
 same seeds, sets and generator states for many trials at once with numpy,
 bit for bit: SeedSequence's hash, PCG64 with its 128-bit state in two
-uint64 halves (`_lcg_run`) and the same Lemire step. They hand on each
-trial's PCG64 state and inc as plain numbers (see `_pcg_seeded`), from
-which `handed_on` sets a numpy Generator only for a consumer that draws
-through one; `seeded_generators` serves COMP's design streams the same way.
+uint64 halves, stepped by jumps from one table (`_lcg_run`), and the same
+Lemire step. They hand on each trial's PCG64 state and inc as plain
+numbers (see `_pcg_seeded`), from which `handed_on` sets a numpy Generator
+only for a consumer that draws through one; `seeded_generators` serves
+COMP's design streams the same way.
 
 Each noise channel is defined once, as a row of the transition table
 `_CHANNELS`. `TestOracle` reads it test by test; its batched stand-ins,
@@ -227,24 +228,6 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASHES)
 
 
-def _jump_table(mult: int, add: int) -> np.ndarray:
-    """e steps of x -> x * mult + add for e = 1..`_STEPS`, as the read-only
-    halves (high, low) of mult^e and add (mult^(e-1) + ... + 1) mod 2^128."""
-    columns, a, c = [], 1, 0
-    for _ in range(_STEPS):
-        a, c = a * mult % (1 << 128), (c * mult + add) % (1 << 128)
-        columns.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
-    table = np.array(columns, dtype=np.uint64).T
-    table.flags.writeable = False
-    return table
-
-
-_STEPS = 64  # LCG steps in a block of raw outputs, and blocks in a pass
-_JUMPS = _jump_table(_PCG_MULT, 1)  # e LCG steps
-# e blocks of `_STEPS` LCG steps: the affine map of one block, stepped
-_STRIDES = _jump_table(*(int(h) << 64 | int(l) for h, l in _JUMPS[:, -1].reshape(2, 2)))
-
-
 def _mul(a: tuple, b: tuple) -> tuple:
     """a * b mod 2^128 in (high, low) uint64 halves, whose products wrap mod
     2^64: only low x low needs its high half (`_mulhi`)."""
@@ -257,23 +240,34 @@ def _add(a: tuple, b: tuple) -> tuple:
     return a[0] + b[0] + (low < b[1]), low
 
 
+def _jump_table(steps: int) -> np.ndarray:
+    """e LCG steps for e = 1..steps, a power of two: the read-only halves
+    (high, low) of MULT^e and MULT^(e-1) + ... + 1 mod 2^128, one column
+    each. Built by doubling: e + m steps are m steps after e. Arrays
+    throughout, since a numpy scalar product that wraps warns."""
+    table = np.array([[_PCG_MULT >> 64], [_PCG_MULT & _MASK64], [0], [1]], dtype=np.uint64)
+    while table.shape[1] < steps:
+        a, c = table[:2, -1:], table[2:, -1:]  # m steps, m the width so far
+        table = np.hstack((table, [*_mul(a, table[:2]), *_add(_mul(a, table[2:]), c)]))
+    table.flags.writeable = False
+    return table
+
+
+_PASS = 4096  # most LCG steps a pass of raw outputs takes
+_JUMPS = _jump_table(_PASS)
+
+
 def _lcg_run(h: np.ndarray, count: int, inc_terms: np.ndarray) -> tuple:
     """The states of the PCG64 of each column of the handoff h after 1, ...,
-    count <= `_STEPS`^2 LCG steps, as halves of shape (rows, count). Step e
-    of a block is MULT^e s plus inc_terms[:, :, e - 1] (`_inc_terms`) from
-    its first state s, which `_STRIDES` jumps to; all blocks step at once."""
-    starts, steps = h[:2, :, None], min(count, _STEPS)
-    if count > _STEPS:
-        strides = _STRIDES[:, :-(-count // _STEPS) - 1]
-        jumped = _add(_mul(starts, strides[:2]), _mul(h[2:4, :, None], strides[2:]))
-        starts = np.concatenate((starts, jumped), axis=2)
-    high, low = _add(_mul(starts[..., None], _JUMPS[:2, :steps]), inc_terms[:, :, None, :steps])
-    return high.reshape(len(high), -1)[:, :count], low.reshape(len(low), -1)[:, :count]
+    count <= `_PASS` LCG steps, as halves of shape (rows, count): step e is
+    MULT^e s plus inc_terms[:, :, e - 1] (`_inc_terms`) from h's state s."""
+    return _add(_mul(h[:2, :, None], _JUMPS[:2, :count]), inc_terms[:, :, :count])
 
 
-def _inc_terms(h: np.ndarray, steps: int = _STEPS) -> np.ndarray:
-    """(MULT^(e-1) + ... + 1) inc for e = 1..steps, the inc term of e LCG
-    steps, of each column of the handoff h: halves, shape (2, rows, steps)."""
+def _inc_terms(h: np.ndarray, steps: int) -> np.ndarray:
+    """(MULT^(e-1) + ... + 1) inc for e = 1..steps <= `_PASS`, the inc term
+    of e LCG steps, of each column of the handoff h: halves, shape
+    (2, rows, steps)."""
     return np.array(_mul(h[2:4, :, None], _JUMPS[2:, :steps]))
 
 
@@ -288,9 +282,9 @@ def _raw_outputs(h: np.ndarray, count: int) -> np.ndarray:
     """The next `count` raw outputs of the PCG64 of each column of the
     handoff h, as a (rows, count) uint64 array, in passes of `_lcg_run`;
     h's states are moved past them in place."""
-    blocks, inc_terms = [np.empty((h.shape[1], 0), dtype=np.uint64)], _inc_terms(h, count)
-    for done in range(0, count, _STEPS ** 2):
-        high, low = _lcg_run(h, min(_STEPS ** 2, count - done), inc_terms)
+    blocks, inc_terms = [np.empty((h.shape[1], 0), np.uint64)], _inc_terms(h, min(count, _PASS))
+    for done in range(0, count, _PASS):
+        high, low = _lcg_run(h, min(_PASS, count - done), inc_terms)
         h[0], h[1] = high[:, -1], low[:, -1]
         blocks.append(_xsl_rr(high, low))
     return np.concatenate(blocks, axis=1)
@@ -392,7 +386,8 @@ def _channel_codes(hit: np.ndarray, u: np.ndarray, noise: NoiseModel) -> np.ndar
 
 
 _BLOCK = 256  # noise uniforms drawn per refill
-_LANDING_ROWS = 256  # trials a landing pass steps together, 64 to 4096 outputs each
+_LANDING_ROWS = 256  # trials a landing pass steps together
+_LANDING_OUTPUTS = 1 << 14  # most outputs a landing pass steps, at most `_PASS` a trial
 
 
 def design_negatives(hit: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
@@ -420,15 +415,18 @@ def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray)
         raise ValueError("erasure probability 1: no test ever lands")
     used, firm = np.zeros(len(firm), dtype=np.int64), np.array(firm, dtype=np.int64)
     erased = math.ceil(noise.p * 2.0 ** 53) << 11  # raw < erased
-    for first in range(0, len(firm), _LANDING_ROWS):  # passes of at most 2^14 outputs
+    for first in range(0, len(firm), _LANDING_ROWS):
         rows = first + np.flatnonzero(firm[first:first + _LANDING_ROWS])
-        left, h, inc_terms = firm[rows], handoff[:, rows], _inc_terms(handoff[:, rows])
+        left, h, inc_terms = firm[rows], handoff[:, rows], np.empty((2, len(rows), 0), np.uint64)
         while len(rows):
-            high, low = _lcg_run(h, _STEPS * min(_STEPS, _LANDING_ROWS // len(rows)), inc_terms)
+            count = min(_PASS, _LANDING_OUTPUTS // len(rows))
+            if count > inc_terms.shape[2]:  # the first pass, or rows dropped out
+                inc_terms = _inc_terms(h, count)
+            high, low = _lcg_run(h, count, inc_terms)
             lands = _xsl_rr(high, low) >= erased
             landed = np.count_nonzero(lands, axis=1)
             done = landed >= left
-            used[rows] += np.where(done, 0, lands.shape[1])
+            used[rows] += np.where(done, 0, count)
             used[rows[done]] += (lands[done].cumsum(axis=1) < left[done, None]).sum(axis=1) + 1
             h[0], h[1], left = high[:, -1], low[:, -1], left - landed
             h, inc_terms, rows, left = h[:, ~done], inc_terms[:, ~done], rows[~done], left[~done]

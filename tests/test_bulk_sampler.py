@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from grouptest import model
-from grouptest.model import (_STEPS, _fisher_yates, _raw_outputs, derive_stream_seed,
-                             derive_stream_seeds, handed_on, sample_defective_set,
-                             sample_defective_sets)
+from grouptest.model import (_JUMPS, _PASS, _PCG_MULT, _fisher_yates, _raw_outputs,
+                             derive_stream_seed, derive_stream_seeds, handed_on,
+                             sample_defective_set, sample_defective_sets)
 from oracle_reference import handoff_of
 
 SEEDS = 100_000
@@ -162,12 +162,22 @@ def test_bad_sizes_rejected():
             sample_defective_sets(n, k, derive_stream_seeds(0, np.arange(3)))
 
 
-@pytest.mark.parametrize("count", [0, 1, _STEPS - 1, _STEPS, _STEPS + 1, 1000,
-                                   _STEPS**2 - 1, _STEPS**2 + 1, 3 * _STEPS**2 + 5])
+def test_jump_table_is_the_lcg_recurrence():
+    # column e - 1 holds the halves of MULT^e and MULT^(e-1) + ... + 1
+    # mod 2^128, as the Python-int recurrence steps them
+    assert _JUMPS.shape == (4, _PASS) and _JUMPS.dtype == np.uint64
+    a, c, mask = 1, 0, (1 << 64) - 1
+    for column in _JUMPS.T.tolist():
+        a, c = a * _PCG_MULT % (1 << 128), (c * _PCG_MULT + 1) % (1 << 128)
+        assert column == [a >> 64, a & mask, c >> 64, c & mask]
+    assert not _JUMPS.flags.writeable
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1000, _PASS - 1, _PASS + 1, 3 * _PASS + 5])
 def test_raw_outputs_match_random_raw(count):
     # random 128-bit states and odd incs, stepped by the package's halves
     # arithmetic, against numpy's C PCG64 from the same state; the counts
-    # cross a block of _STEPS and a pass of _STEPS^2
+    # end inside a pass of _PASS steps or cross one
     rng = np.random.default_rng(count)
     states = [(int.from_bytes(rng.bytes(16), "little"), int.from_bytes(rng.bytes(16), "little") | 1)
               for _ in range(12)] + [(2**128 - 1, 2**128 - 1), (0, 1)]

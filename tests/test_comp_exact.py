@@ -7,6 +7,17 @@ row is Bernoulli(1/k) per item, resampled while empty. Rows are independent,
 so inclusion-exclusion over the escaping set gives
 
     P(err) = sum_{s=1}^{n-k} (-1)^(s+1) C(n-k, s) (1 - q^k (1 - q^s) / (1 - q^n))^t.
+
+On a noisy channel a test comes out negative with probability f if its pool
+holds a defective and e if not; COMP succeeds when no negative row holds a
+defective and every non-defective lies in some negative row, so
+
+    P(success) = sum_{s=0}^{n-k} (-1)^s C(n-k, s)
+                 (1 - [(1 - q^k) f + q^k (1 - q^s) e] / (1 - q^n))^t,
+
+with (f, e) = (0, 1) noiseless, (0, 1 - P) erasure and additive, and
+(P, 1 - P) symmetric. A channel draws u < p on uniforms of 53 bits, so
+P = ceil(p 2^53) / 2^53.
 """
 import math
 from fractions import Fraction
@@ -14,7 +25,8 @@ from itertools import product
 
 import pytest
 
-from grouptest.bounds import ProblemSize
+from grouptest.bounds import NoiseKind, NoiseModel, ProblemSize
+from grouptest.cli import parse_noise
 from grouptest.harness import ExperimentSpec, run_trials, wilson_interval
 
 
@@ -26,6 +38,16 @@ def comp_error_exact(n, k, t):
         escape = (1 - hit_free * (1 - q ** s) / nonempty) ** t
         total += (-1) ** (s + 1) * math.comb(n - k, s) * escape
     return total
+
+
+def comp_success_exact(n, k, t, noise):
+    q, p = Fraction(k - 1, k), Fraction(math.ceil(noise.p * 2**53), 2**53)
+    f, e = {NoiseKind.NOISELESS: (0, 1), NoiseKind.ERASURE: (0, 1 - p),
+            NoiseKind.SYMMETRIC: (p, 1 - p), NoiseKind.ADDITIVE: (0, 1 - p)}[noise.kind]
+    hit_free, nonempty = q ** k, 1 - q ** n
+    return sum((-1) ** s * math.comb(n - k, s)
+               * (1 - ((1 - hit_free) * f + hit_free * (1 - q ** s) * e) / nonempty) ** t
+               for s in range(n - k + 1))
 
 
 def comp_error_brute(n, k, t):
@@ -59,3 +81,23 @@ def test_simulation_matches_exact():
     errors = sum(not r.success for r in run_trials(spec))
     lo, hi = wilson_interval(errors, spec.trials, z=3.29)
     assert lo <= exact <= hi
+
+
+def test_noiseless_success_is_one_minus_error():
+    for n, k, t in [(3, 2, 3), (5, 3, 2), (100, 5, 126)]:
+        assert comp_success_exact(n, k, t, NoiseModel.noiseless()) == 1 - comp_error_exact(n, k, t)
+
+
+@pytest.mark.parametrize("channel,t,exact", [("noiseless", 126, 0.98201),
+                                             ("symmetric:0.01", 126, 0.41951),
+                                             ("additive:0.02", 140, 0.99140),
+                                             ("erasure:0.2", 150, 0.97194),
+                                             ("symmetric:0.001", 150, 0.90076)])
+def test_simulation_matches_exact_on_every_channel(channel, t, exact):
+    noise = parse_noise(channel)
+    success = comp_success_exact(100, 5, t, noise)
+    assert float(success) == pytest.approx(exact, abs=1e-5)
+    spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp", noise=noise,
+                          trials=20_000, master_seed=11, comp_t=t)
+    lo, hi = wilson_interval(sum(r.success for r in run_trials(spec)), spec.trials, z=3.29)
+    assert lo <= success <= hi

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Outcome
+from .model import Outcome, _threshold
 
 
 class SearchOverrun(Exception):
@@ -235,19 +235,17 @@ def hwang_variant(oracle, n: int, k: int) -> RunResult:
                      tests_used=oracle.tests_used)
 
 
-def comp_design(rng: np.random.Generator, k: int, design: np.ndarray,
-                uniforms: np.ndarray) -> np.ndarray:
+def comp_design(rng: np.random.Generator, k: int, design: np.ndarray) -> np.ndarray:
     """COMP's Bernoulli(1/k) design drawn from `rng` into the boolean t x n
-    `design`, each empty row redrawn until none is; `uniforms` is a float
-    t x n buffer for the draws. Returns `design`."""
-    rng.random(out=uniforms)
-    np.less(uniforms, 1.0 / k, out=design)
-    empty = ~design.any(axis=1)
-    while empty.any():
-        redraw = uniforms[:int(empty.sum())]
-        rng.random(out=redraw)
-        design[empty] = redraw < 1.0 / k
-        empty = ~design.any(axis=1)
+    `design`, each empty row redrawn until none is: a cell is in when its
+    PCG64 raw output is below `model._threshold(1 / k)`, drawn 2^16 cells (or
+    one row) at a time, so no t x n draw is held. Returns `design`."""
+    raw, threshold = rng.bit_generator.random_raw, _threshold(1.0 / k)
+    rows = max(1, 2**16 // design.shape[1])
+    for r in range(0, len(design), rows):
+        np.less(raw(design[r:r + rows].shape), threshold, out=design[r:r + rows])
+    while (empty := ~design.any(axis=1)).any():
+        design[empty] = raw((int(empty.sum()), design.shape[1])) < threshold
     return design
 
 
@@ -262,7 +260,7 @@ def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunRes
         raise ValueError(f"COMP needs t >= 1, got {t}")
     if k < 1:
         raise ValueError("COMP design density 1/k needs k >= 1")
-    design = comp_design(rng, k, np.empty((t, n), dtype=bool), np.empty((t, n)))
+    design = comp_design(rng, k, np.empty((t, n), dtype=bool))
     negative_outcome = Outcome.NEGATIVE
     negative = np.array([o is negative_outcome for o in oracle.test_design(design)])
     estimate = frozenset(np.flatnonzero(~design[negative].any(axis=0)).tolist())

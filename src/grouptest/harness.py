@@ -17,7 +17,7 @@ buffer and decode with numpy (`_run_comp`); adaptive trials on a channel
 in `model.TRUTHFUL_CHANNELS` (noiseless, erasure) are answered together by
 `algorithms.batch_runs`, checked against the guarantee and landed through
 the erasures (`model.erasure_submissions`), and the others run one by one
-against a `TestOracle`. This module reads no noise uniform. `run_trial`
+against a `TestOracle`. This module reads no noise output. `run_trial`
 seeds and samples one trial on its own: it is the reference, and replays
 any trial.
 """
@@ -42,8 +42,8 @@ from .model import (TRUTHFUL_CHANNELS, TestOracle, derive_stream_seed, derive_st
 
 _WILSON_Z = 1.959963984540054  # 95%
 # Most cells one trial may hold, so that it stays under about 350 MB: COMP's
-# t x n design (`comp_design` draws into a float and a bool t x n buffer,
-# about 9 bytes a cell), symmetric or additive RBT's n x (k + 4) items
+# bool t x n design (a byte a cell; `comp_design` draws its uint64 raw outputs
+# 2^16 at a time), symmetric or additive RBT's n x (k + 4) items
 # (`_check_rbt`), and 32 cells a defective to sample and walk (240 MB at 2^20).
 MAX_TRIAL_CELLS = 1 << 25
 # Most trials x k cells sampled and walked together, max(1, BATCH_CELLS // k)
@@ -276,12 +276,11 @@ def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds:
     `TRUTHFUL_CHANNELS` a negative row holds no defective, so one that
     clears a defective is an `InvariantBreach`."""
     n, k, t = spec.size.n, spec.size.k, spec.comp_t
-    design, uniforms = np.empty((t, n), dtype=bool), np.empty((t, n))
-    results = []
+    design, results = np.empty((t, n), dtype=bool), []
     rngs = repeat(None) if spec.noise.kind is NoiseKind.NOISELESS else handed_on(handoff)
     for i, (truth, rng, design_rng) in enumerate(zip(
             truths, rngs, seeded_generators(derive_stream_seeds(trial_seeds, 1)))):
-        comp_design(design_rng, k, design, uniforms)
+        comp_design(design_rng, k, design)
         negative = design_negatives(design[:, truth].any(axis=1), spec.noise, rng)
         cleared = design[negative].any(axis=0)
         missed = bool(cleared[truth].any())

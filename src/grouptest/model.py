@@ -21,10 +21,10 @@ numbers (see `_pcg_seeded`), from which `handed_on` sets a numpy Generator
 only for a consumer that draws through one; `seeded_generators` serves
 COMP's design streams the same way.
 
-Each noise channel is defined once, as a row of the transition table
-`_CHANNELS`. `TestOracle` reads it test by test; its batched stand-ins,
-`design_negatives` and `erasure_submissions`, deal a trial the oracle's
-uniforms in bulk. No other module draws or compares a noise uniform.
+Every draw after sampling compares a PCG64 raw output with `_threshold`.
+Each noise channel is one row of the transition table `_CHANNELS`, read
+test by test by `TestOracle` and in bulk by its batched stand-ins,
+`design_negatives` and `erasure_submissions`. No other module draws noise.
 """
 from __future__ import annotations
 
@@ -306,7 +306,7 @@ def _pcg_seeded(seeds: np.ndarray) -> np.ndarray:
 def handed_on(handoff: np.ndarray):
     """One Generator, set in turn to the PCG64 of each column of the handoff
     (see `_pcg_seeded`) and yielded, holding no 32-bit half: every draw made
-    on it is 64 bits wide (`Generator.random`), and such a draw ignores one."""
+    on it is a whole raw output (`random_raw`), and such a draw ignores one."""
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
     for sh, sl, ih, il in map(np.ndarray.tolist, handoff.T):
@@ -365,8 +365,13 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     return truths, handoff
 
 
+def _threshold(x: float) -> int:
+    """A PCG64 raw output r is below it iff `Generator.random`'s (r >> 11) 2^-53 is below x."""
+    return math.ceil(x * 2.0 ** 53) << 11  # x 2^53 is exact; 2^64 at x = 1, above every r
+
+
 # The noise channels, one transition table: a test of raw outcome `raw` (0
-# negative, 1 positive) and uniform u comes out as _OUTCOMES[_CHANNELS[kind][raw][u < p]].
+# negative, 1 positive) on output r is _OUTCOMES[_CHANNELS[kind][raw][r < _threshold(p)]].
 _OUTCOMES = (Outcome.NEGATIVE, Outcome.POSITIVE, Outcome.ERASED)
 _CHANNELS = {
     NoiseKind.NOISELESS: ((0, 0), (1, 1)),
@@ -380,12 +385,12 @@ TRUTHFUL_CHANNELS = frozenset(kind for kind, (neg, pos) in _CHANNELS.items()
                               if {*neg} <= {0, 2} and {*pos} <= {1, 2})
 
 
-def _channel_codes(hit: np.ndarray, u: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """The outcome codes of raw outcomes `hit` (True: positive), given uniforms `u`."""
-    return np.array(_CHANNELS[noise.kind])[hit.astype(np.intp), (u < noise.p).astype(np.intp)]
+def _channel_codes(hit: np.ndarray, corrupt: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """The outcome codes of raw outcomes `hit` (True: positive), corrupted where `corrupt`."""
+    return np.array(_CHANNELS[noise.kind])[hit.astype(np.intp), corrupt.astype(np.intp)]
 
 
-_BLOCK = 256  # noise uniforms drawn per refill
+_BLOCK = 256  # noise outputs drawn per refill
 _LANDING_ROWS = 256  # trials a landing pass steps together
 _LANDING_OUTPUTS = 1 << 14  # most outputs a landing pass steps, at most `_PASS` a trial
 
@@ -393,28 +398,26 @@ _LANDING_OUTPUTS = 1 << 14  # most outputs a landing pass steps, at most `_PASS`
 def design_negatives(hit: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """Which rows of a design come out NEGATIVE as the first `test_design` of
     a fresh `TestOracle` on `rng`, given each row's raw outcome `hit`: the
-    same channel on the same uniforms. The oracle draws them 256 at a time;
-    this draws only those it reads, and a noiseless channel none."""
+    same channel on the same raw outputs. The oracle draws them 256 at a
+    time; this draws only those it reads, and a noiseless channel none."""
     if noise.kind is NoiseKind.NOISELESS:
         return ~hit
-    return _channel_codes(hit, rng.random(len(hit)), noise) == 0
+    corrupt = rng.bit_generator.random_raw(len(hit)) < _threshold(noise.p)
+    return _channel_codes(hit, corrupt, noise) == 0
 
 
 def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray) -> list[int]:
     """Each trial's submissions on a channel in `TRUTHFUL_CHANNELS`, as
     `TestOracle.test` makes them on the generator `handed_on` sets to its
     column of the handoff. Under erasure its `firm` tests land in order on
-    the uniforms u >= p dealt next, and each u < p is an erased one; the
-    noiseless channel returns `firm`. `Generator.random` deals
-    u = (raw >> 11) 2^-53, so u < p iff
-    raw >> 11 < ceil(p 2^53): the trials step on PCG64's raw outputs
+    the raw outputs dealt next at or above `_threshold(p)`, each one below
+    it an erased one; the noiseless channel returns `firm`. The trials step
     256 at a time, and a trial drops out once its firm tests have landed."""
     if noise.kind is not NoiseKind.ERASURE:
         return firm
     if noise.p >= 1.0 and any(firm):
         raise ValueError("erasure probability 1: no test ever lands")
     used, firm = np.zeros(len(firm), dtype=np.int64), np.array(firm, dtype=np.int64)
-    erased = math.ceil(noise.p * 2.0 ** 53) << 11  # raw < erased
     for first in range(0, len(firm), _LANDING_ROWS):
         rows = first + np.flatnonzero(firm[first:first + _LANDING_ROWS])
         left, h, inc_terms = firm[rows], handoff[:, rows], np.empty((2, len(rows), 0), np.uint64)
@@ -423,7 +426,7 @@ def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray)
             if count > inc_terms.shape[2]:  # the first pass, or rows dropped out
                 inc_terms = _inc_terms(h, count)
             high, low = _lcg_run(h, count, inc_terms)
-            lands = _xsl_rr(high, low) >= erased
+            lands = _xsl_rr(high, low) >= _threshold(noise.p)
             landed = np.count_nonzero(lands, axis=1)
             done = landed >= left
             used[rows] += np.where(done, 0, count)
@@ -433,10 +436,10 @@ def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray)
     return used.tolist()
 
 
-def _uniform_stream(rng: np.random.Generator) -> Iterator[float]:
-    """The uniforms of `rng`, one at a time, drawn `_BLOCK` at a time: the
-    next block is drawn only once the last is used up."""
-    return chain.from_iterable(map(np.ndarray.tolist, map(rng.random, repeat(_BLOCK))))
+def _corruptions(bits: np.random.PCG64, threshold: int) -> Iterator[bool]:
+    """Whether each raw output of `bits` is below `threshold`, drawn lazily `_BLOCK` at a time."""
+    below = map(np.less, map(bits.random_raw, repeat(_BLOCK)), repeat(threshold))
+    return chain.from_iterable(map(np.ndarray.tolist, below))
 
 
 class TestOracle:
@@ -458,14 +461,14 @@ class TestOracle:
       read.
     - `test` resubmits an erased pool until its outcome is firm; a
       `test_design` row is never resubmitted. Every submission counts in
-      `tests_used`, uses its own uniform and is logged. At erasure
+      `tests_used`, uses its own raw output and is logged. At erasure
       probability 1 no submission lands, so `test` raises ValueError instead
       of resubmitting forever.
-    - Test j (0-based) goes through the channel table `_CHANNELS` with the
-      j-th uniform of `rng`; a noiseless test still uses up its uniform.
-      `test` and `test_design` read one stream of them (`_uniform_stream`).
-    - The stream draws `rng.random(256)` at a time, so after the last test
-      `rng` sits ceil(tests_used / 256) * 256 draws on. Do not draw from
+    - Test j (0-based) goes through `_CHANNELS` on the j-th raw output r of
+      `rng`, corrupted iff r < `_threshold(p)`; a noiseless test still uses
+      up its output. `test` and `test_design` read one stream (`_corruptions`).
+    - The stream draws `random_raw(256)` at a time, so after the last test
+      `rng` sits ceil(tests_used / 256) * 256 outputs on. Do not draw from
       `rng` once it is handed to the oracle.
     """
 
@@ -482,7 +485,7 @@ class TestOracle:
         # (pool, outcome) or (design, [outcome per row])
         self._log: list = []
         self._sorted_truth = sorted(truth)
-        self._uniforms = _uniform_stream(rng)
+        self._corrupt = _corruptions(rng.bit_generator, _threshold(noise.p))
         self._channel = _CHANNELS[noise.kind]
 
     @property
@@ -508,7 +511,7 @@ class TestOracle:
             raise ValueError("cannot test an empty pool")
         row, p = self._channel[hit], self.noise.p
         while True:
-            out = _OUTCOMES[row[next(self._uniforms) < p]]
+            out = _OUTCOMES[row[next(self._corrupt)]]
             self.tests_used += 1
             self._log.append((pool, out))
             if out is not Outcome.ERASED:
@@ -528,9 +531,9 @@ class TestOracle:
             raise ValueError("cannot test an empty pool")
         design.flags.writeable = False
         t = len(design)
-        u = np.fromiter(islice(self._uniforms, t), float, t)
+        corrupt = np.fromiter(islice(self._corrupt, t), bool, t)
         self.tests_used += t
-        codes = _channel_codes(design[:, self._sorted_truth].any(axis=1), u, self.noise)
+        codes = _channel_codes(design[:, self._sorted_truth].any(axis=1), corrupt, self.noise)
         outs = [_OUTCOMES[c] for c in codes.tolist()]
         self._log.append((design, outs))
         return outs

@@ -16,6 +16,7 @@ samples every trial in bulk, must equal `run_trial` trial by trial.
 import contextlib
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def dealt_raw_outputs(values):
     largest not above values[j mod len], so a value at or above p = 0.25
     stays there. The landing's own threshold, passes and counts run
     unchanged."""
-    raws = np.array([int(v * 2**53) << 11 for v in values], dtype=np.uint64)
+    raws = CyclingUniforms(values).raws
 
     def run(h, count, inc_terms):
         high = h[0][:, None] + np.arange(1, count + 1, dtype=np.uint64)
@@ -339,17 +340,26 @@ def test_generator_advanced_by_whole_blocks(noise):
 
 
 class CyclingUniforms:
-    """A generator stand-in that deals `values` over and over as its
-    uniforms, one at a time or in blocks."""
+    """A generator stand-in that deals `values` over and over, on one count:
+    as its uniforms, one at a time or in blocks, and as the raw outputs
+    int(u 2^53) << 11 of its `bit_generator` (0 for a u below 0), whose
+    uniform each is."""
 
     def __init__(self, values):
-        self.values, self.drawn = np.array(values), 0
+        self.values, self.drawn, self.bit_generator = np.array(values), 0, self
+        self.raws = np.array([max(0, int(u * 2**53)) << 11 for u in values], dtype=np.uint64)
+
+    def _deal(self, dealt, size):
+        self.drawn += size
+        return dealt[np.arange(self.drawn - size, self.drawn) % len(dealt)]
 
     def random(self, size=None):
         if size is None:
             return float(self.random(1)[0])
-        self.drawn += size
-        return self.values[np.arange(self.drawn - size, self.drawn) % len(self.values)]
+        return self._deal(self.values, size)
+
+    def random_raw(self, size):
+        return self._deal(self.raws, size)
 
 
 N, P, E = Outcome.NEGATIVE, Outcome.POSITIVE, Outcome.ERASED
@@ -457,6 +467,27 @@ def test_uniform_below_p_is_a_raw_output_below_a_threshold(p):
     t = math.ceil(p * 2**53)
     tops = np.concatenate((raw, [v for v in (0, 1, t - 1, t, t + 1, 2**53 - 1) if 0 <= v < 2**53]))
     assert ((tops * 2.0**-53 < p) == (tops < t)).all()
+
+
+# chances x of the threshold rule: the channels' edges and p, and COMP's 1 / k
+THRESHOLD_XS = [0, 1e-300, 0.001, 0.01, 0.25, 0.5, 0.9999999999, 1.0,
+                *(1.0 / k for k in (1, 2, 3, 5, 7, 10, 30, 71, 1000, 12345))]
+
+
+def test_raw_below_threshold_is_uniform_below_x():
+    # r < _threshold(x) iff `Generator.random`'s u < x, on the same 200,000
+    # draws of one stream and on the raw outputs around each threshold
+    raw = np.random.PCG64(29).random_raw(200_000)
+    u = np.random.Generator(np.random.PCG64(29)).random(200_000)
+    for x in THRESHOLD_XS:
+        t = model._threshold(x)
+        assert ((raw < t) == (u < x)).all()
+        for r in (v for v in (t - 2049, t - 1, t, t + 2048) if 0 <= v < 2**64):
+            assert (r < t) == ((r >> 11) * 2.0**-53 < x)
+    assert model._threshold(0) == 0 and model._threshold(1.0) == 2**64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (raw < model._threshold(1.0)).all()
 
 
 def test_erasure_submissions_at_p1():
@@ -719,23 +750,28 @@ def test_run_trials_equal_run_trial_at_the_edges(alg, noise, n, k, trials):
 
 @pytest.mark.parametrize("alg,noise", [("hgbsa", "noiseless"), ("hgbsa", "erasure"),
                                        ("comp", "symmetric"), ("hgbsa", "symmetric"),
-                                       ("comp", "additive")],
+                                       ("comp", "additive"), ("comp", "noiseless"),
+                                       ("comp", "erasure"), ("rbt", "additive")],
                          ids=["noiseless", "erasure", "comp-symmetric", "symmetric",
-                              "comp-additive"])
+                              "comp-additive", "comp-noiseless", "comp-erasure", "additive"])
 def test_run_trials_and_run_trial_never_call_generator_integers(monkeypatch, alg, noise):
-    # the defective sets are defined on PCG64's raw output, not on numpy's
-    # `Generator.integers`, whose bit streams numpy does not keep fixed
-    # across releases: with it raising, both paths still give the same trials
+    # the defective sets, COMP's designs and the noise are defined on PCG64's
+    # raw output, not on numpy's `Generator.integers` or `Generator.random`,
+    # whose streams numpy does not keep fixed across releases: with both
+    # raising, both paths still give the same trials
     spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm=alg,
                           noise=NOISES[noise], trials=300, master_seed=4,
                           comp_t=60 if alg == "comp" else None)
     want = [run_trial(spec, i) for i in range(spec.trials)]
 
-    class NoIntegers(np.random.Generator):  # Generator's own methods are read-only
+    class NoMethodDraws(np.random.Generator):  # Generator's own methods are read-only
         def integers(self, *args, **kwargs):
             raise AssertionError("Generator.integers was called")
 
-    monkeypatch.setattr(np.random, "Generator", NoIntegers)
+        def random(self, *args, **kwargs):
+            raise AssertionError("Generator.random was called")
+
+    monkeypatch.setattr(np.random, "Generator", NoMethodDraws)
     assert run_trials(spec) == want
     assert [run_trial(spec, i) for i in range(spec.trials)] == want
 

@@ -814,12 +814,30 @@ def test_figure1_csvs_pinned(tmp_path):
 
 # sha256 of `cli.main`'s stdout for the argvs of the comp-sweep and
 # erasure-large-n benchmark workloads, computed while PCG64 was stepped in
-# blocks of 64 steps from two jump tables.
+# blocks of 64 steps from two jump tables; then for argvs whose trials span
+# two or more batches, one per path (noiseless, per-trial oracle, COMP on a
+# noisy channel, sweeps under each, capacity), computed while every command
+# still reduced a list of `TrialResult`s.
 CLI_STDOUT_SHA256 = {
     "sweep --alg comp --n 100 --k 5 --t-min 40 --t-max 160 --step 10 --trials 300 --seed 1":
         "65f1a3457bda2d053cd0102bf737299a8614f01e48325db50589772701fdddc9",
     "simulate --alg hgbsa --n 100000 --k 71 --noise erasure:0.25 --trials 100 --seed 1":
         "f5541502c0fdece7565775b3bd5a904c9257cc61bafb65404c27fd5304191c0a",
+    "simulate --alg hgbsa --n 500 --k 10 --trials 5000 --seed 3":
+        "8fc20ac4c0615c8c79f8e6d8c93e8a265c21581ec9adfd3590e5d06eaa4f1209",
+    "simulate --alg rbt --n 200 --k 5 --noise symmetric:0.05 --trials 7000 --seed 3":
+        "bfbac016f9c4de987e2c96aaad2f98e0538999b2c53016324e58489ff843cb61",
+    "simulate --alg comp --n 100 --k 5 --t 60 --noise additive:0.02 --trials 7000 --seed 3":
+        "a63d6bce0ff9354719ac2fc52d3c166fc887f26533ad23916bee0942b0158a2b",
+    "sweep --alg variant --n 9699 --k 30 --t-min 280 --t-max 330 --trials 1200 --seed 3":
+        "ba542f534201d8f6a2536744db69133bb00895fda8e5270ab5aae14293d2cdf0",
+    "sweep --alg hgbsa --n 500 --k 10 --noise erasure:0.25 --t-min 60 --t-max 120 "
+    "--trials 4000 --seed 3":
+        "fffa434cdfae6acb0a59f485987308fafb8b8c4de87362bd929a99efa8c81d1a",
+    "sweep --alg comp --n 100 --k 5 --t-min 40 --t-max 160 --step 60 --trials 4000 --seed 3":
+        "fcbc621a423b3e09f20ba75246b68c78e2188a1308395fd3a3d29c0a4627210d",
+    "capacity --beta 0.5 --n-list 100 1000 --alg variant --trials 2000 --seed 3":
+        "ff6aee6424e4385b5cd2114129cdaa7123c6444f3874f665133b3d9e41ccef93",
 }
 
 

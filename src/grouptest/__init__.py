@@ -48,6 +48,7 @@ from .harness import (
     run_trial,
     run_trials,
     success_curve,
+    tally,
     wilson_interval,
 )
 

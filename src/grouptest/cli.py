@@ -90,17 +90,15 @@ def _spec_from_args(args, budget_range=None) -> harness.ExperimentSpec:
 
 def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    results = harness.run_trials(spec)
-    wins = sum(r.success for r in results)
-    tests = [r.tests_used for r in results]
-    lo, hi = harness.wilson_interval(wins, spec.trials)
+    run = harness.tally(spec)
+    lo, hi = harness.wilson_interval(run.wins, spec.trials)
     payload = {
         "n": spec.size.n, "k": spec.size.k, "algorithm": spec.algorithm,
         "noise": spec.noise.kind.value, "noise_p": spec.noise.p,
         "trials": spec.trials, "seed": spec.master_seed,
-        "success_rate": wins / spec.trials, "error_rate": 1.0 - wins / spec.trials,
+        "success_rate": run.wins / spec.trials, "error_rate": 1.0 - run.wins / spec.trials,
         "ci_lo": lo, "ci_hi": hi,
-        "mean_tests": sum(tests) / len(tests), "max_tests": max(tests),
+        "mean_tests": run.tests_sum / spec.trials, "max_tests": run.tests_max,
     }
     if spec.algorithm in ADAPTIVE_ALGORITHMS and spec.size.k >= 1:
         payload["guarantee_tests"] = harness.guarantee_for(spec.algorithm, spec.size)

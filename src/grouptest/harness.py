@@ -10,8 +10,8 @@ directory. COMP's budget is its one field `comp_t`;
 `bounds.comp_test_count` turns an error exponent into one.
 
 Every trial derives its RNG stream from (master_seed, trial_index), so its
-result does not depend on which other trials run with it. `run_trials`
-seeds and samples every trial in bulk, a batch at a time (`_run_batch`).
+result does not depend on which other trials run with it. Trials are seeded
+and sampled in bulk a batch at a time (`_run_batch`) and folded by `tally`.
 COMP trials draw their designs from bulk-seeded streams into one reused
 buffer and decode with numpy (`_run_comp`); adaptive trials on a channel
 in `model.TRUTHFUL_CHANNELS` (noiseless, erasure) are answered together by
@@ -24,11 +24,10 @@ any trial.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -136,10 +135,18 @@ class ExperimentSpec:
         return list(range(t_min, t_max + 1, step))
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     success: bool   # exact set equality with the truth
     tests_used: int
+
+
+@dataclass(frozen=True)
+class Tally:
+    """A run folded by `tally`: wins, the sum and max of tests_used, wins within each budget."""
+    wins: int
+    tests_sum: int
+    tests_max: int
+    wins_within: list
 
 
 @dataclass
@@ -215,15 +222,35 @@ def _run_oracle(spec: ExperimentSpec, truth, seed: int, rng) -> TrialResult:
     return TrialResult(success=result.estimate == oracle.truth, tests_used=result.tests_used)
 
 
-def run_trials(spec: ExperimentSpec) -> list[TrialResult]:
-    """All trials of a spec, run serially in one process, in trial-index
-    order, in batches of at most `BATCH_CELLS` cells (`_run_batch`). The
-    results equal `run_trial`'s trial by trial."""
+def _batches(spec: ExperimentSpec):
+    """Each batch's (success, tests_used) arrays (`_run_batch`), in trial-index
+    order, at most `BATCH_CELLS` cells each; a bad COMP spec raises at once."""
     if spec.algorithm == "comp" and spec.comp_t is None:
         raise InputError("comp trials need comp_t; success_curve sweeps a budget range")
     batch = max(1, BATCH_CELLS // max(spec.size.k, 1))
-    return [r for lo in range(0, spec.trials, batch)
-            for r in _run_batch(spec, lo, min(spec.trials, lo + batch))]
+    return (_run_batch(spec, lo, min(spec.trials, lo + batch))
+            for lo in range(0, spec.trials, batch))
+
+
+def run_trials(spec: ExperimentSpec) -> list[TrialResult]:
+    """One `TrialResult` a trial, equal to `run_trial`'s trial by trial, for
+    tests and library use; the commands reduce through `tally` instead."""
+    return [r for success, used in _batches(spec)
+            for r in map(TrialResult, success.tolist(), used.tolist())]
+
+
+def tally(spec: ExperimentSpec, budgets: Sequence[int] = ()) -> Tally:
+    """The commands' one reduction, folded batch by batch, so memory does not
+    grow with trials; no trial spends 2^63 tests, so larger budgets clip."""
+    budgets = np.array([min(t, (1 << 63) - 1) for t in budgets], dtype=np.int64)
+    wins = tests_sum = tests_max = 0
+    within = np.zeros(len(budgets), dtype=np.int64)
+    for success, used in _batches(spec):
+        wins += int(np.count_nonzero(success))
+        tests_sum += int(used.sum())
+        tests_max = max(tests_max, int(used.max()))
+        within += np.searchsorted(np.sort(used[success]), budgets, side="right")
+    return Tally(wins, tests_sum, tests_max, within.tolist())
 
 
 class InvariantBreach(Exception):
@@ -237,13 +264,13 @@ class InvariantBreach(Exception):
                          f"{spec.noise.kind.value}:{spec.noise.p:g}: {what}")
 
 
-def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
-    """Trials start..stop-1, at most `BATCH_CELLS` cells (trials x k) or one
-    trial, seeded and sampled in bulk with `run_trial`'s seeds, sets and
-    generator states. COMP trials then run without an oracle (`_run_comp`),
-    those on a channel with no decoder one by one (`_run_oracle`); the
-    others' firm tests and decodes come from `batch_runs`, and their
-    submissions from `erasure_submissions`."""
+def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> tuple:
+    """Success and tests_used arrays of trials start..stop-1, at most
+    `BATCH_CELLS` cells (trials x k) or one trial, seeded and sampled in bulk
+    with `run_trial`'s seeds, sets and generator states. COMP trials then
+    run without an oracle (`_run_comp`), those on a channel with no decoder
+    one by one (`_run_oracle`); the others' firm tests and decodes come from
+    `batch_runs`, and their submissions from `erasure_submissions`."""
     n, k = spec.size.n, spec.size.k
     trial_seeds = derive_stream_seeds(spec.master_seed, np.arange(start, stop))
     truths, handoff = sample_defective_sets(n, k, derive_stream_seeds(trial_seeds, 0))
@@ -251,8 +278,9 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
         return _run_comp(spec, start, truths, trial_seeds, handoff)
     if spec.noise.kind not in TRUTHFUL_CHANNELS:
         # the generators are one reused object: each trial ends before the next is taken
-        return [_run_oracle(spec, truth, seed, rng) for truth, seed, rng
-                in zip(truths.tolist(), trial_seeds.tolist(), handed_on(handoff))]
+        success, used = zip(*[_run_oracle(spec, truth, seed, rng) for truth, seed, rng in
+                              zip(truths.tolist(), trial_seeds.tolist(), handed_on(handoff))])
+        return np.array(success), np.array(used, dtype=np.int64)
     firm, success = batch_runs(spec.algorithm, n, truths)
     limit = guarantee_for(spec.algorithm, spec.size)
     bad = np.flatnonzero(~success | (firm > limit))
@@ -261,12 +289,11 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]
         verdict = "right" if success[i] else "wrongly"
         raise InvariantBreach(spec, start + i,
                               f"decoded {verdict} in {firm[i]} firm tests, guarantee {limit}")
-    used = erasure_submissions(firm.tolist(), spec.noise, handoff)
-    return [TrialResult(s, t) for s, t in zip(success.tolist(), used)]
+    return success, np.array(erasure_submissions(firm.tolist(), spec.noise, handoff))
 
 
 def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds: np.ndarray,
-              handoff: np.ndarray) -> list[TrialResult]:
+              handoff: np.ndarray) -> tuple:
     """COMP trials start, start + 1, ... as `_run_oracle` runs them, without
     an oracle: each design comes from stream 1 of its trial seed, seeded in
     bulk and drawn into one t x n buffer reused by every trial, and its rows'
@@ -276,7 +303,7 @@ def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds:
     `TRUTHFUL_CHANNELS` a negative row holds no defective, so one that
     clears a defective is an `InvariantBreach`."""
     n, k, t = spec.size.n, spec.size.k, spec.comp_t
-    design, results = np.empty((t, n), dtype=bool), []
+    design, success = np.empty((t, n), dtype=bool), np.empty(len(truths), dtype=bool)
     rngs = repeat(None) if spec.noise.kind is NoiseKind.NOISELESS else handed_on(handoff)
     for i, (truth, rng, design_rng) in enumerate(zip(
             truths, rngs, seeded_generators(derive_stream_seeds(trial_seeds, 1)))):
@@ -286,34 +313,27 @@ def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds:
         missed = bool(cleared[truth].any())
         if missed and spec.noise.kind in TRUTHFUL_CHANNELS:
             raise InvariantBreach(spec, start + i, "a negative test cleared a defective")
-        success = not missed and n - int(np.count_nonzero(cleared)) == k
-        results.append(TrialResult(success=success, tests_used=t))
-    return results
+        success[i] = not missed and n - int(np.count_nonzero(cleared)) == k
+    return success, np.full(len(truths), t, dtype=np.int64)
 
 
 def success_curve(spec: ExperimentSpec) -> SuccessCurve:
     """Empirical success probability per budget with bound overlays.
 
     Adaptive exact-recovery algorithms run to completion once per trial and
-    success at budget T reads off the CDF of tests_used (anytime-correct).
-    COMP is non-adaptive, so each budget gets its own batch of trials.
+    success at budget T counts those that succeeded within T (anytime-correct).
+    COMP is non-adaptive, so each budget gets its own block of trial streams.
     """
     budgets = spec.budgets()
-    points = []
     if spec.algorithm == "comp":
-        for bi, t in enumerate(budgets):
-            # distinct stream block per budget
-            sub = replace(spec, comp_t=t,
-                          master_seed=derive_stream_seed(spec.master_seed, bi + 1))
-            results = run_trials(sub)
-            wins = sum(r.success for r in results)
-            points.append((t, wins))
+        wins_at = [tally(replace(spec, comp_t=t,
+                                 master_seed=derive_stream_seed(spec.master_seed, bi + 1))).wins
+                   for bi, t in enumerate(budgets)]
     else:
-        used = sorted(r.tests_used for r in run_trials(spec) if r.success)
-        points = [(t, bisect_right(used, t)) for t in budgets]
+        wins_at = tally(spec, budgets).wins_within
 
     curve_points = []
-    for t, wins in points:
+    for t, wins in zip(budgets, wins_at):
         lo, hi = wilson_interval(wins, spec.trials)
         proper = 1 <= spec.size.k < spec.size.n
         curve_points.append(CurvePoint(
@@ -416,7 +436,7 @@ def capacity_scan(beta: float, n_list: Sequence[int], algorithm: str,
     rows = []
     for spec in specs:
         size = spec.size
-        mean = sum(r.tests_used for r in run_trials(spec)) / spec.trials
+        mean = tally(spec).tests_sum / spec.trials
         guarantee = guarantee_for(algorithm, size)
         rows.append(CapacityRow(
             n=size.n, k=size.k, mean_tests=mean,

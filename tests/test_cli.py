@@ -416,11 +416,43 @@ def test_erasure_and_rejected_row_runs_never_import_numpy_random():
     assert proc.returncode == 0, proc.stderr
 
 
+# ru_maxrss would carry the forking test process's own peak across exec, so
+# the child reads the peak of its own address space, VmHWM (KiB)
+PEAK_RSS_AT_TRIALS = """
+import contextlib, io, sys
+import grouptest.cli as cli
+for trials in ("10000", "200000"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:] + ["--trials", trials]) == 0, trials
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --alg hgbsa --n 500 --k 10",
+    "sweep --alg hgbsa --n 500 --k 10 --t-min 0 --t-max 100",
+    "capacity --beta 0.5 --n-list 100",
+])
+def test_peak_memory_does_not_grow_with_trials(argv):
+    # every command folds its trials batch by batch (`harness.tally`), so
+    # 20 times the trials adds no per-trial list: the peak RSS of one child
+    # running 10^4 trials and then 2 x 10^5 grows by well under 8 MiB
+    # (a list of `TrialResult`s grows it by about 21 MiB)
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_AT_TRIALS, *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    small, large = map(int, proc.stdout.split())
+    assert large - small < 8 << 10, (small, large)
+
+
 def test_internal_value_error_is_not_exit_2(monkeypatch):
-    # only an InputError is an argument error; any other ValueError is a fault
-    def fault(spec):
+    # only an InputError is an argument error; any other ValueError is a fault;
+    # every run goes through `_run_batch`
+    def fault(spec, start, stop):
         raise ValueError("internal")
-    monkeypatch.setattr(harness, "run_trials", fault)
+    monkeypatch.setattr(harness, "_run_batch", fault)
     with pytest.raises(ValueError, match="internal"):
         main(["simulate", "--alg", "hgbsa", "--n", "10", "--k", "2", "--trials", "2"])
 

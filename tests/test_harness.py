@@ -29,6 +29,7 @@ from grouptest.harness import (
     run_trial,
     run_trials,
     success_curve,
+    tally,
     wilson_interval,
 )
 from grouptest.model import TestOracle, make_rng
@@ -182,6 +183,29 @@ class TestSuccessCurve:
             cdf = sum(c <= t for c in counts) / 45
             assert cdf <= min(1.0, 2.0 ** t / 45) + 1e-12
 
+    @pytest.mark.parametrize("alg,noise", [("hgbsa", NoiseModel.erasure(0.25)),
+                                           ("rbt", NoiseModel.symmetric(0.05))])
+    def test_tally_folds_what_run_trials_lists(self, alg, noise):
+        # 2000 trials at k = 10 are two batches, of 1638 and 362 trials
+        spec = ExperimentSpec(size=ProblemSize(200, 10), algorithm=alg, noise=noise,
+                              trials=2000, master_seed=5)
+        results = run_trials(spec)
+        budgets = list(range(0, 150, 7))
+        run = tally(spec, budgets)
+        assert run.wins == sum(r.success for r in results)
+        assert run.tests_sum == sum(r.tests_used for r in results)
+        assert run.tests_max == max(r.tests_used for r in results)
+        assert run.wins_within == [sum(r.success and r.tests_used <= t for r in results)
+                                   for t in budgets]
+
+    def test_budgets_beyond_int64(self):
+        # a budget range has no upper cap; no trial spends 2^63 tests, so the
+        # fold clips a larger budget rather than overflow
+        t = 10 ** 20
+        spec = ExperimentSpec(size=ProblemSize(10, 2), algorithm="hgbsa", trials=20,
+                              budget_range=(t, t + 1, 1))
+        assert [(p.t, p.success) for p in success_curve(spec).points] == [(t, 1.0), (t + 1, 1.0)]
+
     def test_comp_curve(self):
         spec = ExperimentSpec(size=ProblemSize(30, 2), algorithm="comp", trials=200,
                               master_seed=4, budget_range=(5, 45, 10))
@@ -272,7 +296,8 @@ class TestCapacityScan:
     def test_every_spec_built_before_any_trial(self, monkeypatch):
         import grouptest.harness as hz
         calls = []
-        monkeypatch.setattr(hz, "run_trials", lambda spec: calls.append(spec) or [])
+        # every trial of every command runs in `_run_batch`
+        monkeypatch.setattr(hz, "_run_batch", lambda *a: calls.append(a))
         with pytest.raises(InputError):
             capacity_scan(0.5, [100, MAX_N + 1], "hgbsa", 2, 0)
         assert calls == []

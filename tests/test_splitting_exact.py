@@ -15,10 +15,13 @@ that share a group size are computed together, in runs of at most g, so a
 run's negative branch reads only finished rows.
 
 Under erasure with resubmission the firm tests are these noiseless ones,
-and the erased submissions before each are geometric.
+and the erased submissions before each are geometric: given F = f firm
+tests, the erased ones are negative binomial, NB(f, 1 - p), so the
+submissions S have P(S <= t) = sum over f of P(F = f) P(NB(f, 1 - p) <= t - f).
 """
 import math
 from dataclasses import replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -26,9 +29,9 @@ import pytest
 
 from grouptest import harness
 from grouptest.algorithms import _hwang_group_size, _variant_group_size, hgbsa, hwang_variant
-from grouptest.bounds import NoiseModel, ProblemSize, ceil_log2
-from grouptest.harness import (ExperimentSpec, guarantee_for, run_trial, success_curve,
-                               wilson_interval)
+from grouptest.bounds import NoiseModel, ProblemSize, ceil_log2, converse_success_bound
+from grouptest.harness import (ExperimentSpec, capacity_scan, guarantee_for, run_trial,
+                               success_curve, wilson_interval)
 from grouptest.model import Outcome, TestOracle, derive_stream_seed, make_rng
 
 RULES = {"hgbsa": _hwang_group_size, "variant": _variant_group_size}
@@ -121,6 +124,39 @@ def test_references_match_enumeration(alg, n, k):
     assert np.abs(dist - want).max() < 1e-12
 
 
+@lru_cache(maxsize=None)
+def exact_at(alg, n, k):
+    """(W[k][n], P[T = t] for t <= W[k][n]) of the named algorithm at (n, k)."""
+    w = worst_case(n, k, RULES[alg])
+    return int(w[k][n]), exact_distribution(n, k, RULES[alg], w)
+
+
+def erasure_cdf(dist, p, budgets):
+    """P(S <= t) at t = 0..budgets-1, for firm counts F with P(F = f) =
+    dist[f] and NB(f, 1 - p) erased submissions on top; float sums can pass
+    1 by an ulp or so, so the CDF is clipped at 1."""
+    e = np.arange(budgets)
+    cdf = np.zeros(budgets)
+    for f, pf in enumerate(dist.tolist()):
+        if pf == 0.0 or f >= budgets:
+            continue
+        # P(E = e) = C(f + e - 1, e) (1 - p)^f p^e, by its ratio in e
+        ratio = np.concatenate(([(1 - p) ** f], (f + e[:-1]) / e[1:] * p))
+        cdf[f:] += pf * np.cumsum(np.cumprod(ratio))[:budgets - f]
+    return np.minimum(cdf, 1.0)
+
+
+def binomial_tails(trials, p, wins):
+    """P(X <= wins) and P(X >= wins) for X ~ Binomial(trials, p)."""
+    x = np.arange(trials + 1)
+    if p in (0.0, 1.0):
+        pmf = (x == round(p * trials)).astype(float)
+    else:
+        log_comb = np.concatenate(([0.0], np.cumsum(np.log((trials - x[:-1]) / x[1:]))))
+        pmf = np.exp(log_comb + x * math.log(p) + (trials - x) * math.log1p(-p))
+    return pmf[:wins + 1].sum(), pmf[wins:].sum()
+
+
 # exact means and worst cases at the figure's two sizes
 EXACT_500_10 = {"hgbsa": (68.5600, 74), "variant": (72.8295, 79)}
 EXACT_9699_30 = {"hgbsa": (291.5662, 306), "variant": (301.7111, 329)}
@@ -130,9 +166,8 @@ def check_figure1_cdf(alg, n, k, trials, mean, worst):
     """The exact mean and worst case at (n, k), and every point of the
     (n, k) curve of `figure1 --seed 0` at `trials` trials, at every budget
     up to the worst case, inside a z=4 Wilson interval around the exact CDF."""
-    w = worst_case(n, k, RULES[alg])
-    assert w[k][n] == worst
-    dist = exact_distribution(n, k, RULES[alg], w)
+    exact_worst, dist = exact_at(alg, n, k)
+    assert exact_worst == worst
     assert abs(dist.sum() - 1.0) < 1e-12
     assert dist[worst] > 0
     assert dist @ np.arange(worst + 1) == pytest.approx(mean, abs=5e-5)
@@ -156,6 +191,49 @@ def test_figure1_cdf_within_wilson_of_exact(alg):
 @pytest.mark.parametrize("alg", list(RULES))
 def test_figure1_large_cdf_within_wilson_of_exact(alg):
     check_figure1_cdf(alg, 9699, 30, 500, *EXACT_9699_30[alg])
+
+
+@pytest.mark.parametrize("alg", list(RULES))
+@pytest.mark.parametrize("n,k", [(500, 10), (9699, 30)])
+def test_exact_cdf_below_the_converse(alg, n, k):
+    # no algorithm succeeds with t tests more often than min(1, 2^t / C(n, k))
+    worst, dist = exact_at(alg, n, k)
+    cdf = np.minimum(np.cumsum(dist), 1.0)
+    for t in range(worst + 1):
+        assert cdf[t] <= converse_success_bound(ProblemSize(n, k), t), t
+
+
+@pytest.mark.parametrize("alg", list(RULES))
+def test_erasure_sweep_within_z4_of_exact(alg):
+    # 4000 trials at k = 10 span three batches of the fold. Each count must
+    # lie within the exact binomial's z = 4 tails (3.2e-5 each side): a z = 4
+    # Wilson interval around a count of 1 excludes every p below 1.4e-5,
+    # which gives that count with probability up to 5%, and here (the variant
+    # at t = 74, p = 1.8e-6) it happens
+    p, budgets = 0.25, 201
+    spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm=alg,
+                          noise=NoiseModel.erasure(p), trials=4000, master_seed=3,
+                          budget_range=(0, budgets - 1, 1))
+    exact = erasure_cdf(exact_at(alg, 500, 10)[1], p, budgets)
+    assert exact[-1] > 1 - 1e-9
+    z4_tail = 0.5 * math.erfc(4 / math.sqrt(2))
+    for point in success_curve(spec).points:
+        wins = round(point.success * spec.trials)
+        tails = binomial_tails(spec.trials, exact[point.t], wins)
+        assert min(tails) >= z4_tail, (point.t, wins, exact[point.t], tails)
+
+
+@pytest.mark.parametrize("alg", list(RULES))
+def test_capacity_rows_within_z4_of_exact_mean(alg):
+    # k = n^(1/2): 10 at n = 100, 32 at n = 1000
+    trials = 2000
+    for row in capacity_scan(0.5, [100, 1000], alg, trials, 3):
+        dist = exact_at(alg, row.n, row.k)[1]
+        t = np.arange(len(dist))
+        mean = dist @ t
+        sd = math.sqrt(dist @ (t - mean) ** 2)
+        z = (row.mean_tests - mean) / (sd / math.sqrt(trials))
+        assert abs(z) <= 4, (row.n, row.mean_tests, mean, z)
 
 
 @pytest.mark.parametrize("alg", list(RULES))

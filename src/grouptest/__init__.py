@@ -27,7 +27,6 @@ from .model import (
     derive_stream_seed,
     make_rng,
     sample_defective_set,
-    transcript_lines,
 )
 from .algorithms import (
     RunResult,

@@ -42,8 +42,9 @@ from .model import (TRUTHFUL_CHANNELS, TestOracle, derive_stream_seed, derive_st
 _WILSON_Z = 1.959963984540054  # 95%
 # Most cells one trial may hold, so that it stays under about 350 MB: COMP's
 # bool t x n design (a byte a cell; `comp_design` draws its uint64 raw outputs
-# 2^16 at a time), symmetric or additive RBT's n x (k + 4) items
-# (`_check_rbt`), and 32 cells a defective to sample and walk (240 MB at 2^20).
+# 2^16 at a time), symmetric or additive RBT's n x (k + 4) items (`_check_rbt`:
+# a list of n candidates, sliced into pools each of k rounds), and 32 cells a
+# defective to sample and walk (240 MB at 2^20).
 MAX_TRIAL_CELLS = 1 << 25
 # Most trials x k cells sampled and walked together, max(1, BATCH_CELLS // k)
 # trials: the sampler and the walk peak at 80-200 bytes a cell (190 MB at one
@@ -98,8 +99,8 @@ class ExperimentSpec:
             self._check_rbt()
 
     def _check_rbt(self):
-        # each round the oracle logs a tuple of about n candidates (8 bytes an
-        # item), and the candidate list holds n ints (about 36 bytes each)
+        # the candidate list holds n ints (about 36 bytes each), and each of
+        # the k rounds copies slices of it, one a search step, as its pools
         if self.size.n * (self.size.k + 4) > MAX_TRIAL_CELLS:
             raise InputError(f"rbt under {self.noise.kind.value} noise holds about "
                              f"n x (k + 4) items a trial, more than {MAX_TRIAL_CELLS}")

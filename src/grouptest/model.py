@@ -3,8 +3,9 @@ channels, and the metered oracle every algorithm talks to.
 
 Pools are sequences of 0-based item indices, and a contiguous pool is best
 passed as a `range`; a non-adaptive design is a boolean t x n array tested
-in one `test_design` call. The oracle only answers and meters tests; which
-pools to test is the algorithms' business (`grouptest.algorithms`).
+in one `test_design` call. The oracle only answers and meters tests, and
+keeps no record of them; which pools to test is the algorithms' business
+(`grouptest.algorithms`).
 Defective sets are frozensets. One oracle serves one trial and is never
 shared.
 
@@ -443,27 +444,25 @@ def _corruptions(bits: np.random.PCG64, threshold: int) -> Iterator[bool]:
 
 
 class TestOracle:
-    """Meters and records every pooled test for one trial.
+    """Answers and meters every pooled test of one trial, and keeps no log:
+    its memory does not grow with the tests it answers.
 
     The only channel by which algorithms learn anything about the hidden
     defective set. The contract:
 
     - A `range` pool with step 1 is tested by bisecting the sorted truth, in
-      O(log k), and the range itself is logged. Any other pool is copied to a
-      tuple and checked item by item.
+      O(log k). Any other pool is checked as given, item by item.
     - The algorithms drive every adaptive test through `test`, one pool at
       a time. The harness batches noiseless and erasure trials outside the
-      oracle (`harness.run_trials`); the oracle is the per-trial definition
+      oracle (`harness._run_batch`); the oracle is the per-trial definition
       they are checked against.
     - `test_design` tests every row of a boolean t x n design at once, with
-      the outcomes of t single submissions, and logs the whole batch as one
-      entry. `transcript` expands each logged row into its test when it is
-      read.
+      the outcomes of t single submissions.
     - `test` resubmits an erased pool until its outcome is firm; a
       `test_design` row is never resubmitted. Every submission counts in
-      `tests_used`, uses its own raw output and is logged. At erasure
-      probability 1 no submission lands, so `test` raises ValueError instead
-      of resubmitting forever.
+      `tests_used` and uses its own raw output. At erasure probability 1 no
+      submission lands, so `test` raises ValueError instead of resubmitting
+      forever.
     - Test j (0-based) goes through `_CHANNELS` on the j-th raw output r of
       `rng`, corrupted iff r < `_threshold(p)`; a noiseless test still uses
       up its output. `test` and `test_design` read one stream (`_corruptions`).
@@ -482,38 +481,22 @@ class TestOracle:
         self.noise = noise
         self.rng = rng
         self.tests_used = 0
-        # (pool, outcome) or (design, [outcome per row])
-        self._log: list = []
         self._sorted_truth = sorted(truth)
         self._corrupt = _corruptions(rng.bit_generator, _threshold(noise.p))
         self._channel = _CHANNELS[noise.kind]
 
-    @property
-    def transcript(self) -> list[tuple[Sequence[int], Outcome]]:
-        """Every test so far as (pool, outcome), in order."""
-        tests = []
-        for pool, out in self._log:
-            if type(out) is list:
-                tests.extend((tuple(np.flatnonzero(row).tolist()), o)
-                             for row, o in zip(pool, out))
-            else:
-                tests.append((pool, out))
-        return tests
-
     def test(self, pool: Sequence[int]) -> Outcome:
+        if len(pool) == 0:
+            raise ValueError("cannot test an empty pool")
         if type(pool) is range and pool.step == 1:
             i = bisect_left(self._sorted_truth, pool.start)  # the next defective
             hit = i < len(self._sorted_truth) and self._sorted_truth[i] < pool.stop
         else:
-            pool = tuple(pool)
             hit = not self.truth.isdisjoint(pool)
-        if not pool:
-            raise ValueError("cannot test an empty pool")
         row, p = self._channel[hit], self.noise.p
         while True:
             out = _OUTCOMES[row[next(self._corrupt)]]
             self.tests_used += 1
-            self._log.append((pool, out))
             if out is not Outcome.ERASED:
                 return out
             if p >= 1.0:
@@ -524,24 +507,13 @@ class TestOracle:
         An erased row is never resubmitted.
 
         Raises ValueError, before testing anything, if a row is empty."""
-        design = np.array(design, dtype=bool)
+        design = np.asarray(design, dtype=bool)
         if design.ndim != 2 or design.shape[1] != self.n:
             raise ValueError(f"a design needs shape (t, {self.n}), got {design.shape}")
         if not design.any(axis=1).all():
             raise ValueError("cannot test an empty pool")
-        design.flags.writeable = False
         t = len(design)
         corrupt = np.fromiter(islice(self._corrupt, t), bool, t)
         self.tests_used += t
         codes = _channel_codes(design[:, self._sorted_truth].any(axis=1), corrupt, self.noise)
-        outs = [_OUTCOMES[c] for c in codes.tolist()]
-        self._log.append((design, outs))
-        return outs
-
-
-def transcript_lines(oracle: TestOracle) -> list[str]:
-    """Debug serialization: one `<test-index>,<i;j;k>,<N|P|E>` line per test."""
-    return [
-        f"{i},{';'.join(str(x) for x in sorted(pool))},{out.value}"
-        for i, (pool, out) in enumerate(oracle.transcript)
-    ]
+        return [_OUTCOMES[c] for c in codes.tolist()]

@@ -6,7 +6,9 @@ oracle built from them: every pool copied to a tuple, one scalar draw per
 test, a design tested row by row, and a search, a splitting round or a
 whole splitting run stepped test by test. `erasure_landing` lands a batch's
 firm tests trial by trial on numpy's uniforms, and `handoff_of` hands numpy
-bit generators' states to the package's own PCG64 arithmetic.
+bit generators' states to the package's own PCG64 arithmetic. `Recorder`
+rebuilds the list of tests an oracle makes, which `TestOracle` does not
+keep.
 """
 import numpy as np
 
@@ -27,13 +29,47 @@ def apply_noise(out, model, rng):
     """Push a raw outcome through the noise channel.
 
     Always consumes exactly one RNG variate, `rng.random()`, even for the
-    noiseless channel, so transcripts stay aligned across noise models under
-    a shared seed. `TestOracle` reads the same channel table on the same
-    stream of uniforms, one per test.
+    noiseless channel, so under a shared seed test j reads the j-th uniform
+    whatever the noise model. `TestOracle` reads the same channel table on
+    the same stream of uniforms, one per test.
     """
     if out is Outcome.ERASED:
         raise ValueError("noise channels apply to raw outcomes only, not ERASED")
     return _OUTCOMES[_CHANNELS[model.kind][_OUTCOMES.index(out)][rng.random() < model.p]]
+
+
+class Recorder(list):
+    """Every test one oracle instance makes, as (pool, outcome) in order,
+    rebuilt from what its `test` and `test_design` are given and return; it
+    wraps those two methods of the instance, so make it before the first
+    test. A step-1 `range` pool is kept as passed, any other as a tuple. A
+    `test` call that adds s to `tests_used` is kept as s - 1 erased
+    submissions and then its outcome, or as s erased ones if it raises. A
+    design row is kept as the tuple of its items."""
+
+    def __init__(self, oracle):
+        super().__init__()
+        test, test_design = oracle.test, oracle.test_design
+
+        def recorded_test(pool):
+            entry = pool if type(pool) is range and pool.step == 1 else tuple(pool)
+            before = oracle.tests_used
+            try:
+                out = test(pool)
+            except Exception:
+                self.extend([(entry, Outcome.ERASED)] * (oracle.tests_used - before))
+                raise
+            self.extend([(entry, Outcome.ERASED)] * (oracle.tests_used - before - 1))
+            self.append((entry, out))
+            return out
+
+        def recorded_design(design):
+            outs = test_design(design)
+            self.extend((tuple(np.flatnonzero(row).tolist()), out)
+                        for row, out in zip(np.asarray(design, dtype=bool), outs))
+            return outs
+
+        oracle.test, oracle.test_design = recorded_test, recorded_design
 
 
 class PoolOracle:
@@ -48,12 +84,10 @@ class PoolOracle:
         self.noise = noise
         self.rng = rng
         self.tests_used = 0
-        self.transcript = []
 
     def _submit(self, pool):
         out = apply_noise(truth_outcome(pool, self.truth), self.noise, self.rng)
         self.tests_used += 1
-        self.transcript.append((pool, out))
         return out
 
     def test(self, pool):

@@ -20,6 +20,7 @@ from grouptest.algorithms import (
 )
 from grouptest.bounds import NoiseModel, ProblemSize, ceil_log2
 from grouptest.model import Outcome, TestOracle, make_rng, sample_defective_set
+from oracle_reference import Recorder
 
 
 def noiseless_oracle(n, truth, seed=0):
@@ -36,12 +37,13 @@ class TestBinarySearch:
     def test_hand_trace(self):
         # candidates 1..8, defectives {3, 6}: three tests, leftmost found
         o = noiseless_oracle(9, {3, 6})
+        log = Recorder(o)
         res = binary_search(o, list(range(1, 9)))
         assert res.found == 3
         assert res.cleared == (1, 2)
         assert res.tests_spent == 3
-        pools = [set(p) for p, _ in o.transcript]
-        outs = [out for _, out in o.transcript]
+        pools = [set(p) for p, _ in log]
+        outs = [out for _, out in log]
         assert pools == [{1, 2, 3, 4}, {1, 2}, {3}]
         assert outs == [Outcome.POSITIVE, Outcome.NEGATIVE, Outcome.POSITIVE]
 
@@ -133,8 +135,9 @@ class TestRepeatedBinaryTesting:
 class TestHgbsa:
     def test_first_group_size_500_10(self):
         o = noiseless_oracle(500, {499})
+        log = Recorder(o)
         hgbsa(o, 500, 10)
-        first_pool, _ = o.transcript[0]
+        first_pool, _ = log[0]
         assert len(first_pool) == 32
 
     def test_two_items(self):
@@ -156,8 +159,9 @@ class TestHgbsa:
 class TestHwangVariant:
     def test_first_group_size_500_10(self):
         o = noiseless_oracle(500, {499})
+        log = Recorder(o)
         hwang_variant(o, 500, 10)
-        first_pool, _ = o.transcript[0]
+        first_pool, _ = log[0]
         assert len(first_pool) == 34  # ceil(500 * (1 - 2^(-1/10)))
 
     def test_n_equals_k_zero_tests(self):
@@ -183,8 +187,9 @@ class TestHwangVariant:
     def test_no_defective_removed_by_negative(self):
         for truth in exhaustive_truths(12, 3):
             o = noiseless_oracle(12, truth)
+            log = Recorder(o)
             hwang_variant(o, 12, 3)
-            for pool, out in o.transcript:
+            for pool, out in log:
                 if out is Outcome.NEGATIVE:
                     assert truth.isdisjoint(pool)
 
@@ -195,40 +200,44 @@ def test_group_tests_advance_past_cleared_items(alg):
     # items, and a binary search that finds d drops everything up to d
     for truth in exhaustive_truths(14, 3):
         o = noiseless_oracle(14, truth)
+        log = Recorder(o)
         alg(o, 14, 3)
-        transcript = o.transcript
-        assert all(isinstance(p, range) and p.step == 1 for p, _ in transcript)
+        assert all(isinstance(p, range) and p.step == 1 for p, _ in log)
         i, start = 0, 0
-        while i < len(transcript):
-            group, out = transcript[i]
+        while i < len(log):
+            group, out = log[i]
             assert group.start == start
             if out is Outcome.NEGATIVE:
                 i, start = i + 1, group.stop
             else:
                 i, start = i + 1 + ceil_log2(len(group)), min(truth & set(group)) + 1
-        assert i == len(transcript)
+        assert i == len(log)
 
 
 class TestErasureRetry:
     def test_p0_transparent(self):
         truth = frozenset({3, 17})
         bare = noiseless_oracle(30, truth, seed=5)
+        bare_log = Recorder(bare)
         bare_res = hgbsa(bare, 30, 2)
         erasing = TestOracle(30, truth, NoiseModel.erasure(0.0), make_rng(5))
+        erasing_log = Recorder(erasing)
         erasing_res = hgbsa(erasing, 30, 2)
         assert erasing_res.estimate == bare_res.estimate
         assert erasing_res.tests_used == bare_res.tests_used
-        assert erasing.transcript == bare.transcript
+        assert erasing_log == bare_log
 
     def test_filtered_transcript_matches_noiseless(self):
         truth = frozenset({3, 17})
         bare = noiseless_oracle(30, truth, seed=5)
+        bare_log = Recorder(bare)
         hgbsa(bare, 30, 2)
         noisy = TestOracle(30, truth, NoiseModel.erasure(0.5), make_rng(99))
+        noisy_log = Recorder(noisy)
         res = hgbsa(noisy, 30, 2)
         assert res.estimate == truth
-        filtered = [(p, o) for p, o in noisy.transcript if o is not Outcome.ERASED]
-        assert filtered == bare.transcript
+        filtered = [(p, o) for p, o in noisy_log if o is not Outcome.ERASED]
+        assert filtered == bare_log
 
     def test_expected_inflation_factor(self):
         # p = 0.5 doubles the expected test count (geometric repetition)
@@ -261,8 +270,9 @@ class TestComp:
 
     def test_negative_pool_eliminates_members(self):
         o = noiseless_oracle(20, {1})
+        log = Recorder(o)
         res = comp_run(o, 20, 1, 30, make_rng(2))
-        for pool, out in o.transcript:
+        for pool, out in log:
             if out is Outcome.NEGATIVE:
                 assert not (set(pool) & set(res.estimate))
 
@@ -276,8 +286,9 @@ class TestComp:
 
     def test_pools_never_empty(self):
         o = noiseless_oracle(3, {0})
+        log = Recorder(o)
         comp_run(o, 3, 1, 50, make_rng(3))
-        assert all(len(p) >= 1 for p, _ in o.transcript)
+        assert len(log) == 50 and all(len(p) >= 1 for p, _ in log)
 
     def test_bad_args_rejected(self):
         o = noiseless_oracle(4, {1})

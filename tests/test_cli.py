@@ -417,16 +417,28 @@ def test_erasure_and_rejected_row_runs_never_import_numpy_random():
 
 
 # ru_maxrss would carry the forking test process's own peak across exec, so
-# the child reads the peak of its own address space, VmHWM (KiB)
-PEAK_RSS_AT_TRIALS = """
+# the child reads the peak of its own address space, VmHWM (KiB). It runs its
+# argv with the last flag set to the smaller and then the larger value.
+PEAK_RSS_AT_TWO_VALUES = """
 import contextlib, io, sys
 import grouptest.cli as cli
-for trials in ("10000", "200000"):
+*argv, flag, small, large = sys.argv[1:]
+for value in (small, large):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(sys.argv[1:] + ["--trials", trials]) == 0, trials
+        assert cli.main(argv + [flag, value]) == 0, value
     with open("/proc/self/status") as status:
         print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
+
+
+def peak_rss_at_two_values(argv):
+    """The child's VmHWM (KiB) after the smaller and after the larger run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_AT_TWO_VALUES, *argv.split()],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    small, large = map(int, proc.stdout.split())
+    return small, large
 
 
 @pytest.mark.parametrize("argv", [
@@ -439,12 +451,19 @@ def test_peak_memory_does_not_grow_with_trials(argv):
     # 20 times the trials adds no per-trial list: the peak RSS of one child
     # running 10^4 trials and then 2 x 10^5 grows by well under 8 MiB
     # (a list of `TrialResult`s grows it by about 21 MiB)
-    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_AT_TRIALS, *argv.split()], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    small, large = map(int, proc.stdout.split())
+    small, large = peak_rss_at_two_values(argv + " --trials 10000 200000")
     assert large - small < 8 << 10, (small, large)
+
+
+def test_noisy_trial_peak_memory_does_not_grow_with_its_tests():
+    # symmetric-noise HGBSA runs one trial at a time against a `TestOracle`,
+    # which keeps no log of its tests: at n = 2^30, k = 32768 makes about
+    # 5.4 x 10^5 tests, about seven times k = 4096's, and grows the peak RSS
+    # of one child by well under 16 MiB (about 8 MiB; a log entry a test grew
+    # it by about 96 MiB)
+    small, large = peak_rss_at_two_values(
+        "simulate --alg hgbsa --n 1073741824 --noise symmetric:0.01 --trials 1 --k 4096 32768")
+    assert large - small < 16 << 10, (small, large)
 
 
 def test_internal_value_error_is_not_exit_2(monkeypatch):

@@ -14,9 +14,8 @@ from grouptest.model import (
     derive_stream_seed,
     make_rng,
     sample_defective_set,
-    transcript_lines,
 )
-from oracle_reference import apply_noise, truth_outcome
+from oracle_reference import Recorder, apply_noise, truth_outcome
 
 
 def all_nonempty_pools(n):
@@ -101,7 +100,7 @@ class TestApplyNoise:
         assert abs(erased - draws * 0.4) <= 3 * sigma
 
     def test_consumes_one_variate_even_when_noiseless(self):
-        # transcripts must stay aligned across noise models under one seed
+        # under one seed, test j reads the j-th uniform whatever the noise model
         rng_a = make_rng(9)
         rng_b = make_rng(9)
         apply_noise(Outcome.NEGATIVE, NoiseModel.noiseless(), rng_a)
@@ -112,10 +111,11 @@ class TestApplyNoise:
 class TestOracleBehaviour:
     def test_metering_and_transcript(self):
         o = TestOracle(6, {1, 4}, NoiseModel.noiseless(), make_rng(0))
+        log = Recorder(o)
         out1 = o.test((0, 1))
         out2 = o.test((0, 1))
         assert out1 is out2 is Outcome.POSITIVE
-        assert o.tests_used == 2 == len(o.transcript)
+        assert o.tests_used == 2 == len(log)
 
     def test_empty_pool_rejected(self):
         o = TestOracle(4, {1}, NoiseModel.noiseless(), make_rng(0))
@@ -146,50 +146,47 @@ class TestOracleBehaviour:
         transcripts = []
         for _ in range(2):
             o = TestOracle(4, {1, 3}, NoiseModel.symmetric(0.3), make_rng(7, 3))
+            log = Recorder(o)
             for p in pools:
                 o.test(p)
-            transcripts.append(o.transcript)
+            transcripts.append(log)
         assert transcripts[0] == transcripts[1]
 
     def test_transcript_replay_noiseless(self):
         o = TestOracle(8, {2, 5}, NoiseModel.noiseless(), make_rng(11))
+        log = Recorder(o)
         for p in [(0, 1, 2, 3), (4, 5), (6,), (2,)]:
             o.test(p)
-        for pool, out in o.transcript:
+        for pool, out in log:
             assert truth_outcome(pool, o.truth) is out
 
     def test_design_rows_match_single_tests(self):
         design = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 1, 0]]
         batch = TestOracle(6, {1, 4}, NoiseModel.noiseless(), make_rng(0))
         single = TestOracle(6, {1, 4}, NoiseModel.noiseless(), make_rng(0))
+        batch_log, single_log = Recorder(batch), Recorder(single)
         outs = batch.test_design(design)
         assert outs == [single.test(p) for p in [(0, 3), (1, 5), (2, 4)]]
         assert outs == [Outcome.NEGATIVE, Outcome.POSITIVE, Outcome.POSITIVE]
         assert batch.tests_used == 3
-        assert batch.transcript == single.transcript
-        assert transcript_lines(batch) == ["0,0;3,N", "1,1;5,P", "2,2;4,P"]
+        assert batch_log == single_log
 
     def test_design_logged_as_copy(self):
         design = np.ones((2, 4), dtype=bool)
         o = TestOracle(4, {1}, NoiseModel.noiseless(), make_rng(0))
+        log = Recorder(o)
         o.test_design(design)
-        design[:, 1] = False  # the caller's array is not the logged one
-        assert o.transcript == [((0, 1, 2, 3), Outcome.POSITIVE)] * 2
+        design[:, 1] = False  # after the call: the recorder keeps each row as tested
+        assert log == [((0, 1, 2, 3), Outcome.POSITIVE)] * 2
 
     def test_design_empty_row_rejected(self):
         o = TestOracle(4, {1}, NoiseModel.noiseless(), make_rng(0))
+        log = Recorder(o)
         with pytest.raises(ValueError):
             o.test_design([[1, 1, 0, 0], [0, 0, 0, 0]])
         with pytest.raises(ValueError):
             o.test_design([[1, 1, 0]])  # not n columns
-        assert o.tests_used == 0 and o.transcript == []
-
-    def test_transcript_serialization(self):
-        o = TestOracle(6, {1}, NoiseModel.noiseless(), make_rng(0))
-        o.test((3, 0, 5))
-        o.test((1,))
-        lines = transcript_lines(o)
-        assert lines == ["0,0;3;5,N", "1,1,P"]
+        assert o.tests_used == 0 and log == []
 
 
 class TestStreamSeeds:

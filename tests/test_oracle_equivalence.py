@@ -41,7 +41,7 @@ from grouptest.cli import main
 from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
 from grouptest.model import (_PCG_MULT, Outcome, TestOracle, design_negatives,
                              erasure_submissions, make_rng, sample_defective_set)
-from oracle_reference import PoolOracle, apply_noise, erasure_landing, handoff_of
+from oracle_reference import PoolOracle, Recorder, apply_noise, erasure_landing, handoff_of
 
 
 def dense_fisher_yates(n, k, rng):
@@ -100,11 +100,12 @@ def run_both(run, n, k, noise, seed):
     seen = []
     for cls in (TestOracle, PoolOracle):
         oracle = cls(n, truth, noise, make_rng(seed, 1))
+        log = Recorder(oracle)
         res = settle(lambda: run(oracle))
         if not isinstance(res, type):
             assert res.tests_used == oracle.tests_used
             res = (res.estimate, res.tests_used)
-        seen.append((res, oracle.tests_used, as_sets(oracle.transcript)))
+        seen.append((res, oracle.tests_used, as_sets(log)))
     assert seen[0] == seen[1]
 
 
@@ -125,8 +126,8 @@ def test_binary_search_equivalent(noise):
         results = []
         for cls in (TestOracle, PoolOracle):
             oracle = cls(b, truth, NOISES[noise], make_rng(seed, 1))
-            results.append((settle(lambda: binary_search(oracle, range(b))),
-                            as_sets(oracle.transcript)))
+            log = Recorder(oracle)
+            results.append((settle(lambda: binary_search(oracle, range(b))), as_sets(log)))
         assert results[0] == results[1]
 
 
@@ -173,8 +174,9 @@ def test_design_batches_interleaved_with_single_tests(noise):
         seen = []
         for cls in (TestOracle, PoolOracle):
             oracle = cls(40, truth, NOISES[noise], make_rng(seed, 1))
+            log = Recorder(oracle)
             run(oracle, seed)
-            seen.append((oracle.tests_used, as_sets(oracle.transcript)))
+            seen.append((oracle.tests_used, as_sets(log)))
         assert seen[0] == seen[1]
 
 
@@ -299,8 +301,9 @@ def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
         seen = []
         for cls in (TestOracle, PoolOracle):
             oracle = cls(n, truth, ALL_NOISES[noise], make_rng(seed, 1))
+            log = Recorder(oracle)
             run(oracle, seed)
-            seen.append((oracle.tests_used, as_sets(oracle.transcript)))
+            seen.append((oracle.tests_used, as_sets(log)))
         assert seen[0] == seen[1]
 
 
@@ -314,8 +317,9 @@ def test_noiseless_search_without_defective_overruns():
             seen = []
             for cls in (TestOracle, PoolOracle):
                 oracle = cls(200, truth, NOISES["noiseless"], make_rng(b, 1))
+                log = Recorder(oracle)
                 seen.append((settle(lambda: search(oracle, range(start, start + b))),
-                             oracle.tests_used, as_sets(oracle.transcript)))
+                             oracle.tests_used, as_sets(log)))
             assert seen[0] == seen[1]
             assert seen[0][0] == (b - 1 if b & (b - 1) == 0 else SearchOverrun)
 
@@ -385,9 +389,10 @@ def test_every_cell_of_the_channel_table(noise, cells):
     for raw, pool in ((N, range(0, 1)), (P, range(1, 2))):
         assert [apply_noise(raw, noise, CyclingUniforms([u])) for u in dealt] == list(cells[raw])
         oracle = TestOracle(2, {1}, noise, CyclingUniforms(dealt))
+        log = Recorder(oracle)
         while oracle.tests_used < 3:
             oracle.test(pool)
-        assert [out for _, out in oracle.transcript] == list(cells[raw])
+        assert [out for _, out in log] == list(cells[raw])
     oracle = TestOracle(2, {1}, noise, CyclingUniforms(dealt))
     assert oracle.test_design([[1, 0]] * 3 + [[0, 1]] * 3) == [*cells[N], *cells[P]]
     hit = np.array([False] * 3 + [True] * 3)
@@ -512,8 +517,9 @@ def test_erasure_resubmission_on_dealt_uniforms(values):
         seen = []
         for cls in (TestOracle, PoolOracle):
             oracle = cls(1000, truth, NoiseModel.erasure(0.25), CyclingUniforms(values))
+            log = Recorder(oracle)
             res = hgbsa(oracle, 1000, 5)
-            seen.append((res.estimate, oracle.tests_used, as_sets(oracle.transcript)))
+            seen.append((res.estimate, oracle.tests_used, as_sets(log)))
         assert seen[0] == seen[1]
         assert seen[0][0] == truth
     batch_both(1000, truths, "hwang", NoiseModel.erasure(0.25),
@@ -531,6 +537,7 @@ def split_both(n, truth, candidates, rule, kp, noise, make_uniforms, before=0,
     seen, rounds = [], []
     for cls in (TestOracle, PoolOracle):
         oracle = cls(n, truth, noise, make_uniforms())
+        log = Recorder(oracle)
         if cls is PoolOracle:
             def scan(cands, *args, inner=oracle.scan):
                 rounds.append((inner(cands, *args), len(cands)))
@@ -545,7 +552,7 @@ def split_both(n, truth, candidates, rule, kp, noise, make_uniforms, before=0,
             oracle.rng.random(-oracle.tests_used % 256)
         state = (oracle.rng.drawn if isinstance(oracle.rng, CyclingUniforms)
                  else oracle.rng.bit_generator.state)
-        seen.append((found, oracle.tests_used, as_sets(oracle.transcript), state))
+        seen.append((found, oracle.tests_used, as_sets(log), state))
     assert seen[0] == seen[1]
     return seen[0][0], seen[0][1], rounds
 

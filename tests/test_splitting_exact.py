@@ -31,8 +31,9 @@ from grouptest import harness
 from grouptest.algorithms import _hwang_group_size, _variant_group_size, hgbsa, hwang_variant
 from grouptest.bounds import NoiseModel, ProblemSize, ceil_log2, converse_success_bound
 from grouptest.harness import (ExperimentSpec, capacity_scan, guarantee_for, run_trial,
-                               success_curve, wilson_interval)
+                               success_curve)
 from grouptest.model import Outcome, TestOracle, derive_stream_seed, make_rng
+from oracle_reference import Recorder
 
 RULES = {"hgbsa": _hwang_group_size, "variant": _variant_group_size}
 RUNS = {"hgbsa": hgbsa, "variant": hwang_variant}
@@ -157,6 +158,22 @@ def binomial_tails(trials, p, wins):
     return pmf[:wins + 1].sum(), pmf[wins:].sum()
 
 
+Z4_TAIL = 0.5 * math.erfc(4 / math.sqrt(2))  # 3.2e-5, one side of z = 4
+
+
+def check_within_z4_tails(spec, exact):
+    """Every point of `success_curve(spec)` has a win count within the exact
+    binomial's z = 4 tails around exact[t], the exact success at its budget
+    t: neither P(X <= wins) nor P(X >= wins) is below `Z4_TAIL`. A z = 4
+    Wilson interval would not do: around a count of 1 in 2000 trials it
+    excludes every p below about 2.8e-5, which gives that count with
+    probability up to about 5%."""
+    for point in success_curve(spec).points:
+        wins = round(point.success * spec.trials)
+        tails = binomial_tails(spec.trials, exact[point.t], wins)
+        assert min(tails) >= Z4_TAIL, (point.t, wins, exact[point.t], tails)
+
+
 # exact means and worst cases at the figure's two sizes
 EXACT_500_10 = {"hgbsa": (68.5600, 74), "variant": (72.8295, 79)}
 EXACT_9699_30 = {"hgbsa": (291.5662, 306), "variant": (301.7111, 329)}
@@ -165,7 +182,8 @@ EXACT_9699_30 = {"hgbsa": (291.5662, 306), "variant": (301.7111, 329)}
 def check_figure1_cdf(alg, n, k, trials, mean, worst):
     """The exact mean and worst case at (n, k), and every point of the
     (n, k) curve of `figure1 --seed 0` at `trials` trials, at every budget
-    up to the worst case, inside a z=4 Wilson interval around the exact CDF."""
+    up to one past the worst case, within the exact binomial's z = 4 tails
+    around the exact CDF (`check_within_z4_tails`)."""
     exact_worst, dist = exact_at(alg, n, k)
     assert exact_worst == worst
     assert abs(dist.sum() - 1.0) < 1e-12
@@ -175,12 +193,7 @@ def check_figure1_cdf(alg, n, k, trials, mean, worst):
     spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg, trials=trials,
                           master_seed=derive_stream_seed(0, alg_index),
                           budget_range=(0, worst + 1, 1))
-    cdf = np.cumsum(dist)
-    for point in success_curve(spec).points:
-        wins = round(point.success * spec.trials)
-        lo, hi = wilson_interval(wins, spec.trials, z=4.0)
-        exact = cdf[min(point.t, worst)]
-        assert lo <= exact <= hi, (point.t, wins, exact)
+    check_within_z4_tails(spec, np.minimum(np.cumsum(np.append(dist, 0.0)), 1.0))
 
 
 @pytest.mark.parametrize("alg", list(RULES))
@@ -205,22 +218,16 @@ def test_exact_cdf_below_the_converse(alg, n, k):
 
 @pytest.mark.parametrize("alg", list(RULES))
 def test_erasure_sweep_within_z4_of_exact(alg):
-    # 4000 trials at k = 10 span three batches of the fold. Each count must
-    # lie within the exact binomial's z = 4 tails (3.2e-5 each side): a z = 4
-    # Wilson interval around a count of 1 excludes every p below 1.4e-5,
-    # which gives that count with probability up to 5%, and here (the variant
-    # at t = 74, p = 1.8e-6) it happens
+    # 4000 trials at k = 10 span three batches of the fold. A z = 4 Wilson
+    # interval around a count of 1 excludes every p below 1.4e-5, and here
+    # (the variant at t = 74, p = 1.8e-6) that count happens
     p, budgets = 0.25, 201
     spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm=alg,
                           noise=NoiseModel.erasure(p), trials=4000, master_seed=3,
                           budget_range=(0, budgets - 1, 1))
     exact = erasure_cdf(exact_at(alg, 500, 10)[1], p, budgets)
     assert exact[-1] > 1 - 1e-9
-    z4_tail = 0.5 * math.erfc(4 / math.sqrt(2))
-    for point in success_curve(spec).points:
-        wins = round(point.success * spec.trials)
-        tails = binomial_tails(spec.trials, exact[point.t], wins)
-        assert min(tails) >= z4_tail, (point.t, wins, exact[point.t], tails)
+    check_within_z4_tails(spec, exact)
 
 
 @pytest.mark.parametrize("alg", list(RULES))
@@ -244,12 +251,12 @@ def test_erasure_firm_tests_are_noiseless(monkeypatch, alg):
     # geometric, so their total has mean sum F p/(1-p) and variance
     # sum F p/(1-p)^2 (negative binomial).
     p = 0.25
-    oracles = []
+    logs = []
 
     class RecordedOracle(TestOracle):
         def __init__(self, *args):
             super().__init__(*args)
-            oracles.append(self)
+            logs.append(Recorder(self))
 
     monkeypatch.setattr(harness, "TestOracle", RecordedOracle)
     spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm=alg,
@@ -258,7 +265,7 @@ def test_erasure_firm_tests_are_noiseless(monkeypatch, alg):
     firm_total = erased_total = 0
     for i in range(spec.trials):
         res = run_trial(spec, i)
-        erased = sum(out is Outcome.ERASED for _, out in oracles[-1].transcript)
+        erased = sum(out is Outcome.ERASED for _, out in logs[-1])
         assert res.success
         assert res.tests_used - erased == run_trial(noiseless, i).tests_used, i
         firm_total += res.tests_used - erased

@@ -824,7 +824,11 @@ def test_figure1_csvs_pinned(tmp_path):
 # blocks of 64 steps from two jump tables; then for argvs whose trials span
 # two or more batches, one per path (noiseless, per-trial oracle, COMP on a
 # noisy channel, sweeps under each, capacity), computed while every command
-# still reduced a list of `TrialResult`s.
+# still reduced a list of `TrialResult`s; then for two argvs whose every row
+# is drawn on its own by `model._bounded_draws` (64-bit then 32-bit ranges
+# past 2^32, each trial run against a `TestOracle`; and k = 10^5, where every
+# row has a rejected draw), computed while the per-trial sampler still kept
+# numpy's held 32-bit half in step.
 CLI_STDOUT_SHA256 = {
     "sweep --alg comp --n 100 --k 5 --t-min 40 --t-max 160 --step 10 --trials 300 --seed 1":
         "65f1a3457bda2d053cd0102bf737299a8614f01e48325db50589772701fdddc9",
@@ -845,6 +849,10 @@ CLI_STDOUT_SHA256 = {
         "fcbc621a423b3e09f20ba75246b68c78e2188a1308395fd3a3d29c0a4627210d",
     "capacity --beta 0.5 --n-list 100 1000 --alg variant --trials 2000 --seed 3":
         "ff6aee6424e4385b5cd2114129cdaa7123c6444f3874f665133b3d9e41ccef93",
+    "simulate --alg hgbsa --n 4294967298 --k 5 --noise symmetric:0.01 --trials 2000 --seed 3":
+        "5a71b8ea320602adc35affd5dba4de85a355bafb9bd75114239b6f3c0255e418",
+    "simulate --alg variant --n 1000000 --k 100000 --trials 2 --seed 3":
+        "f26bac2ae37e2297543b2198bc727eca519077d04d1b3710ed184592a795acc5",
 }
 
 

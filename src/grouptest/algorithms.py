@@ -235,12 +235,12 @@ def hwang_variant(oracle, n: int, k: int) -> RunResult:
                      tests_used=oracle.tests_used)
 
 
-def comp_design(rng: np.random.Generator, k: int, design: np.ndarray) -> np.ndarray:
-    """COMP's Bernoulli(1/k) design drawn from `rng` into the boolean t x n
+def comp_design(bits: np.random.PCG64, k: int, design: np.ndarray) -> np.ndarray:
+    """COMP's Bernoulli(1/k) design drawn from `bits` into the boolean t x n
     `design`, each empty row redrawn until none is: a cell is in when its
     PCG64 raw output is below `model._threshold(1 / k)`, drawn 2^16 cells (or
     one row) at a time, so no t x n draw is held. Returns `design`."""
-    raw, threshold = rng.bit_generator.random_raw, _threshold(1.0 / k)
+    raw, threshold = bits.random_raw, _threshold(1.0 / k)
     rows = max(1, 2**16 // design.shape[1])
     for r in range(0, len(design), rows):
         np.less(raw(design[r:r + rows].shape), threshold, out=design[r:r + rows])
@@ -249,7 +249,7 @@ def comp_design(rng: np.random.Generator, k: int, design: np.ndarray) -> np.ndar
     return design
 
 
-def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunResult:
+def comp_run(oracle, n: int, k: int, t: int, bits: np.random.PCG64) -> RunResult:
     """Non-adaptive COMP: a t x n Bernoulli(1/k) design (`comp_design`),
     tested in one `test_design` call; every item seen in a negative pool is
     eliminated, the rest are declared defective.
@@ -260,7 +260,7 @@ def comp_run(oracle, n: int, k: int, t: int, rng: np.random.Generator) -> RunRes
         raise ValueError(f"COMP needs t >= 1, got {t}")
     if k < 1:
         raise ValueError("COMP design density 1/k needs k >= 1")
-    design = comp_design(rng, k, np.empty((t, n), dtype=bool))
+    design = comp_design(bits, k, np.empty((t, n), dtype=bool))
     negative_outcome = Outcome.NEGATIVE
     negative = np.array([o is negative_outcome for o in oracle.test_design(design)])
     estimate = frozenset(np.flatnonzero(~design[negative].any(axis=0)).tolist())

@@ -32,8 +32,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .algorithms import (ADAPTIVE_ALGORITHMS, SearchOverrun, batch_runs, comp_design,
-                         comp_run)
+from .algorithms import (ADAPTIVE_ALGORITHMS, ALGORITHM_NAMES, SearchOverrun, batch_runs,
+                         comp_design, comp_run)
 from .bounds import InputError, NoiseKind, NoiseModel, ProblemSize
 from .model import (TRUTHFUL_CHANNELS, TestOracle, derive_stream_seed, derive_stream_seeds,
                     design_negatives, erasure_submissions, handed_on, make_rng,
@@ -74,6 +74,9 @@ class ExperimentSpec:
     comp_t: Optional[int] = None      # COMP's test budget
 
     def __post_init__(self):
+        if self.algorithm not in ALGORITHM_NAMES:
+            raise InputError(f"unknown algorithm {self.algorithm!r}; "
+                             f"choose one of {', '.join(ALGORITHM_NAMES)}")
         if self.trials < 1:
             raise InputError("need at least one trial")
         if self.size.n > MAX_N:
@@ -208,8 +211,8 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
 
 def _run_oracle(spec: ExperimentSpec, truth, seed: int, rng) -> TrialResult:
     """The trial of stream seed `seed` and defectives `truth`, run against a
-    `TestOracle` on `rng` as sampling left it; COMP's design comes from
-    `make_rng(seed, 1)`. A binary search overrun (possible only under
+    `TestOracle` on the PCG64 `rng` as sampling left it; COMP's design comes
+    from `make_rng(seed, 1)`. A binary search overrun (possible only under
     symmetric or additive noise) ends the trial as a failure."""
     n, k = spec.size.n, spec.size.k
     oracle = TestOracle(n, truth, spec.noise, rng)
@@ -268,7 +271,7 @@ class InvariantBreach(Exception):
 def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> tuple:
     """Success and tests_used arrays of trials start..stop-1, at most
     `BATCH_CELLS` cells (trials x k) or one trial, seeded and sampled in bulk
-    with `run_trial`'s seeds, sets and generator states. COMP trials then
+    with `run_trial`'s seeds, sets and stream states. COMP trials then
     run without an oracle (`_run_comp`), those on a channel with no decoder
     one by one (`_run_oracle`); the others' firm tests and decodes come from
     `batch_runs`, and their submissions from `erasure_submissions`."""
@@ -278,7 +281,7 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> tuple:
     if spec.algorithm == "comp":
         return _run_comp(spec, start, truths, trial_seeds, handoff)
     if spec.noise.kind not in TRUTHFUL_CHANNELS:
-        # the generators are one reused object: each trial ends before the next is taken
+        # the streams are one reused PCG64: each trial ends before the next is taken
         success, used = zip(*[_run_oracle(spec, truth, seed, rng) for truth, seed, rng in
                               zip(truths.tolist(), trial_seeds.tolist(), handed_on(handoff))])
         return np.array(success), np.array(used, dtype=np.int64)
@@ -298,7 +301,7 @@ def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds:
     """COMP trials start, start + 1, ... as `_run_oracle` runs them, without
     an oracle: each design comes from stream 1 of its trial seed, seeded in
     bulk and drawn into one t x n buffer reused by every trial, and its rows'
-    outcomes from the generator sampling left (`design_negatives`), set from
+    outcomes from the stream sampling left (`design_negatives`), set from
     the handoff only on a noisy channel, the one that draws from it. An item
     in no negative row is declared defective. On a channel in
     `TRUTHFUL_CHANNELS` a negative row holds no defective, so one that

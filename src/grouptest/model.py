@@ -9,18 +9,18 @@ keeps no record of them; which pools to test is the algorithms' business
 Defective sets are frozensets. One oracle serves one trial and is never
 shared.
 
-A trial's generator is `np.random.PCG64(seed)` with its seed mixed from
-(master seed, stream) by `derive_stream_seed`, and its defective set is
-`sample_defective_set`'s partial Fisher-Yates over it, its bounded draws
-defined on PCG64's raw output (which NEP 19 keeps stable) as numpy 2.4.6
-takes them. `derive_stream_seeds` and `sample_defective_sets` compute the
-same seeds, sets and generator states for many trials at once with numpy,
-bit for bit: SeedSequence's hash, PCG64 with its 128-bit state in two
-uint64 halves, stepped by jumps from one table (`_lcg_run`), and the same
-Lemire step. They hand on each trial's PCG64 state and inc as plain
-numbers (see `_pcg_seeded`), from which `handed_on` sets a numpy Generator
-only for a consumer that draws through one; `seeded_generators` serves
-COMP's design streams the same way.
+A trial's stream is `np.random.PCG64(seed)` with its seed mixed from
+(master seed, stream) by `derive_stream_seed`: its state and inc, read only
+as raw outputs (`random_raw`, which NEP 19 keeps stable). Its defective set
+is `sample_defective_set`'s partial Fisher-Yates over it, its bounded draws
+taken as numpy 2.4.6 takes them on a fresh stream. `derive_stream_seeds`
+and `sample_defective_sets` compute the same seeds, sets and stream states
+for many trials at once with numpy, bit for bit: SeedSequence's hash, PCG64
+with its 128-bit state in two uint64 halves, stepped by jumps from one table
+(`_lcg_run`), and the same Lemire step. They hand on each trial's PCG64
+state and inc as plain numbers (see `_pcg_seeded`), to which `handed_on`
+sets one numpy PCG64 only for a consumer that draws from it;
+`seeded_generators` serves COMP's design streams the same way.
 
 Every draw after sampling compares a PCG64 raw output with `_threshold`.
 Each noise channel is one row of the transition table `_CHANNELS`, read
@@ -77,62 +77,51 @@ def derive_stream_seeds(master, streams) -> np.ndarray:
     return _splitmix64(_splitmix64(_as_uint64(master)) ^ _splitmix64(_as_uint64(streams)))
 
 
-def make_rng(master: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(derive_stream_seed(master, stream)))
+def make_rng(master: int, stream: int = 0) -> np.random.PCG64:
+    return np.random.PCG64(derive_stream_seed(master, stream))
 
 
-def sample_defective_set(n: int, k: int, rng: np.random.Generator) -> frozenset:
+def sample_defective_set(n: int, k: int, bits: np.random.PCG64) -> frozenset:
     """Uniformly random k-subset of {0, ..., n-1} via partial Fisher-Yates.
 
     The swaps are kept in a dict, so the cost is O(k), not O(n). Draw i is
-    uniform on [0, n - i), taken from PCG64's raw output (`_bounded_draws`).
-    This is the per-trial definition; `sample_defective_sets` computes it for
-    many fresh generators at once.
+    uniform on [0, n - i), taken from the next raw outputs of `bits`
+    (`_bounded_draws`); a 32-bit half the bit generator holds is ignored, as
+    on a fresh stream. This is the per-trial definition;
+    `sample_defective_sets` computes it for many fresh streams at once.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    bits = rng.bit_generator
-    start = bits.state
-    draws, has_uint32, uinteger = _bounded_draws(n, k, bits.random_raw, start["has_uint32"],
-                                                 start["uinteger"])
-    bits.state = {**bits.state, "has_uint32": has_uint32, "uinteger": uinteger}
-    return frozenset(_fisher_yates(draws))
+    return frozenset(_fisher_yates(_bounded_draws(n, k, bits.random_raw)))
 
 
-def _bounded_draws(n: int, k: int, raw, has_uint32: int, uinteger: int) -> tuple:
+def _bounded_draws(n: int, k: int, raw) -> list:
     """Draws uniform on [0, n), [0, n - 1), ..., [0, n - k + 1) from the PCG64
     outputs `raw(count)` yields, taken as numpy 2.4.6's
-    `Generator.integers(n - arange(k))` takes them (Lemire 2019) from a bit
-    generator that holds the 32-bit half `uinteger` if `has_uint32`:
-    (draws, has_uint32, uinteger) as the draws leave them. A range of 1 takes
-    no word; one up to 2^32 a 32-bit word, the halves of each output low
-    first, after a held half; a larger one a whole output (`_lemire_runs`)."""
-    half = uinteger
-
+    `Generator.integers(n - arange(k))` takes them (Lemire 2019) on a fresh
+    stream. A range of 1 takes no word; one up to 2^32 a 32-bit word, the
+    halves of each output low first; a larger one a whole output
+    (`_lemire_runs`). A high half the last draw leaves unread is dropped."""
     def halves(count):
-        nonlocal half
-        out = raw((count + 1) // 2)
-        half = int(out[-1] >> 32)
-        return out.astype("<u8", copy=False).view("<u4")  # low half first
+        return raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")  # low half first
 
     ranges = n - np.arange(k - (k == n), dtype=np.uint64)
     wide = min(len(ranges), max(0, n - (1 << 32)))  # the ranges above 2^32 come first
-    draws, _ = _lemire_runs(ranges[:wide], np.empty(0, np.uint64), raw, 64)
-    narrow, held = _lemire_runs(ranges[wide:], np.array([uinteger] * has_uint32, np.uint32),
-                                halves, 32)
-    return draws + narrow + [0] * (k == n), len(held), half
+    return (_lemire_runs(ranges[:wide], raw, 64) + _lemire_runs(ranges[wide:], halves, 32)
+            + [0] * (k == n))
 
 
-def _lemire_runs(ranges: np.ndarray, held: np.ndarray, more, b: int) -> tuple:
-    """Lemire's draws over `ranges` on b-bit words, `held` and then those
-    `more(count)` draws (count, or one half more), drawn only as the draws
-    need them: (draws, words left). Word w gives w * range >> b, unless
-    w * range mod 2^b < 2^b mod range: then the draw is made again on the
-    next word. Each pass tries a window of draws at once and keeps those
-    before its first rejection; the first window holds every draw, so with
-    no rejection one `more` call serves them all. Where rejections come
-    thick, the rest go word by word, in Python ints."""
-    draws, window = [], len(ranges)
+def _lemire_runs(ranges: np.ndarray, more, b: int) -> list:
+    """Lemire's draws over `ranges` on the b-bit words `more(count)` draws
+    (count, or one half more), drawn only as the draws need them. Word w
+    gives w * range >> b, unless w * range mod 2^b < 2^b mod range: then the
+    draw is made again on the next word. Each pass tries a window of draws
+    at once and keeps those before its first rejection; the first window
+    holds every draw, so with no rejection one `more` call serves them all.
+    Where rejections come thick, the rest go word by word, in Python ints.
+    No more words are drawn than draws are left, so only the spare half of a
+    32-bit `more` is ever left over."""
+    draws, window, held = [], len(ranges), np.empty(0, np.uint64)
     while len(draws) < len(ranges):
         r = ranges[len(draws):len(draws) + window]
         if len(held) < len(r):
@@ -144,7 +133,7 @@ def _lemire_runs(ranges: np.ndarray, held: np.ndarray, more, b: int) -> tuple:
         if j < min(16, len(r)):
             break
     else:
-        return draws, held
+        return draws
     words, t = held.tolist(), 0
     for r in ranges[len(draws):].tolist():
         while True:
@@ -154,7 +143,7 @@ def _lemire_runs(ranges: np.ndarray, held: np.ndarray, more, b: int) -> tuple:
             if x & ((1 << b) - 1) >= (1 << b) % r:
                 break
         draws.append(x >> b)
-    return draws, np.array(words[t:], dtype=held.dtype)
+    return draws
 
 
 def _lemire32(words: np.ndarray, ranges: np.ndarray) -> tuple:
@@ -305,33 +294,31 @@ def _pcg_seeded(seeds: np.ndarray) -> np.ndarray:
 
 
 def handed_on(handoff: np.ndarray):
-    """One Generator, set in turn to the PCG64 of each column of the handoff
-    (see `_pcg_seeded`) and yielded, holding no 32-bit half: every draw made
-    on it is a whole raw output (`random_raw`), and such a draw ignores one."""
+    """One PCG64, set in turn to the state and inc of each column of the
+    handoff (see `_pcg_seeded`) and yielded; every draw made on it is a raw
+    output. numpy's state setter needs the held-half keys, so they are set
+    to none held."""
     bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
     for sh, sl, ih, il in map(np.ndarray.tolist, handoff.T):
         bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                       "state": {"state": sh << 64 | sl, "inc": ih << 64 | il}}
-        yield rng
+        yield bits
 
 
 def seeded_generators(seeds):
-    """`Generator(PCG64(seed))` for each uint64 seed, yielded in turn and
-    seeded in bulk (`_pcg_seeded`). They are one reused Generator, so each is
-    valid until the next is taken."""
+    """`PCG64(seed)` for each uint64 seed, yielded in turn and seeded in bulk
+    (`_pcg_seeded`). They are one reused PCG64, so each is valid until the
+    next is taken."""
     return handed_on(_pcg_seeded(np.asarray(seeds, dtype=np.uint64)))
 
 
 def sample_defective_sets(n: int, k: int, seeds) -> tuple:
-    """`sample_defective_set(n, k, Generator(PCG64(seed)))` for each uint64
-    seed, in bulk: (truths, handoff). Row r of the (len(seeds), k) array
-    truths holds the k defectives of seed r, in no set order; column r of
-    the handoff is the state and inc of its PCG64 as `sample_defective_set`
-    leaves it (see `_pcg_seeded`), and `handed_on` sets a Generator to it.
-    A 32-bit half that an odd k leaves held is not handed on: no draw after
-    sampling reads one. All rows are drawn at once: the caller bounds
-    len(seeds) x k (`harness.BATCH_CELLS`).
+    """`sample_defective_set(n, k, PCG64(seed))` for each uint64 seed, in
+    bulk: (truths, handoff). Row r of the (len(seeds), k) array truths holds
+    the k defectives of seed r, in no set order; column r of the handoff is
+    the state and inc of its PCG64 as `sample_defective_set` leaves it (see
+    `_pcg_seeded`), and `handed_on` sets a PCG64 to it. All rows are drawn
+    at once: the caller bounds len(seeds) x k (`harness.BATCH_CELLS`).
 
     Each stage runs over many rows with numpy: `SeedSequence`'s hash (uint32
     arithmetic), PCG64's seeding and LCG steps (O'Neill 2014; `_lcg_run`)
@@ -361,8 +348,7 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     for r in np.flatnonzero(slow).tolist():
         row = handoff[:, r:r + 1]
         row[:] = seeded[:, r:r + 1]
-        draws, _, _ = _bounded_draws(n, k, lambda c: _raw_outputs(row, c)[0], 0, 0)
-        truths[r] = _fisher_yates(draws)
+        truths[r] = _fisher_yates(_bounded_draws(n, k, lambda c: _raw_outputs(row, c)[0]))
     return truths, handoff
 
 
@@ -396,21 +382,21 @@ _LANDING_ROWS = 256  # trials a landing pass steps together
 _LANDING_OUTPUTS = 1 << 14  # most outputs a landing pass steps, at most `_PASS` a trial
 
 
-def design_negatives(hit: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+def design_negatives(hit: np.ndarray, noise: NoiseModel, bits: np.random.PCG64) -> np.ndarray:
     """Which rows of a design come out NEGATIVE as the first `test_design` of
-    a fresh `TestOracle` on `rng`, given each row's raw outcome `hit`: the
+    a fresh `TestOracle` on `bits`, given each row's raw outcome `hit`: the
     same channel on the same raw outputs. The oracle draws them 256 at a
     time; this draws only those it reads, and a noiseless channel none."""
     if noise.kind is NoiseKind.NOISELESS:
         return ~hit
-    corrupt = rng.bit_generator.random_raw(len(hit)) < _threshold(noise.p)
+    corrupt = bits.random_raw(len(hit)) < _threshold(noise.p)
     return _channel_codes(hit, corrupt, noise) == 0
 
 
 def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray) -> list[int]:
     """Each trial's submissions on a channel in `TRUTHFUL_CHANNELS`, as
-    `TestOracle.test` makes them on the generator `handed_on` sets to its
-    column of the handoff. Under erasure its `firm` tests land in order on
+    `TestOracle.test` makes them on the PCG64 `handed_on` sets to its column
+    of the handoff. Under erasure its `firm` tests land in order on
     the raw outputs dealt next at or above `_threshold(p)`, each one below
     it an erased one; the noiseless channel returns `firm`. The trials step
     256 at a time, and a trial drops out once its firm tests have landed."""
@@ -464,25 +450,25 @@ class TestOracle:
       submission lands, so `test` raises ValueError instead of resubmitting
       forever.
     - Test j (0-based) goes through `_CHANNELS` on the j-th raw output r of
-      `rng`, corrupted iff r < `_threshold(p)`; a noiseless test still uses
-      up its output. `test` and `test_design` read one stream (`_corruptions`).
+      the bit generator `bits`, corrupted iff r < `_threshold(p)`; a
+      noiseless test still uses up its output. `test` and `test_design` read
+      one stream (`_corruptions`).
     - The stream draws `random_raw(256)` at a time, so after the last test
-      `rng` sits ceil(tests_used / 256) * 256 outputs on. Do not draw from
-      `rng` once it is handed to the oracle.
+      `bits` sits ceil(tests_used / 256) * 256 outputs on. Do not draw from
+      `bits` once it is handed to the oracle.
     """
 
     def __init__(self, n: int, truth: Iterable[int], noise: NoiseModel,
-                 rng: np.random.Generator):
+                 bits: np.random.PCG64):
         truth = frozenset(int(i) for i in truth)
         if truth and (min(truth) < 0 or max(truth) >= n):
             raise ValueError("defective indices must lie in [0, n)")
         self.n = n
         self.truth = truth
         self.noise = noise
-        self.rng = rng
         self.tests_used = 0
         self._sorted_truth = sorted(truth)
-        self._corrupt = _corruptions(rng.bit_generator, _threshold(noise.p))
+        self._corrupt = _corruptions(bits, _threshold(noise.p))
         self._channel = _CHANNELS[noise.kind]
 
     def test(self, pool: Sequence[int]) -> Outcome:

@@ -6,9 +6,11 @@ oracle built from them: every pool copied to a tuple, one scalar draw per
 test, a design tested row by row, and a search, a splitting round or a
 whole splitting run stepped test by test. `erasure_landing` lands a batch's
 firm tests trial by trial on numpy's uniforms, and `handoff_of` hands numpy
-bit generators' states to the package's own PCG64 arithmetic. `Recorder`
-rebuilds the list of tests an oracle makes, which `TestOracle` does not
-keep.
+bit generators' states to the package's own PCG64 arithmetic. The
+references draw their uniforms with `Generator.random` on the bit generator
+they are given (`generator_on`), not with the package's raw-output
+threshold. `Recorder` rebuilds the list of tests an oracle makes, which
+`TestOracle` does not keep.
 """
 import numpy as np
 
@@ -23,6 +25,12 @@ def truth_outcome(pool, truth):
     if not pool:
         raise ValueError("cannot test an empty pool")
     return Outcome.POSITIVE if not truth.isdisjoint(pool) else Outcome.NEGATIVE
+
+
+def generator_on(bits):
+    """A numpy Generator on the bit generator `bits`, drawing from its stream;
+    a stand-in that deals its own uniforms is returned as it is."""
+    return np.random.Generator(bits) if isinstance(bits, np.random.BitGenerator) else bits
 
 
 def apply_noise(out, model, rng):
@@ -76,13 +84,13 @@ class PoolOracle:
     """Reference oracle with tuple pools and one scalar noise draw per test;
     a design is tested row by row, a search, a round or a run step by step,
     and an erased single test, search step or group test is resubmitted
-    until it lands."""
+    until it lands. Its uniforms are `Generator.random`'s on `bits`."""
 
-    def __init__(self, n, truth, noise, rng):
+    def __init__(self, n, truth, noise, bits):
         self.n = n
         self.truth = frozenset(truth)
         self.noise = noise
-        self.rng = rng
+        self.rng = generator_on(bits)
         self.tests_used = 0
 
     def _submit(self, pool):
@@ -152,16 +160,17 @@ class PoolOracle:
         return found
 
 
-def erasure_landing(firm, noise, rngs):
+def erasure_landing(firm, noise, streams):
     """Each trial's submissions when its `firm` tests land in order on the
-    uniforms u >= p that the generator `rngs` yields for it deals next, each
-    u < p an erased one, drawn with `random` a trial at a time: the
-    reference `model.erasure_submissions` is checked against. The noiseless
-    channel returns `firm`. Draws are capped in size; that changes no value."""
+    uniforms u >= p that the bit generator `streams` yields for it deals
+    next, each u < p an erased one, drawn with `Generator.random` a trial at
+    a time: the reference `model.erasure_submissions` is checked against.
+    The noiseless channel returns `firm`. Draws are capped in size; that
+    changes no value."""
     if noise.kind is not NoiseKind.ERASURE:
         return firm
     used = []
-    for left, rng in zip(firm, rngs):
+    for left, rng in zip(firm, map(generator_on, streams)):
         spent = 0
         while left:
             u = rng.random(min(1 << 16, int(left / (1 - noise.p)) + 64))

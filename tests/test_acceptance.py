@@ -9,6 +9,7 @@ import statistics
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from grouptest import bounds
@@ -49,11 +50,11 @@ def test_acceptance_01_log_binomial_accuracy():
 
 def test_acceptance_02_binary_search_exactness():
     start = time.time()
-    rng = make_rng(2024)
+    rng = np.random.Generator(make_rng(2024))
     for _ in range(10_000):
         b = 1 + int(rng.integers(1024))
         d = 1 + int(rng.integers(min(b, 6)))
-        truth = sample_defective_set(b, d, rng)
+        truth = sample_defective_set(b, d, rng.bit_generator)
         oracle = TestOracle(b, truth, NoiseModel.noiseless(), make_rng(1))
         res = binary_search(oracle, list(range(b)))
         leftmost = min(truth)

@@ -20,7 +20,7 @@ from grouptest.algorithms import (
 )
 from grouptest.bounds import NoiseModel, ProblemSize, ceil_log2
 from grouptest.model import Outcome, TestOracle, make_rng, sample_defective_set
-from oracle_reference import Recorder
+from oracle_reference import Recorder, generator_on
 
 
 def noiseless_oracle(n, truth, seed=0):
@@ -278,7 +278,7 @@ class TestComp:
 
     def test_noiseless_estimate_superset_of_truth(self):
         for i in range(200):
-            rng = make_rng(50, i)
+            rng = generator_on(make_rng(50, i))
             truth = frozenset(int(x) for x in rng.choice(40, 4, replace=False))
             o = noiseless_oracle(40, truth, seed=i)
             res = comp_run(o, 40, 4, 25, make_rng(51, i))

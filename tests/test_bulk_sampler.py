@@ -3,19 +3,23 @@ draws from PCG64's raw output (`model._bounded_draws`), and
 `derive_stream_seeds` and `sample_defective_sets` must give, seed for seed,
 what `run_trial` gives (the scalar seed mix, `np.random.PCG64(seed)` and
 `sample_defective_set`), including the PCG64 state and inc handed on to
-the noise and erasure uniforms. The handoff holds no 32-bit half that an odd
-k leaves buffered: every draw after sampling is 64 bits wide and ignores
-one. The bulk sampler steps PCG64 with the package's own 128-bit arithmetic
-(`model._raw_outputs`), checked here against `PCG64.random_raw`.
+the noise and erasure draws. A stream is a PCG64's state and inc, read only
+as raw outputs: the sampler neither reads nor leaves a held 32-bit half, so
+the handed-on state equals the reference's in full. The bulk sampler steps
+PCG64 with the package's own 128-bit arithmetic (`model._raw_outputs`),
+checked here against `PCG64.random_raw`.
 
 NEP 19 keeps PCG64's raw stream fixed across numpy releases, but not
-`Generator.integers`. The definition follows numpy 2.4.6's bounded draws,
-and the tests here pin it to them: every bulk row and every reference row
-equals partial Fisher-Yates on `Generator(PCG64(seed)).integers(n - arange(k))`,
-a reference row with the same bit-generator state and a bulk row with the
-same state and inc, on numpy 2.4.6 (CI pins it). On another
-numpy these pins may fail while the package's output stays the same.
+`Generator.integers`. The definition follows numpy 2.4.6's bounded draws on
+a fresh stream, and the tests here pin it to them: every bulk row and every
+reference row equals partial Fisher-Yates on
+`Generator(PCG64(seed)).integers(n - arange(k))`, with the same PCG64 state
+after it, on numpy 2.4.6 (CI pins it). On another numpy these pins may fail
+while the package's output stays the same. `_fisher_yates` itself is pinned
+against a full-array swap that shares no code with it.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,24 +40,21 @@ def per_trial(monkeypatch):
     generator."""
     rows, bounded = [], model._bounded_draws
 
-    def counted(n, k, raw, *held):
+    def counted(n, k, raw):
         if not isinstance(getattr(raw, "__self__", None), np.random.PCG64):
             rows.append(1)
-        return bounded(n, k, raw, *held)
+        return bounded(n, k, raw)
 
     monkeypatch.setattr(model, "_bounded_draws", counted)
     return rows
 
 
-def numpy_sample(n, k, rng):
-    """The set numpy 2.4.6's bounded draws pick on `rng`, and the state they
-    leave it in."""
-    draws = rng.integers(n - np.arange(k)).tolist()
-    return frozenset(_fisher_yates(draws)), rng.bit_generator.state
-
-
-def fresh(seed):
-    return np.random.Generator(np.random.PCG64(seed))
+def numpy_sample(n, k, bits):
+    """The set numpy 2.4.6's bounded draws pick on the PCG64 `bits`, and the
+    state they leave it in. The picks are `_fisher_yates`', pinned on its own
+    by `test_fisher_yates_matches_full_array_swaps`."""
+    draws = np.random.Generator(bits).integers(n - np.arange(k)).tolist()
+    return frozenset(_fisher_yates(draws)), bits.state
 
 
 @pytest.mark.parametrize("n,k", [(500, 10), (9699, 30), (100000, 71)])
@@ -61,11 +62,13 @@ def test_bulk_sampler_matches_per_trial_numpy(per_trial, n, k):
     for lo in range(0, SEEDS, BATCH):
         seeds = derive_stream_seeds(derive_stream_seeds(k, np.arange(lo, lo + BATCH)), 0)
         truths, handoff = sample_defective_sets(n, k, seeds)
-        for seed, row, rng in zip(seeds.tolist(), truths.tolist(), handed_on(handoff)):
-            want, state = numpy_sample(n, k, fresh(seed))
-            assert frozenset(row) == want and rng.bit_generator.state["state"] == state["state"]
-            ref = fresh(seed)
-            assert sample_defective_set(n, k, ref) == want and ref.bit_generator.state == state
+        for seed, row, bits in zip(seeds.tolist(), truths.tolist(), handed_on(handoff)):
+            ref = np.random.PCG64(seed)
+            start = ref.state
+            want, state = numpy_sample(n, k, ref)
+            assert frozenset(row) == want and bits.state["state"] == state["state"]
+            ref.state = start
+            assert sample_defective_set(n, k, ref) == want and ref.state["state"] == state["state"]
     # Only rows with a rejected draw are drawn one by one: the
     # sum over i < k of (2^32 mod (n - i)) / 2^32, 8e-4 at (100000, 71), 4e-5
     # and 6e-7 at the figure's sizes. Those rows matched above too.
@@ -90,16 +93,16 @@ def test_derive_stream_seeds_matches_scalar_per_trial():
 ])
 def test_handoff_is_state_and_inc(per_trial, n, k, master):
     # the handoff is each PCG64's state and inc as the reference sampler
-    # leaves them, and no held half: the next uniform is the reference's
+    # leaves them: the handed-on state is the reference's in full, no held
+    # half on either, and the next raw output is the reference's
     seeds = derive_stream_seeds(derive_stream_seeds(master, np.arange(200)), 0)
     _, handoff = sample_defective_sets(n, k, seeds)
     assert handoff.shape == (4, len(seeds))
-    for seed, rng in zip(seeds.tolist(), handed_on(handoff)):
-        ref = fresh(seed)
+    for seed, bits in zip(seeds.tolist(), handed_on(handoff)):
+        ref = np.random.PCG64(seed)
         sample_defective_set(n, k, ref)
-        state = rng.bit_generator.state
-        assert state["state"] == ref.bit_generator.state["state"] and state["has_uint32"] == 0
-        assert rng.random() == ref.random()
+        assert bits.state == ref.state and ref.state["has_uint32"] == 0
+        assert bits.random_raw() == ref.random_raw()
     # rows drawn one by one: none, those with a rejected draw, or all at 64-bit draws
     if n == 1000:
         assert not per_trial
@@ -121,14 +124,52 @@ def test_handoff_is_state_and_inc(per_trial, n, k, master):
 ])
 @pytest.mark.parametrize("before", [0, 1, 2])  # 32-bit draws made first; 1 holds a half
 def test_reference_matches_numpy(n, k, before):
+    # the sampler starts at the next raw output and ignores a held half: it
+    # draws what numpy draws on the same position with the half cleared, and
+    # leaves the half as it found it
     for seed in range(200):
-        rng, ref = fresh(seed), fresh(seed)
-        for g in (rng, ref):
-            g.integers(2**31, size=before)
-        assert ref.bit_generator.state["has_uint32"] == before & 1
-        want, state = numpy_sample(n, k, rng)
+        bits, ref = np.random.PCG64(seed), np.random.PCG64(seed)
+        for b in (bits, ref):
+            np.random.Generator(b).integers(2**31, size=before)
+        assert ref.state["has_uint32"] == before & 1
+        bits.state = {**bits.state, "has_uint32": 0, "uinteger": 0}
+        want, state = numpy_sample(n, k, bits)
+        held = ref.state["has_uint32"], ref.state["uinteger"]
         assert sample_defective_set(n, k, ref) == want
-        assert ref.bit_generator.state == state
+        assert ref.state["state"] == state["state"]
+        assert (ref.state["has_uint32"], ref.state["uinteger"]) == held
+
+
+def full_swap_sample(n, draws):
+    """The items partial Fisher-Yates picks on `draws` over the whole array:
+    step i swaps positions i and i + draws[i] of list(range(n)) and picks
+    what lands at position i."""
+    items = list(range(n))
+    for i, d in enumerate(draws):
+        items[i], items[i + d] = items[i + d], items[i]
+    return items[:len(draws)]
+
+
+def test_fisher_yates_matches_full_array_swaps():
+    # `_fisher_yates`, which the sampler and the gate's numpy reference both
+    # use, against the whole array swapped in place: every draw sequence of
+    # every k <= n at n <= 6, then random ones at n <= 40, half of them with
+    # their swap targets i + d drawn from two positions, so targets repeat
+    for n in range(7):
+        for k in range(n + 1):
+            for draws in itertools.product(*map(range, range(n, n - k, -1))):
+                assert _fisher_yates(list(draws)) == full_swap_sample(n, draws)
+    rng = np.random.default_rng(13)
+    for _ in range(4000):
+        n = int(rng.integers(1, 41))
+        k = n if rng.random() < 0.25 else int(rng.integers(n + 1))
+        i = np.arange(k)
+        if rng.random() < 0.5:
+            draws = rng.integers(n - i)
+        else:
+            draws = np.maximum(i, rng.choice(rng.integers(n, size=2), size=k)) - i
+        draws = draws.tolist()
+        assert _fisher_yates(draws) == full_swap_sample(n, draws)
 
 
 @pytest.mark.parametrize("master", [-5, 0, 2**64 + 3])
@@ -150,10 +191,10 @@ def test_bulk_sampler_edges(per_trial, n, k, bulk):
     truths, handoff = sample_defective_sets(n, k, seeds)
     assert truths.shape == (300, k)
     assert len(per_trial) == (0 if bulk else 300)
-    for seed, row, rng in zip(seeds.tolist(), truths.tolist(), handed_on(handoff)):
-        ref = np.random.Generator(np.random.PCG64(seed))
+    for seed, row, bits in zip(seeds.tolist(), truths.tolist(), handed_on(handoff)):
+        ref = np.random.PCG64(seed)
         assert frozenset(row) == sample_defective_set(n, k, ref) and len(set(row)) == k
-        assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+        assert bits.state == ref.state
 
 
 def test_bad_sizes_rejected():

@@ -94,6 +94,12 @@ class TestSpecChecks:
                 ExperimentSpec(size=ProblemSize(1 << 21, (1 << 20) + 1), algorithm=alg,
                                trials=1, comp_t=comp_t)
 
+    def test_unknown_algorithm_rejected(self):
+        # a library caller can name any algorithm (the CLI's --alg choices
+        # cannot); it must fail when the spec is built, not later with a KeyError
+        with pytest.raises(InputError, match="bogus"):
+            ExperimentSpec(size=ProblemSize(100, 5), algorithm="bogus")
+
     @pytest.mark.parametrize("alg", ["rbt", "hgbsa", "variant"])
     def test_only_comp_takes_a_budget(self, alg):
         with pytest.raises(ValueError, match="only comp takes a test budget"):

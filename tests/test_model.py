@@ -15,7 +15,7 @@ from grouptest.model import (
     make_rng,
     sample_defective_set,
 )
-from oracle_reference import Recorder, apply_noise, truth_outcome
+from oracle_reference import Recorder, apply_noise, generator_on, truth_outcome
 
 
 def all_nonempty_pools(n):
@@ -67,22 +67,22 @@ class TestSampleDefectiveSet:
 
 class TestApplyNoise:
     def test_noiseless_identity(self):
-        rng = make_rng(1)
+        rng = generator_on(make_rng(1))
         assert apply_noise(Outcome.NEGATIVE, NoiseModel.noiseless(), rng) is Outcome.NEGATIVE
         assert apply_noise(Outcome.POSITIVE, NoiseModel.noiseless(), rng) is Outcome.POSITIVE
 
     def test_erased_input_rejected(self):
         with pytest.raises(ValueError):
-            apply_noise(Outcome.ERASED, NoiseModel.erasure(0.5), make_rng(1))
+            apply_noise(Outcome.ERASED, NoiseModel.erasure(0.5), generator_on(make_rng(1)))
 
     def test_additive_never_corrupts_positive(self):
-        rng = make_rng(2)
+        rng = generator_on(make_rng(2))
         model = NoiseModel.additive(0.9)
         for _ in range(2000):
             assert apply_noise(Outcome.POSITIVE, model, rng) is Outcome.POSITIVE
 
     def test_symmetric_flip_fraction(self):
-        rng = make_rng(3)
+        rng = generator_on(make_rng(3))
         model = NoiseModel.symmetric(0.3)
         draws = 50_000
         flips = sum(apply_noise(Outcome.NEGATIVE, model, rng) is Outcome.POSITIVE
@@ -91,7 +91,7 @@ class TestApplyNoise:
         assert abs(flips - draws * 0.3) <= 3 * sigma
 
     def test_erasure_fraction(self):
-        rng = make_rng(4)
+        rng = generator_on(make_rng(4))
         model = NoiseModel.erasure(0.4)
         draws = 50_000
         erased = sum(apply_noise(Outcome.POSITIVE, model, rng) is Outcome.ERASED
@@ -101,8 +101,8 @@ class TestApplyNoise:
 
     def test_consumes_one_variate_even_when_noiseless(self):
         # under one seed, test j reads the j-th uniform whatever the noise model
-        rng_a = make_rng(9)
-        rng_b = make_rng(9)
+        rng_a = generator_on(make_rng(9))
+        rng_b = generator_on(make_rng(9))
         apply_noise(Outcome.NEGATIVE, NoiseModel.noiseless(), rng_a)
         apply_noise(Outcome.NEGATIVE, NoiseModel.erasure(0.5), rng_b)
         assert rng_a.random() == rng_b.random()

@@ -41,7 +41,8 @@ from grouptest.cli import main
 from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
 from grouptest.model import (_PCG_MULT, Outcome, TestOracle, design_negatives,
                              erasure_submissions, make_rng, sample_defective_set)
-from oracle_reference import PoolOracle, Recorder, apply_noise, erasure_landing, handoff_of
+from oracle_reference import (PoolOracle, Recorder, apply_noise, erasure_landing, generator_on,
+                              handoff_of)
 
 
 def dense_fisher_yates(n, k, rng):
@@ -114,8 +115,8 @@ def run_both(run, n, k, noise, seed):
 def test_sampler_matches_dense_fisher_yates(n, k):
     for seed in range(100):
         a, b = make_rng(seed, 4), make_rng(seed, 4)
-        assert sample_defective_set(n, k, a) == dense_fisher_yates(n, k, b)
-        assert a.random() == b.random()  # same generator state afterwards
+        assert sample_defective_set(n, k, a) == dense_fisher_yates(n, k, generator_on(b))
+        assert a.random_raw() == b.random_raw()  # the same raw stream afterwards
 
 
 @pytest.mark.parametrize("noise", list(NOISES))
@@ -159,7 +160,7 @@ def test_design_batches_interleaved_with_single_tests(noise):
              ("design", 1), ("design", 600), 2]
 
     def run(oracle, seed):
-        rng = make_rng(seed, 2)
+        rng = generator_on(make_rng(seed, 2))
         for step in steps:
             if isinstance(step, int):
                 for _ in range(step):
@@ -207,8 +208,7 @@ def batch_both(n, truths, rule, noise, make_uniforms):
             used = erasure_submissions(firm.tolist(), noise,
                                        np.zeros((4, len(truths)), dtype=np.uint64))
     else:
-        used = erasure_submissions(firm.tolist(), noise,
-                                   handoff_of(u.bit_generator for u in uniforms))
+        used = erasure_submissions(firm.tolist(), noise, handoff_of(uniforms))
     assert used == erasure_landing(firm.tolist(), noise, uniforms)
     assert list(zip(success.tolist(), used)) == want
     assert all(ok for ok, _ in want)
@@ -266,7 +266,7 @@ def test_searches_interleaved_with_batches_and_single_tests(noise, as_list):
             oracle.test(range(start, start + 1 if pad else n))
 
     def run(oracle, seed):
-        rng = make_rng(seed, 2)
+        rng = generator_on(make_rng(seed, 2))
         for step in steps:
             if isinstance(step, int):
                 single_tests(oracle, rng, step)
@@ -336,21 +336,21 @@ def test_generator_advanced_by_whole_blocks(noise):
     for name, run in runs.items():
         for seed in range(5):
             truth = sample_defective_set(n, k, make_rng(seed, 0))
-            oracle = TestOracle(n, truth, model, make_rng(seed, 1))
+            bits = make_rng(seed, 1)
+            oracle = TestOracle(n, truth, model, bits)
             settle(lambda: run(oracle))
             fresh = make_rng(seed, 1)
-            fresh.random(-(-oracle.tests_used // 256) * 256)
-            assert oracle.rng.bit_generator.state == fresh.bit_generator.state
+            fresh.random_raw(-(-oracle.tests_used // 256) * 256)
+            assert bits.state == fresh.state
 
 
 class CyclingUniforms:
-    """A generator stand-in that deals `values` over and over, on one count:
-    as its uniforms, one at a time or in blocks, and as the raw outputs
-    int(u 2^53) << 11 of its `bit_generator` (0 for a u below 0), whose
-    uniform each is."""
+    """A bit generator stand-in that deals `values` over and over, on one
+    count: as its uniforms, one at a time or in blocks, and as its raw
+    outputs int(u 2^53) << 11 (0 for a u below 0), whose uniform each is."""
 
     def __init__(self, values):
-        self.values, self.drawn, self.bit_generator = np.array(values), 0, self
+        self.values, self.drawn = np.array(values), 0
         self.raws = np.array([max(0, int(u * 2**53)) << 11 for u in values], dtype=np.uint64)
 
     def _deal(self, dealt, size):
@@ -405,27 +405,27 @@ def test_every_cell_of_the_channel_table(noise, cells):
 LANDING_PS = [1e-300, 0.001, 0.25, 0.5, 0.9, 1 - 1e-9]
 
 
-def next_raw_is(rng, raw):
-    """`rng`, its PCG64 moved (inc kept) to where its next raw output is
+def next_raw_is(bits, raw):
+    """The PCG64 `bits`, moved (inc kept) to where its next raw output is
     `raw`: the state after the step is raw itself, whose high half 0 rotates
     nothing."""
-    state = rng.bit_generator.state
+    state = bits.state
     inc = state["state"]["inc"]
     state["state"]["state"] = (raw - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
-    rng.bit_generator.state = state
-    return rng
+    bits.state = state
+    return bits
 
 
 def landing_generators(p, firm):
-    """A fresh generator for each firm count, some holding a 32-bit half
-    (which `random` ignores). At p = 1 - 1e-9 a row of one firm test starts
-    where PCG64's next output is its largest, 2^64 - 1, so that it lands."""
-    rngs = [make_rng(int(p * 1000), j) for j in range(len(firm))]
-    for rng in rngs[::2]:
-        rng.integers(2**31)  # has_uint32 = 1
+    """A fresh PCG64 for each firm count, some holding a 32-bit half (which
+    `random` ignores). At p = 1 - 1e-9 a row of one firm test starts where
+    its next output is its largest, 2^64 - 1, so that it lands."""
+    streams = [make_rng(int(p * 1000), j) for j in range(len(firm))]
+    for bits in streams[::2]:
+        generator_on(bits).integers(2**31)  # has_uint32 = 1
     if p > 0.99:
-        next_raw_is(rngs[1], 2**64 - 1)
-    return rngs
+        next_raw_is(streams[1], 2**64 - 1)
+    return streams
 
 
 @pytest.mark.parametrize("p", [0.25, 0.1], ids=["u-equal-p", "least-u-above-p"])
@@ -436,16 +436,16 @@ def test_erasure_lands_the_raw_output_at_the_threshold(p):
     # first takes 1 submission.
     t = math.ceil(p * 2**53) << 11
 
-    def rngs():
+    def streams():
         return [next_raw_is(make_rng(5, j), raw) for j, raw in enumerate((t, t - 1))]
 
-    assert [rng.bit_generator.random_raw() for rng in rngs()] == [t, t - 1]
-    u = [rng.random() for rng in rngs()]
+    assert [bits.random_raw() for bits in streams()] == [t, t - 1]
+    u = [generator_on(bits).random() for bits in streams()]
     assert u[0] >= p > u[1] and (u[0] == p) == (p == 0.25)
     noise = NoiseModel.erasure(p)
-    used = erasure_submissions([1, 1], noise, handoff_of(rng.bit_generator for rng in rngs()))
+    used = erasure_submissions([1, 1], noise, handoff_of(streams()))
     assert used[0] == 1 < used[1]
-    assert used == erasure_landing([1, 1], noise, rngs())
+    assert used == erasure_landing([1, 1], noise, streams())
 
 
 @pytest.mark.parametrize("p", LANDING_PS)
@@ -454,9 +454,9 @@ def test_erasure_submissions_match_the_reference_landing(p):
     # uniforms in one call, and near p = 1 only the prepared row can land
     firm = ([0, 1, 0, 3, 17, 300] + [int(70000 * (1 - p)) + 1] * 2 if p < 0.99 else [0, 1, 0])
     noise = NoiseModel.erasure(p)
-    rngs = landing_generators(p, firm)
-    handoff = handoff_of(rng.bit_generator for rng in rngs)
-    want = erasure_landing(firm, noise, rngs)
+    streams = landing_generators(p, firm)
+    handoff = handoff_of(streams)
+    want = erasure_landing(firm, noise, streams)
     assert erasure_submissions(firm, noise, handoff) == want
     assert want[0] == 0 and max(want) > (1 << 16 if p < 0.99 else 0)
     assert erasure_submissions(firm, NoiseModel.noiseless(), None) == firm
@@ -536,7 +536,8 @@ def split_both(n, truth, candidates, rule, kp, noise, make_uniforms, before=0,
     reference's rounds as (`PoolOracle.scan` value, candidates left)."""
     seen, rounds = [], []
     for cls in (TestOracle, PoolOracle):
-        oracle = cls(n, truth, noise, make_uniforms())
+        bits = make_uniforms()
+        oracle = cls(n, truth, noise, bits)
         log = Recorder(oracle)
         if cls is PoolOracle:
             def scan(cands, *args, inner=oracle.scan):
@@ -550,8 +551,7 @@ def split_both(n, truth, candidates, rule, kp, noise, make_uniforms, before=0,
             oracle.test(pool)
         if cls is PoolOracle:
             oracle.rng.random(-oracle.tests_used % 256)
-        state = (oracle.rng.drawn if isinstance(oracle.rng, CyclingUniforms)
-                 else oracle.rng.bit_generator.state)
+        state = bits.drawn if isinstance(bits, CyclingUniforms) else bits.state
         seen.append((found, oracle.tests_used, as_sets(log), state))
     assert seen[0] == seen[1]
     return seen[0][0], seen[0][1], rounds
@@ -568,7 +568,7 @@ def test_scan_every_small_truth(rule, noise):
     rng, ends = make_rng(7, 1), set()
 
     def restart(state):
-        rng.bit_generator.state = state
+        rng.state = state
         return rng
 
     for n in range(1, 13):
@@ -581,7 +581,7 @@ def test_scan_every_small_truth(rule, noise):
                 for kp in {len(present) - 1, len(present), len(present) + 1}:
                     if kp < 0:
                         continue
-                    state = rng.bit_generator.state
+                    state = rng.state
                     found, _, rounds = split_both(n, truth, range(start, n),
                                                   RULES[rule], kp, NOISES[noise],
                                                   lambda: restart(state))
@@ -764,21 +764,18 @@ def test_run_trials_equal_run_trial_at_the_edges(alg, noise, n, k, trials):
 def test_run_trials_and_run_trial_never_call_generator_integers(monkeypatch, alg, noise):
     # the defective sets, COMP's designs and the noise are defined on PCG64's
     # raw output, not on numpy's `Generator.integers` or `Generator.random`,
-    # whose streams numpy does not keep fixed across releases: with both
-    # raising, both paths still give the same trials
+    # whose streams numpy does not keep fixed across releases: a stream is a
+    # PCG64 read by `random_raw`, so with no Generator to be built, both
+    # paths still give the same trials
     spec = ExperimentSpec(size=ProblemSize(500, 10), algorithm=alg,
                           noise=NOISES[noise], trials=300, master_seed=4,
                           comp_t=60 if alg == "comp" else None)
     want = [run_trial(spec, i) for i in range(spec.trials)]
 
-    class NoMethodDraws(np.random.Generator):  # Generator's own methods are read-only
-        def integers(self, *args, **kwargs):
-            raise AssertionError("Generator.integers was called")
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a numpy Generator was built")
 
-        def random(self, *args, **kwargs):
-            raise AssertionError("Generator.random was called")
-
-    monkeypatch.setattr(np.random, "Generator", NoMethodDraws)
+    monkeypatch.setattr(np.random, "Generator", no_generator)
     assert run_trials(spec) == want
     assert [run_trial(spec, i) for i in range(spec.trials)] == want
 

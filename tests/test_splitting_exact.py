@@ -14,6 +14,15 @@ cost t-1-ceil(log2 g); prefix sums over m' give each window in O(1). The m
 that share a group size are computed together, in runs of at most g, so a
 run's negative branch reads only finished rows.
 
+Where the whole distribution costs too much (n = 10^4), the moments of the
+test count follow the same loop. On m candidates holding k' defectives, a
+step that costs c and leaves a state whose count is T' adds c to T, so
+E[(c + T')^2] = c^2 + 2c E[T'] + E[T'^2]: each moment of (m, k') is the
+negative branch's, read from (m-g, k'), plus a window sum over m' in
+[m-g, m-1] of C(m', k'-1) times a moment of (m', k'-1), divided by
+C(m, k'). The window sums come from prefix sums taken in logs
+(`np.logaddexp.accumulate`), so no binomial coefficient overflows.
+
 Under erasure with resubmission the firm tests are these noiseless ones,
 and the erased submissions before each are geometric: given F = f firm
 tests, the erased ones are negative binomial, NB(f, 1 - p), so the
@@ -123,6 +132,44 @@ def test_references_match_enumeration(alg, n, k):
     dist = exact_distribution(n, k, RULES[alg], w)
     want = np.bincount(counts, minlength=worst + 1) / len(counts)
     assert np.abs(dist - want).max() < 1e-12
+
+
+def exact_moments(n, k, group_size):
+    """(E[T], E[T^2]) of the loop's test count T at (n, k), by the recursion
+    over (m, k') in the module docstring: O(n k) work, vectorised over m,
+    with the negative branch taken over the runs of m that share a g."""
+    m = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    moments = np.zeros((2, n + 1))  # k' = 0: no test
+    for kp in range(1, k + 1):
+        g, runs = group_sizes(n, kp, group_size)
+        live = m > kp
+        ml, gl = m[live], g[live]
+        log_c = log_fact[ml] - log_fact[kp] - log_fact[ml - kp]  # log C(m, k')
+        p_neg = np.zeros(n + 1)  # C(m - g, k') / C(m, k'), 0 where m - g < k'
+        neg = live & (m - g >= kp)
+        mn, gn = m[neg], g[neg]
+        p_neg[neg] = np.exp(log_fact[mn - gn] - log_fact[mn - gn - kp] - log_fact[mn]
+                            + log_fact[mn - kp])
+        cost = 1 + np.frexp(gl - 1)[1]  # the group test and its search
+        window = np.zeros((2, len(ml)))
+        if kp > 1:  # at k' - 1 = 0 every moment is 0
+            with np.errstate(divide="ignore"):  # log 0 = -inf where m' <= k' - 1
+                log_terms = (np.log(moments) + log_fact[m] - log_fact[kp - 1]
+                             - log_fact[np.maximum(m - kp + 1, 0)])
+            prefix = np.logaddexp.accumulate(log_terms, axis=1)  # log sum over m' <= j
+            hi, lo = prefix[:, ml - 1], prefix[:, ml - gl - 1]
+            window = np.exp(hi - log_c) * -np.expm1(lo - hi)
+        cur = np.zeros((2, n + 1))
+        p_pos = 1 - p_neg[live]
+        cur[0, live] = 1 + (cost - 1) * p_pos + window[0]
+        cur[1, live] = p_neg[live] + cost ** 2 * p_pos + 2 * cost * window[0] + window[1]
+        for a, b in runs:  # + P(neg) (E, E^2 + 2E) of (m - g, k'), final below the run
+            e, e2 = cur[:, a - g[a]:b - g[a]]
+            cur[0, a:b] += p_neg[a:b] * e
+            cur[1, a:b] += p_neg[a:b] * (e2 + 2 * e)
+        moments = cur
+    return tuple(moments[:, n].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +288,31 @@ def test_capacity_rows_within_z4_of_exact_mean(alg):
         sd = math.sqrt(dist @ (t - mean) ** 2)
         z = (row.mean_tests - mean) / (sd / math.sqrt(trials))
         assert abs(z) <= 4, (row.n, row.mean_tests, mean, z)
+
+
+@pytest.mark.parametrize("alg", list(RULES))
+@pytest.mark.parametrize("n,k", [(1, 1), (6, 1), (12, 5), (11, 10), (500, 10), (9699, 30)])
+def test_exact_moments_match_exact_distribution(alg, n, k):
+    # at the figure's sizes the means are the pinned ones too
+    mean, second = exact_moments(n, k, RULES[alg])
+    dist = exact_at(alg, n, k)[1]
+    t = np.arange(len(dist))
+    assert mean == pytest.approx(dist @ t, rel=1e-9)
+    assert second == pytest.approx(dist @ t ** 2, rel=1e-9)
+    pinned = {(500, 10): EXACT_500_10, (9699, 30): EXACT_9699_30}.get((n, k))
+    if pinned:
+        assert mean == pytest.approx(pinned[alg][0], abs=5e-5)
+
+
+@pytest.mark.parametrize("alg", list(RULES))
+def test_capacity_row_at_n_10000_within_z4_of_exact_mean(alg):
+    # k = n^(1/2) = 100, where the exact distribution costs too much: the
+    # exact mean and variance from `exact_moments`
+    trials = 2000
+    (row,) = capacity_scan(0.5, [10000], alg, trials, 3)
+    mean, second = exact_moments(row.n, row.k, RULES[alg])
+    z = (row.mean_tests - mean) / math.sqrt((second - mean ** 2) / trials)
+    assert abs(z) <= 4, (row.mean_tests, mean, z)
 
 
 @pytest.mark.parametrize("alg", list(RULES))

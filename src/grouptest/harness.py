@@ -4,7 +4,10 @@ experiment at (k, n) = (10, 500) and (30, 9699), and capacity scans in the
 k = n^(1-beta) regime.
 
 An `ExperimentSpec` checks every run input when it is built, so a bad one
-raises `bounds.InputError` before any trial runs. `figure1_experiment` and
+raises `bounds.InputError` before any trial runs: the validity checks one
+by one, then every numeric limit as a row of one table
+(`ExperimentSpec.limits`), refused at the first row above its bound.
+`figure1_experiment` and
 `capacity_scan` build all their specs before they run any, or make any
 directory. COMP's budget is its one field `comp_t`;
 `bounds.comp_test_count` turns an error exponent into one.
@@ -19,7 +22,7 @@ in `model.TRUTHFUL_CHANNELS` (noiseless, erasure) are answered together by
 the erasures (`model.erasure_submissions`), and the others run one by one
 against a `TestOracle`. This module reads no noise output. `run_trial`
 seeds and samples one trial on its own: it is the reference, and replays
-any trial.
+any trial but those its own rows refuse (`limits(replay=True)`).
 """
 from __future__ import annotations
 
@@ -42,9 +45,10 @@ from .model import (TRUTHFUL_CHANNELS, TestOracle, derive_stream_seed, derive_st
 _WILSON_Z = 1.959963984540054  # 95%
 # Most cells one trial may hold, so that it stays under about 350 MB: COMP's
 # bool t x n design (a byte a cell; `comp_design` draws its uint64 raw outputs
-# 2^16 at a time), symmetric or additive RBT's n x (k + 4) items (`_check_rbt`:
-# a list of n candidates, sliced into pools each of k rounds), and 32 cells a
-# defective to sample and walk (240 MB at 2^20).
+# 2^16 at a time), 32 cells a defective to sample and walk (240 MB at 2^20),
+# and per-trial RBT's n x (k + 4): a trial holds its n-item candidate list
+# (322 MiB peak at (6710886, 1)), and the k + 4 factor tracks the pool slices
+# its k rounds copy (48 MiB peak, about 0.5 s a trial, at (322638, 100)).
 MAX_TRIAL_CELLS = 1 << 25
 # Most trials x k cells sampled and walked together, max(1, BATCH_CELLS // k)
 # trials: the sampler and the walk peak at 80-200 bytes a cell (190 MB at one
@@ -63,6 +67,13 @@ MAX_N = 1 << 53
 MAX_SUBMISSIONS = 1 << 32
 
 
+def _refuse_beyond(limits):
+    """Raise `InputError` at the first (value, bound, what) row above its bound."""
+    for value, bound, what in limits:
+        if value > bound:
+            raise InputError(f"{what} is {value}, above its bound {bound}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     size: ProblemSize
@@ -79,58 +90,48 @@ class ExperimentSpec:
                              f"choose one of {', '.join(ALGORITHM_NAMES)}")
         if self.trials < 1:
             raise InputError("need at least one trial")
-        if self.size.n > MAX_N:
-            raise InputError(f"n must be <= {MAX_N}, got {self.size.n}")
-        if self.size.k > MAX_TRIAL_CELLS >> 5:
-            raise InputError(f"k must be <= {MAX_TRIAL_CELLS >> 5} (32 cells a defective, "
-                             f"at most {MAX_TRIAL_CELLS} a trial), got {self.size.k}")
         if self.budget_range is not None:
             t_min, t_max, step = self.budget_range
             if t_min > t_max or step < 1 or t_min < 0:
                 raise InputError(f"bad budget range {self.budget_range}")
-            if (t_max - t_min) // step + 1 > MAX_BUDGETS:
-                raise InputError(f"budget range {self.budget_range} has more than "
-                                 f"{MAX_BUDGETS} budgets")
         if self.algorithm == "comp":
-            self._check_comp()
+            if self.size.k < 1:
+                raise InputError("COMP design density 1/k needs k >= 1")
+            if self.budget_range is None and self.comp_t is None:
+                raise InputError("comp needs a test budget (comp_t) or a budget range")
         elif self.comp_t is not None:
             raise InputError(f"only comp takes a test budget; {self.algorithm} "
                              "runs until it decodes")
-        if self.algorithm in ADAPTIVE_ALGORITHMS and self.noise.kind is NoiseKind.ERASURE:
-            self._check_erasure()
-        if self.algorithm == "rbt" and self.noise.kind not in TRUTHFUL_CHANNELS:
-            self._check_rbt()
-
-    def _check_rbt(self):
-        # the candidate list holds n ints (about 36 bytes each), and each of
-        # the k rounds copies slices of it, one a search step, as its pools
-        if self.size.n * (self.size.k + 4) > MAX_TRIAL_CELLS:
-            raise InputError(f"rbt under {self.noise.kind.value} noise holds about "
-                             f"n x (k + 4) items a trial, more than {MAX_TRIAL_CELLS}")
-
-    def _check_erasure(self):
-        p = self.noise.p
-        if p >= 1.0:
+        if (self.algorithm in ADAPTIVE_ALGORITHMS and self.noise.kind is NoiseKind.ERASURE
+                and self.noise.p >= 1.0):
             raise InputError("erasure probability 1 never terminates: "
                              "every test is retried until it lands")
-        if self.trials * guarantee_for(self.algorithm, self.size) > MAX_SUBMISSIONS * (1.0 - p):
-            raise InputError(f"erasure probability {p} needs about trials x guarantee "
-                             f"/ (1 - p) submissions, more than {MAX_SUBMISSIONS}")
-
-    def _check_comp(self):
-        if self.size.k < 1:
-            raise InputError("COMP design density 1/k needs k >= 1")
-        if self.budget_range is not None:
-            t_min, t_max = self.budget_range[:2]
-        elif self.comp_t is not None:
-            t_min = t_max = self.comp_t
-        else:
-            raise InputError("comp needs a test budget (comp_t) or a budget range")
-        if t_min < 1:
+        _refuse_beyond(self.limits())
+        t_min = self.budget_range[0] if self.budget_range else self.comp_t
+        if self.algorithm == "comp" and t_min < 1:
             raise InputError(f"COMP needs t >= 1, got {t_min}")
-        if t_max * self.size.n > MAX_TRIAL_CELLS:
-            raise InputError(f"COMP needs t <= {MAX_TRIAL_CELLS // self.size.n} "
-                             f"at n = {self.size.n} (t x n <= {MAX_TRIAL_CELLS})")
+
+    def limits(self, replay: bool = False):
+        """One (value, bound, what) row per numeric limit of a run, each computed
+        once the rows before it hold; a value above its bound refuses the run.
+        `replay` adds `run_trial`'s: per-trial RBT holds its n candidates on
+        every channel, batched RBT only under symmetric or additive noise."""
+        n, k = self.size.n, self.size.k
+        yield n, MAX_N, "n"
+        if self.budget_range is not None:
+            t_min, t_max, step = self.budget_range
+            yield ((t_max - t_min) // step + 1, MAX_BUDGETS,
+                   f"the count of budgets in {self.budget_range}")
+        yield 32 * k, MAX_TRIAL_CELLS, "a trial's cells to sample and walk, 32 x k,"
+        if self.algorithm == "comp":
+            t_max = self.budget_range[1] if self.budget_range else self.comp_t
+            yield t_max * n, MAX_TRIAL_CELLS, "COMP's design cells, t x n,"
+        if self.algorithm == "rbt" and (replay or self.noise.kind not in TRUTHFUL_CHANNELS):
+            yield n * (k + 4), MAX_TRIAL_CELLS, "per-trial RBT's items, n x (k + 4),"
+        if self.algorithm in ADAPTIVE_ALGORITHMS and self.noise.kind is NoiseKind.ERASURE:
+            yield (self.trials * guarantee_for(self.algorithm, self.size),
+                   MAX_SUBMISSIONS * (1.0 - self.noise.p), f"trials x guarantee at erasure "
+                   f"{self.noise.p}, against {MAX_SUBMISSIONS} x (1 - p) submissions,")
 
     def budgets(self) -> list[int]:
         if self.budget_range is None:
@@ -203,7 +204,10 @@ def guarantee_for(algorithm: str, size: ProblemSize) -> int:
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     """One trial, fully determined by (spec, trial_index) and seeded on its
-    own: the reference `run_trials` is checked against, and its replay."""
+    own: the reference `run_trials` is checked against, and its replay. It
+    refuses, before it samples, what it cannot run: COMP without comp_t, and
+    a row of `spec.limits(replay=True)` above its bound."""
+    _runnable(spec, replay=True)
     seed = derive_stream_seed(spec.master_seed, trial_index)
     rng = make_rng(seed, 0)
     return _run_oracle(spec, sample_defective_set(spec.size.n, spec.size.k, rng), seed, rng)
@@ -226,11 +230,20 @@ def _run_oracle(spec: ExperimentSpec, truth, seed: int, rng) -> TrialResult:
     return TrialResult(success=result.estimate == oracle.truth, tests_used=result.tests_used)
 
 
+def _runnable(spec: ExperimentSpec, replay: bool = False):
+    """Raise `InputError` for a spec whose trials cannot run: COMP with no
+    comp_t (`success_curve` sweeps a budget range, one comp_t a budget) or,
+    to replay a trial, a row of `spec.limits(replay=True)` above its bound."""
+    if spec.algorithm == "comp" and spec.comp_t is None:
+        raise InputError("comp trials need comp_t; success_curve sweeps a budget range")
+    if replay:
+        _refuse_beyond(spec.limits(replay=True))
+
+
 def _batches(spec: ExperimentSpec):
     """Each batch's (success, tests_used) arrays (`_run_batch`), in trial-index
     order, at most `BATCH_CELLS` cells each; a bad COMP spec raises at once."""
-    if spec.algorithm == "comp" and spec.comp_t is None:
-        raise InputError("comp trials need comp_t; success_curve sweeps a budget range")
+    _runnable(spec)
     batch = max(1, BATCH_CELLS // max(spec.size.k, 1))
     return (_run_batch(spec, lo, min(spec.trials, lo + batch))
             for lo in range(0, spec.trials, batch))
@@ -260,12 +273,14 @@ def tally(spec: ExperimentSpec, budgets: Sequence[int] = ()) -> Tally:
 class InvariantBreach(Exception):
     """A batched trial on a channel in `TRUTHFUL_CHANNELS` decoded wrongly,
     spent more firm tests than `guarantee_for`, or (COMP) cleared a
-    defective; the message names its (master_seed, trial_index)."""
+    defective; the message names its (master_seed, trial_index) and, for
+    COMP, its budget t, so that `run_trial` can replay it."""
 
     def __init__(self, spec: ExperimentSpec, trial_index: int, what: str):
+        budget = f", t={spec.comp_t}" if spec.algorithm == "comp" else ""
         super().__init__(f"trial (master_seed={spec.master_seed}, trial_index={trial_index})"
-                         f" of {spec.algorithm} at n={spec.size.n}, k={spec.size.k}, noise "
-                         f"{spec.noise.kind.value}:{spec.noise.p:g}: {what}")
+                         f" of {spec.algorithm} at n={spec.size.n}, k={spec.size.k}{budget}, "
+                         f"noise {spec.noise.kind.value}:{spec.noise.p:g}: {what}")
 
 
 def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> tuple:

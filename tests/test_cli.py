@@ -1,5 +1,6 @@
 """CLI tests: flag parsing, output schemas, determinism, exit codes."""
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from grouptest import algorithms, harness
 from grouptest.algorithms import ALGORITHM_NAMES
 from grouptest.cli import main, parse_noise
-from grouptest.bounds import InputError, NoiseKind
+from grouptest.bounds import InputError, NoiseKind, ProblemSize
 
 
 def run_cli(capsys, *argv):
@@ -364,6 +365,33 @@ def test_comp_clearing_a_defective_exits_1_on_a_truthful_channel(capsys, monkeyp
     if code:
         assert out == ""
         assert "invariant breach" in err and "(master_seed=4, trial_index=0)" in err
+
+
+def test_comp_breach_in_a_sweep_names_the_budget_that_rebuilds_it(capsys, monkeypatch):
+    # a sweep runs each budget on a master seed of its own: the breach names
+    # that seed and the budget t, which rebuild the spec whose batch breached
+    negatives, run_comp, ran = harness.design_negatives, harness._run_comp, []
+
+    def flipped(hit, noise, rng):
+        negative = negatives(hit, noise, rng)
+        negative[np.flatnonzero(hit)[:1]] = True
+        return negative
+
+    monkeypatch.setattr(harness, "design_negatives", flipped)
+    monkeypatch.setattr(harness, "_run_comp", lambda spec, *a: ran.append(spec) or
+                        run_comp(spec, *a))
+    code, out, err = run_cli(capsys, *"sweep --alg comp --n 100 --k 5 --t-min 40 --t-max 160 "
+                                      "--step 10 --trials 30 --seed 4".split())
+    assert code == 1 and out == ""
+    named = re.search(r"\(master_seed=(\d+), trial_index=(\d+)\) of comp at n=100, k=5, "
+                      r"t=(\d+), ", err)
+    seed, index, t = map(int, named.groups())
+    rebuilt = harness.ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp", trials=30,
+                                     master_seed=seed, comp_t=t)
+    # the range only lists the budgets; the breached batch ran at comp_t
+    assert rebuilt == dataclasses.replace(ran[-1], budget_range=None)
+    with pytest.raises(harness.InvariantBreach, match=re.escape(named.group(0))):
+        harness.tally(rebuilt)
 
 
 NOISELESS_RUNS = """

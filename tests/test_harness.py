@@ -2,6 +2,7 @@
 the two-panel figure experiment, and capacity scans."""
 import math
 import os
+import resource
 import subprocess
 import sys
 from itertools import combinations
@@ -81,6 +82,48 @@ class TestRunTrial:
         with pytest.raises(InputError):
             run_trials(spec)
         assert calls == []
+
+    def test_comp_range_without_budget_refused_by_run_trial_before_sampling(self, monkeypatch):
+        # run_trial and run_trials share one gate: neither has a budget to run
+        # a range at, and run_trial raises before it samples a defective set
+        import grouptest.harness as hz
+        spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp", trials=3,
+                              budget_range=(10, 20, 5))
+
+        def refuse(*args):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(hz, "sample_defective_set", refuse)
+        with pytest.raises(InputError, match="comp_t"):
+            run_trial(spec, 0)
+
+    def test_rbt_past_the_candidate_list_refused_by_run_trial(self):
+        # batched RBT answers (2^27, 5) on the noiseless and erasure channels
+        # by its closed form, but run_trial holds its n candidates as a list
+        # (MemoryError in 2 GB); it refuses before it samples, in a child
+        # with a 2 GB address space
+        src = str(Path(grouptest.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", RBT_PAST_THE_LIST], env=env,
+                              preexec_fn=limit_address_space, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+RBT_PAST_THE_LIST = """
+import pytest
+from grouptest.bounds import InputError, NoiseModel, ProblemSize
+from grouptest.harness import MAX_TRIAL_CELLS, ExperimentSpec, run_trial, run_trials
+for noise, used in ((NoiseModel.erasure(0.1), 156), (NoiseModel.noiseless(), 135)):
+    spec = ExperimentSpec(size=ProblemSize(2**27, 5), algorithm="rbt", noise=noise,
+                          trials=1, master_seed=3)
+    assert run_trials(spec) == [(True, used)], run_trials(spec)
+    with pytest.raises(InputError, match=str(MAX_TRIAL_CELLS)):
+        run_trial(spec, 0)
+"""
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 class TestSpecChecks:

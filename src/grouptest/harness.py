@@ -7,10 +7,10 @@ An `ExperimentSpec` checks every run input when it is built, so a bad one
 raises `bounds.InputError` before any trial runs: the validity checks one
 by one, then every numeric limit as a row of one table
 (`ExperimentSpec.limits`), refused at the first row above its bound.
-`figure1_experiment` and
-`capacity_scan` build all their specs before they run any, or make any
-directory. COMP's budget is its one field `comp_t`;
-`bounds.comp_test_count` turns an error exponent into one.
+`figure1_experiment` and `capacity_scan` build all their specs before they
+run any, or make any directory. A COMP spec takes one budget: `comp_t` to
+run, or a range that `success_curve` sweeps as one comp_t spec a budget;
+`bounds.comp_test_count` turns an error exponent into a comp_t.
 
 Every trial derives its RNG stream from (master_seed, trial_index), so its
 result does not depend on which other trials run with it. Trials are seeded
@@ -81,8 +81,8 @@ class ExperimentSpec:
     noise: NoiseModel = NoiseModel.noiseless()
     trials: int = 1000
     master_seed: int = 0
-    budget_range: Optional[tuple[int, int, int]] = None  # (t_min, t_max, step)
-    comp_t: Optional[int] = None      # COMP's test budget
+    budget_range: Optional[tuple[int, int, int]] = None  # a sweep's (t_min, t_max, step)
+    comp_t: Optional[int] = None  # a COMP run's test budget; COMP takes this or a range
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHM_NAMES:
@@ -97,8 +97,8 @@ class ExperimentSpec:
         if self.algorithm == "comp":
             if self.size.k < 1:
                 raise InputError("COMP design density 1/k needs k >= 1")
-            if self.budget_range is None and self.comp_t is None:
-                raise InputError("comp needs a test budget (comp_t) or a budget range")
+            if (self.budget_range is None) == (self.comp_t is None):
+                raise InputError("comp needs one test budget: comp_t or a budget range, not both")
         elif self.comp_t is not None:
             raise InputError(f"only comp takes a test budget; {self.algorithm} "
                              "runs until it decodes")
@@ -114,8 +114,8 @@ class ExperimentSpec:
     def limits(self, replay: bool = False):
         """One (value, bound, what) row per numeric limit of a run, each computed
         once the rows before it hold; a value above its bound refuses the run.
-        `replay` adds `run_trial`'s: per-trial RBT holds its n candidates on
-        every channel, batched RBT only under symmetric or additive noise."""
+        COMP's row reads its one budget, a range's t_max or comp_t. `replay`
+        adds per-trial RBT's row, which holds its n candidates, on every channel."""
         n, k = self.size.n, self.size.k
         yield n, MAX_N, "n"
         if self.budget_range is not None:
@@ -135,7 +135,7 @@ class ExperimentSpec:
 
     def budgets(self) -> list[int]:
         if self.budget_range is None:
-            raise ValueError("no budget range configured")
+            raise InputError("a sweep needs a budget range")
         t_min, t_max, step = self.budget_range
         return list(range(t_min, t_max + 1, step))
 
@@ -341,11 +341,11 @@ def success_curve(spec: ExperimentSpec) -> SuccessCurve:
 
     Adaptive exact-recovery algorithms run to completion once per trial and
     success at budget T counts those that succeeded within T (anytime-correct).
-    COMP is non-adaptive, so each budget gets its own block of trial streams.
+    COMP is non-adaptive: each budget runs as a comp_t spec on a master seed of its own.
     """
     budgets = spec.budgets()
     if spec.algorithm == "comp":
-        wins_at = [tally(replace(spec, comp_t=t,
+        wins_at = [tally(replace(spec, comp_t=t, budget_range=None,
                                  master_seed=derive_stream_seed(spec.master_seed, bi + 1))).wins
                    for bi, t in enumerate(budgets)]
     else:

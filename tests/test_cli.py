@@ -6,6 +6,7 @@ import json
 import os
 import re
 import resource
+import select
 import shlex
 import subprocess
 import sys
@@ -14,13 +15,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grouptest import algorithms, harness
 from grouptest.algorithms import ALGORITHM_NAMES
-from grouptest.cli import main, parse_noise
+from grouptest.cli import _spec_from_args, build_parser, main, parse_noise
 from grouptest.bounds import InputError, NoiseKind, ProblemSize
+from grouptest.model import TRUTHFUL_CHANNELS
+from test_differential import BUDGET, reference_cost
 
 
 def run_cli(capsys, *argv):
@@ -233,16 +236,20 @@ def test_bad_inputs_exit_2(capsys, tmp_path, argv):
     assert not (tmp_path / "D").exists()  # rejected before any output
 
 
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+BOUNDED_CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1]),
+                     "OPENBLAS_NUM_THREADS": "1"}
+
+
 def assert_exits_2_in_bounded_memory(argv):
     """In a child with a 2 GB address space and a timeout, a run past the
     per-trial cell budget fails fast instead of taking the machine's memory."""
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1]),
-           "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-m", "grouptest.cli", *argv.split()],
-                          env=env, preexec_fn=limit_memory, capture_output=True,
-                          text=True, timeout=60)
+                          env=BOUNDED_CHILD_ENV, preexec_fn=limit_address_space,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and str(harness.MAX_TRIAL_CELLS) in proc.stderr
 
@@ -572,3 +579,182 @@ def test_argv_fuzz_exit_codes(argv):
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     if code == 2:
         assert err.getvalue()
+
+
+# Runs argv after argv through `main` in one interpreter, as JSON lines on
+# stdin, and answers each with [exit code or traceback, stdout, stderr];
+# "{tmp}" stands for a fresh directory. Any warning is an error, as in the
+# suite.
+ARGV_CHILD = """
+import contextlib, io, json, sys, tempfile, traceback
+from grouptest.cli import main
+for line in sys.stdin:
+    out, err = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        try:
+            code = main([a.format(tmp=tmp) for a in json.loads(line)])
+        except Exception:
+            code = traceback.format_exc()
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
+"""
+
+
+class ArgvChild:
+    """One child interpreter with a 2 GB address space that answers argv
+    after argv (`ARGV_CHILD`), since each start costs about 0.2 s. An argv
+    that runs past `timeout` seconds kills it, and the next starts another."""
+
+    def __init__(self, timeout=60):
+        self.timeout, self.proc = timeout, None
+
+    def run(self, argv):
+        if self.proc is None or self.proc.poll() is not None:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-W", "error", "-c", ARGV_CHILD], env=BOUNDED_CHILD_ENV,
+                text=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL, preexec_fn=limit_address_space)
+        self.proc.stdin.write(json.dumps(argv) + "\n")
+        self.proc.stdin.flush()
+        if not select.select([self.proc.stdout], [], [], self.timeout)[0]:
+            self.close()
+            raise AssertionError(f"{argv} ran past {self.timeout} s")
+        line = self.proc.stdout.readline()
+        assert line, f"the child died on {argv}: exit {self.proc.wait()}"
+        return json.loads(line)
+
+    def close(self):
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.communicate()  # and close the pipes
+
+
+@pytest.fixture(scope="module")
+def argv_child():
+    child = ArgvChild()
+    yield child
+    child.close()
+
+
+def specs_of(argv):
+    """The specs a run command's argv runs, built as the command builds
+    them, or None where the CLI refuses the argv before it runs any."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = build_parser().parse_args(argv)
+        if args.command == "capacity":
+            return [harness.ExperimentSpec(size=ProblemSize(n, harness.defectives_for_beta(
+                n, args.beta)), algorithm=args.alg, trials=args.trials) for n in args.n_list]
+        sweep = (args.t_min, args.t_max, args.step) if args.command == "sweep" else None
+        return [_spec_from_args(args, sweep)]
+    except (InputError, SystemExit):
+        return None
+
+
+def command_cost(spec):
+    """About the tests a command spends on `spec`, in `reference_cost`'s
+    units: a noiseless or erasure adaptive trial is batched, about its k
+    defectives and 20 submissions to a test; any other trial costs
+    `reference_cost`. A sweep adds about 3 a budget for its rows, and 300
+    for each budget COMP runs as a spec of its own."""
+    n, k, noise = spec.size.n, spec.size.k, spec.noise
+    budgets = spec.budgets() if spec.budget_range else []
+    if spec.algorithm == "comp":
+        return sum(spec.trials * reference_cost("comp", n, k, noise, t) + 300
+                   for t in budgets or [spec.comp_t])
+    if noise.kind in TRUTHFUL_CHANNELS:
+        submissions = harness.guarantee_for(spec.algorithm, spec.size)
+        per_trial = k + (submissions / (1.0 - noise.p) / 20 if noise.p else 0)
+    else:
+        per_trial = reference_cost(spec.algorithm, n, k, noise, 1)
+    return spec.trials * per_trial + 3 * len(budgets)
+
+
+def log_uniform(rng, top):
+    """An integer in [1, top] whose bit length is uniform."""
+    e = rng.randrange(top.bit_length())
+    return min(top, rng.randint(1 << e, (2 << e) - 1))
+
+
+@st.composite
+def sized_argv(draw):
+    """An argv of a command that takes sizes, at every size the CLI accepts
+    and just past each limit: n log-uniform up to 2^53 + 1; k up to and just
+    past the 2^20 cap; every channel, erasure p up to 1 - 1e-12; COMP's t x n
+    on both sides of 2^25; sweeps of up to `MAX_BUDGETS` + 1 budgets. Trials
+    shrink until an accepted argv costs at most `BUDGET` (`command_cost`);
+    a refused one may be any size."""
+    rng = draw(st.randoms(use_true_random=True))  # uniform, where st.integers favours edges
+    cmd = rng.choice(["bounds", "simulate", "sweep", "capacity"])
+    alg = rng.choice(ALGORITHM_NAMES)
+    argv = [cmd]
+    if cmd == "capacity":
+        argv += ["--beta", str(rng.choice([0.01, 0.5, 0.99, rng.uniform(0.01, 0.99)])),
+                 "--n-list", *(str(log_uniform(rng, harness.MAX_N + 1))
+                               for _ in range(rng.randint(1, 3)))]
+        if alg in algorithms.ADAPTIVE_ALGORITHMS:
+            argv += ["--alg", alg]
+    else:
+        n = rng.choice([harness.MAX_N, harness.MAX_N + 1]
+                       + 14 * [log_uniform(rng, harness.MAX_N)])
+        cap = harness.MAX_TRIAL_CELLS >> 5
+        k = rng.choice([0, 1, 2, 3] + 4 * [rng.randint(0, 40)] + 4 * [
+            log_uniform(rng, min(n, 2 * cap))] + [cap, cap + 1, n - 1, n])
+        kind = rng.choice(list(NoiseKind))
+        p = {NoiseKind.NOISELESS: [0.0], NoiseKind.ERASURE: [
+            0.01, 0.3, 0.9, 0.999, 1 - 1e-6, 1 - 1e-12, 1.0]}.get(kind, [0.0, 0.01, 0.3, 0.5])
+        argv += ["--n", str(n), "--k", str(k), "--noise", f"{kind.value}:{rng.choice(p)!r}"]
+    if cmd == "bounds":
+        argv += ["--t", str(log_uniform(rng, 1 << 62))]
+    if cmd in ("simulate", "sweep"):
+        argv += ["--alg", alg, "--seed", str(rng.getrandbits(64))]
+    if cmd == "simulate" and alg == "comp" and rng.randrange(4):
+        cells = rng.choice([log_uniform(rng, 1 << 21), harness.MAX_TRIAL_CELLS])
+        argv += ["--t", str(max(1, cells // n) + rng.randint(0, 1))]
+    elif cmd == "simulate" and alg == "comp":
+        argv += ["--delta", str(rng.choice([0.5, 1.0, 5.0, 1e300]))]
+    if cmd == "sweep":
+        count = rng.choice([1, 2] + 4 * [log_uniform(rng, 1 << 12)] + [
+            harness.MAX_BUDGETS, harness.MAX_BUDGETS + 1])
+        t_min, step = rng.choice([0, 1, 1, rng.randint(1, 300)]), rng.choice([1, 1, 3])
+        argv += ["--t-min", str(t_min), "--t-max", str(t_min + (count - 1) * step),
+                 "--step", str(step)]
+    if cmd != "bounds":
+        trials = rng.choice([1, 3, 50, 700, 10 ** 12])
+        argv += ["--trials", str(trials)]
+        specs = specs_of(argv)
+        if specs is not None:
+            each = sum(command_cost(dataclasses.replace(s, trials=1)) for s in specs)
+            argv[-1] = str(min(trials, max(1, int(BUDGET // max(each, 1)))))
+            specs = specs_of(argv)
+            assume(sum(map(command_cost, specs)) <= BUDGET)
+    if rng.randrange(4) == 0:  # the second cannot be written: exit 3
+        argv += ["--out", rng.choice(["{tmp}/out.txt", "{tmp}/no/such/file"])]
+    return argv
+
+
+@given(sized_argv(), st.none())
+# k = 2^20 + 1, past the per-trial cell cap
+@example(["simulate", "--alg", "hgbsa", "--n", "9007199254740992", "--k", "1048577",
+          "--trials", "1"], 2)
+# 2^25 + 1 design cells
+@example(["simulate", "--alg", "comp", "--n", "33554433", "--k", "1", "--t", "1",
+          "--trials", "1"], 2)
+# about 10^13 submissions a trial
+@example(["simulate", "--alg", "hgbsa", "--n", "100", "--k", "5", "--noise",
+          "erasure:0.999999999999", "--trials", "1"], 2)
+# per-trial RBT would hold 2^53 candidates
+@example(["simulate", "--alg", "rbt", "--n", "9007199254740992", "--k", "1", "--noise",
+          "symmetric:0.1", "--trials", "1"], 2)
+# k = (2^53)^(1/2), about 9.5 x 10^7
+@example(["capacity", "--beta", "0.5", "--n-list", "9007199254740992", "--trials", "1"], 2)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_argv_fuzz_exit_codes_at_every_size(argv_child, argv, code):
+    # in a 2 GB address space every argv exits 0, 2 or 3 (never 1, never a
+    # traceback, never a MemoryError), and a refused one writes nothing to
+    # stdout and says why on stderr
+    got, out, err = argv_child.run(argv)
+    assert got in (0, 2, 3), (argv, got, err)
+    assert code in (None, got), (argv, got, err)
+    if got == 2:
+        assert out == "" and "error:" in err, (argv, out, err)

@@ -16,7 +16,8 @@ draws of 32 and 64 bits, k = n and k = n - 1 all come up; every channel at
 p in {0, 0.01, 0.3, 0.9}; trials in {1, 3, 50, 700}, so some specs span
 batches, kept to k x trials <= 3000 and to `BUDGET` tests for the
 reference; a 64-bit master seed; COMP at t <= 60 and t x n <= 2 x 10^5, or
-now and then a budget range and no comp_t, which neither path can run.
+now and then a budget range and no comp_t, which neither path can run, or
+both, which `ExperimentSpec` refuses.
 """
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def spec_inputs(draw):
     if alg == "comp" and draw(st.integers(0, 7)):
         comp_t = draw(st.integers(1, 60))
         assume(comp_t * n <= 200_000 or comp_t * n > MAX_TRIAL_CELLS)  # refused at once
-    elif alg == "comp":
+    if alg == "comp" and (comp_t is None or draw(st.integers(0, 7)) == 0):
         t_min = draw(st.integers(1, 60))
         budget_range = (t_min, draw(st.integers(t_min, 60)), 1)
     assume(k <= 3000 or k > MAX_TRIAL_CELLS >> 5)
@@ -81,9 +82,10 @@ def numpy_sample(n, k, seed):
     return frozenset(_fisher_yates(draws.tolist()))
 
 
-def inputs_of(size, alg, noise=NoiseModel.noiseless(), trials=50, seed=7, comp_t=None):
+def inputs_of(size, alg, noise=NoiseModel.noiseless(), trials=50, seed=7, comp_t=None,
+              budget_range=None):
     return dict(size=size, algorithm=alg, noise=noise, trials=trials, master_seed=seed,
-                comp_t=comp_t, budget_range=None)
+                comp_t=comp_t, budget_range=budget_range)
 
 
 @given(spec_inputs(), st.none())
@@ -107,13 +109,18 @@ def inputs_of(size, alg, noise=NoiseModel.noiseless(), trials=50, seed=7, comp_t
 # an adaptive run at p near 1 would take about 10^13 submissions a trial
 @example(inputs_of(ProblemSize(100, 5), "hgbsa", NoiseModel.erasure(1 - 1e-12), trials=1),
          "refused")
-@settings(max_examples=300, deadline=None, derandomize=True)
+# a COMP spec takes comp_t or a budget range, not both: this comp_t is 4 x 10^7
+# design cells, which the range's row and t >= 1 check never saw
+@example(inputs_of(ProblemSize(100, 5), "comp", trials=2, comp_t=400_000,
+                   budget_range=(1, 2, 1)), "refused")
+@settings(max_examples=400, deadline=None, derandomize=True)
 def test_batched_trials_equal_the_reference(inputs, outcome):
     try:
         spec = ExperimentSpec(**inputs)
     except InputError:
         assert outcome in (None, "refused")
         return
+    assert inputs["comp_t"] is None or inputs["budget_range"] is None, "both budgets accepted"
     try:
         got = run_trials(spec)
     except InputError:  # COMP with a budget range and no comp_t: neither path runs it

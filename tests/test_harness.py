@@ -137,6 +137,15 @@ class TestSpecChecks:
                 ExperimentSpec(size=ProblemSize(1 << 21, (1 << 20) + 1), algorithm=alg,
                                trials=1, comp_t=comp_t)
 
+    @pytest.mark.parametrize("comp_t", [-3, 0, 400_000])
+    def test_comp_takes_comp_t_or_a_range_not_both(self, comp_t):
+        # the range's rows and t >= 1 check once passed these while the trials
+        # ran comp_t: -3 raised numpy's ValueError, 0 ran trials of no test,
+        # and 400000 ran 4 x 10^7 design cells, above MAX_TRIAL_CELLS
+        with pytest.raises(InputError, match="not both"):
+            ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp", trials=2,
+                           comp_t=comp_t, budget_range=(1, 2, 1))
+
     def test_unknown_algorithm_rejected(self):
         # a library caller can name any algorithm (the CLI's --alg choices
         # cannot); it must fail when the spec is built, not later with a KeyError
@@ -254,6 +263,12 @@ class TestSuccessCurve:
         spec = ExperimentSpec(size=ProblemSize(10, 2), algorithm="hgbsa", trials=20,
                               budget_range=(t, t + 1, 1))
         assert [(p.t, p.success) for p in success_curve(spec).points] == [(t, 1.0), (t + 1, 1.0)]
+
+    def test_sweep_without_a_budget_range_is_an_input_error(self):
+        # a bad run input, not a fault: it once raised a bare ValueError
+        spec = ExperimentSpec(size=ProblemSize(10, 2), algorithm="hgbsa", trials=2)
+        with pytest.raises(InputError, match="budget range"):
+            success_curve(spec)
 
     def test_comp_curve(self):
         spec = ExperimentSpec(size=ProblemSize(30, 2), algorithm="comp", trials=200,

@@ -16,7 +16,8 @@ Every trial derives its RNG stream from (master_seed, trial_index), so its
 result does not depend on which other trials run with it. Trials are seeded
 and sampled in bulk a batch at a time (`_run_batch`) and folded by `tally`.
 COMP trials draw their designs from bulk-seeded streams into one reused
-buffer and decode with numpy (`_run_comp`); adaptive trials on a channel
+buffer, a chunk of trials at a time, and decode each chunk with a handful of
+numpy calls (`_run_comp`); adaptive trials on a channel
 in `model.TRUTHFUL_CHANNELS` (noiseless, erasure) are answered together by
 `algorithms.batch_runs`, checked against the guarantee and landed through
 the erasures (`model.erasure_submissions`), and the others run one by one
@@ -36,17 +37,18 @@ import numpy as np
 
 from . import bounds
 from .algorithms import (ADAPTIVE_ALGORITHMS, ALGORITHM_NAMES, SearchOverrun, batch_runs,
-                         comp_design, comp_run)
+                         comp_draw, comp_redraw, comp_run)
 from .bounds import InputError, NoiseKind, NoiseModel, ProblemSize
 from .model import (TRUTHFUL_CHANNELS, TestOracle, derive_stream_seed, derive_stream_seeds,
-                    design_negatives, erasure_submissions, handed_on, make_rng,
-                    sample_defective_set, sample_defective_sets, seeded_generators)
+                    _pcg_seeded, design_negatives, erasure_submissions, handed_on, make_rng,
+                    sample_defective_set, sample_defective_sets)
 
 _WILSON_Z = 1.959963984540054  # 95%
 # Most cells one trial may hold, so that it stays under about 350 MB: COMP's
-# bool t x n design (a byte a cell; `comp_design` draws its uint64 raw outputs
-# 2^16 at a time), 32 cells a defective to sample and walk (240 MB at 2^20),
-# and per-trial RBT's n x (k + 4): a trial holds its n-item candidate list
+# bool t x n design (a byte a cell, so a chunk holds max(COMP_CHUNK_CELLS,
+# t x n) bytes of design; `comp_draw` draws its uint64 raw outputs 2^16 at a
+# time), 32 cells a defective to sample and walk (240 MB at 2^20), and
+# per-trial RBT's n x (k + 4): a trial holds its n-item candidate list
 # (322 MiB peak at (6710886, 1)), and the k + 4 factor tracks the pool slices
 # its k rounds copy (48 MiB peak, about 0.5 s a trial, at (322638, 100)).
 MAX_TRIAL_CELLS = 1 << 25
@@ -54,6 +56,11 @@ MAX_TRIAL_CELLS = 1 << 25
 # trials: the sampler and the walk peak at 80-200 bytes a cell (190 MB at one
 # trial of k = 10^6), and at k = 30 the walk is no slower at 546 than at 1024.
 BATCH_CELLS = 1 << 14
+# Most design cells, chunk x t x n, that `_run_comp` draws before it decodes
+# them together, max(1, COMP_CHUNK_CELLS // (t x n)) trials: per-trial numpy
+# calls were half of a COMP sweep at (100, 5), and a chunk of 2^20 cells
+# raised that sweep's peak memory by 6%, where 2^17 adds about 1%.
+COMP_CHUNK_CELLS = 1 << 17
 # Most budgets a sweep accepts: each is a curve point and a CSV row (about
 # 15 us each), and the figure needs a few hundred.
 MAX_BUDGETS = 1 << 16
@@ -65,6 +72,11 @@ MAX_N = 1 << 53
 # (2-core x86-64 VM, numpy 2.4.6), so a run at the cap takes a few minutes,
 # while p near 1 would run for days.
 MAX_SUBMISSIONS = 1 << 32
+# Most design cells a COMP spec accepts, trials x t x n summed over its
+# budgets: `_run_comp` takes about 4.5 ns a cell at (10000, 10), t = 1000
+# (10^9 cells in 4.5 s; 2-core x86-64 VM, numpy 2.4.6), so a run at the cap
+# takes about 2.5 minutes.
+MAX_DESIGN_CELLS = 1 << 35
 
 
 def _refuse_beyond(limits):
@@ -114,8 +126,10 @@ class ExperimentSpec:
     def limits(self, replay: bool = False):
         """One (value, bound, what) row per numeric limit of a run, each computed
         once the rows before it hold; a value above its bound refuses the run.
-        COMP's row reads its one budget, a range's t_max or comp_t. `replay`
-        adds per-trial RBT's row, which holds its n candidates, on every channel."""
+        COMP's two rows read its one budget, comp_t or a range: a trial's
+        cells at the range's t_max, and a run's over every budget, summed in
+        closed form. `replay` adds per-trial RBT's row, which holds its n
+        candidates, on every channel."""
         n, k = self.size.n, self.size.k
         yield n, MAX_N, "n"
         if self.budget_range is not None:
@@ -124,8 +138,11 @@ class ExperimentSpec:
                    f"the count of budgets in {self.budget_range}")
         yield 32 * k, MAX_TRIAL_CELLS, "a trial's cells to sample and walk, 32 x k,"
         if self.algorithm == "comp":
-            t_max = self.budget_range[1] if self.budget_range else self.comp_t
+            t_min, t_max, step = self.budget_range or (self.comp_t, self.comp_t, 1)
             yield t_max * n, MAX_TRIAL_CELLS, "COMP's design cells, t x n,"
+            count = (t_max - t_min) // step + 1
+            yield (self.trials * n * (count * t_min + step * count * (count - 1) // 2),
+                   MAX_DESIGN_CELLS, "COMP's design cells of a run, trials x n x the sum of t,")
         if self.algorithm == "rbt" and (replay or self.noise.kind not in TRUTHFUL_CHANNELS):
             yield n * (k + 4), MAX_TRIAL_CELLS, "per-trial RBT's items, n x (k + 4),"
         if self.algorithm in ADAPTIVE_ALGORITHMS and self.noise.kind is NoiseKind.ERASURE:
@@ -314,25 +331,54 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> tuple:
 def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds: np.ndarray,
               handoff: np.ndarray) -> tuple:
     """COMP trials start, start + 1, ... as `_run_oracle` runs them, without
-    an oracle: each design comes from stream 1 of its trial seed, seeded in
-    bulk and drawn into one t x n buffer reused by every trial, and its rows'
-    outcomes from the stream sampling left (`design_negatives`), set from
-    the handoff only on a noisy channel, the one that draws from it. An item
-    in no negative row is declared defective. On a channel in
+    an oracle, a chunk of max(1, `COMP_CHUNK_CELLS` // (t x n)) trials at a
+    time. Each trial's design comes from stream 1 of its trial seed, seeded
+    in bulk and drawn into its slot of one reused (chunk, t, n) buffer
+    (`comp_draw`), and the chunk's raw row outcomes are one gather. A row
+    holding a defective is never empty, so only the others are checked; a
+    trial with an empty row has its stream set again from its seed and
+    advanced past its t x n draws, and `comp_redraw` redraws those rows as
+    `comp_run` does. Each trial's outcomes go through the channel on the
+    stream sampling left (`design_negatives`, set from the handoff only on
+    a noisy channel, the one that draws from it). The chunk's negative rows
+    are compressed once (on the noiseless channel they are the rows already
+    checked) and OR-reduced trial by trial into the items they clear; an
+    item in no negative row is declared defective. On a channel in
     `TRUTHFUL_CHANNELS` a negative row holds no defective, so one that
     clears a defective is an `InvariantBreach`."""
     n, k, t = spec.size.n, spec.size.k, spec.comp_t
-    design, success = np.empty((t, n), dtype=bool), np.empty(len(truths), dtype=bool)
+    chunk = max(1, COMP_CHUNK_CELLS // (t * n))
+    seeded = _pcg_seeded(derive_stream_seeds(trial_seeds, 1))
+    designs = handed_on(seeded)
     rngs = repeat(None) if spec.noise.kind is NoiseKind.NOISELESS else handed_on(handoff)
-    for i, (truth, rng, design_rng) in enumerate(zip(
-            truths, rngs, seeded_generators(derive_stream_seeds(trial_seeds, 1)))):
-        comp_design(design_rng, k, design)
-        negative = design_negatives(design[:, truth].any(axis=1), spec.noise, rng)
-        cleared = design[negative].any(axis=0)
-        missed = bool(cleared[truth].any())
-        if missed and spec.noise.kind in TRUTHFUL_CHANNELS:
-            raise InvariantBreach(spec, start + i, "a negative test cleared a defective")
-        success[i] = not missed and n - int(np.count_nonzero(cleared)) == k
+    buffer = np.empty((min(chunk, len(truths)), t, n), dtype=bool)
+    success = np.empty(len(truths), dtype=bool)
+    for lo in range(0, len(truths), chunk):
+        truth = truths[lo:lo + chunk]
+        design, slots = buffer[:len(truth)], np.arange(len(truth))
+        cleared = np.empty((len(truth), n), dtype=bool)
+        for d in design:
+            comp_draw(next(designs), k, d)
+        hit = design[slots[:, None], :, truth].any(axis=1)
+        rows, emptied = design[~hit], np.zeros(len(truth), dtype=bool)
+        emptied[np.nonzero(~hit)[0][~rows.any(axis=1)]] = True
+        redrawn = np.flatnonzero(emptied)
+        if len(redrawn):
+            for i, bits in zip(redrawn.tolist(), handed_on(seeded[:, lo + redrawn])):
+                bits.advance(t * n)  # past the outputs `comp_draw` took
+                comp_redraw(bits, k, design[i])
+            hit[redrawn] = design[redrawn[:, None], :, truth[redrawn]].any(axis=1)
+        negative = np.array([design_negatives(h, spec.noise, rng) for h, rng in zip(hit, rngs)])
+        if len(redrawn) or (negative == hit).any():  # else the rows at hand are the negative ones
+            rows = design[negative]
+        ends = np.cumsum(np.count_nonzero(negative, axis=1)).tolist()
+        for i, (b, e) in enumerate(zip([0] + ends, ends)):
+            np.logical_or.reduce(rows[b:e], axis=0, out=cleared[i])
+        missed = cleared[slots[:, None], truth].any(axis=1)
+        if missed.any() and spec.noise.kind in TRUTHFUL_CHANNELS:
+            raise InvariantBreach(spec, start + lo + int(np.argmax(missed)),
+                                  "a negative test cleared a defective")
+        success[lo:lo + len(truth)] = ~missed & (np.count_nonzero(cleared, axis=1) == n - k)
     return success, np.full(len(truths), t, dtype=np.int64)
 
 

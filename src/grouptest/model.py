@@ -19,8 +19,8 @@ for many trials at once with numpy, bit for bit: SeedSequence's hash, PCG64
 with its 128-bit state in two uint64 halves, stepped by jumps from one table
 (`_lcg_run`), and the same Lemire step. They hand on each trial's PCG64
 state and inc as plain numbers (see `_pcg_seeded`), to which `handed_on`
-sets one numpy PCG64 only for a consumer that draws from it;
-`seeded_generators` serves COMP's design streams the same way.
+sets one numpy PCG64 only for a consumer that draws from it, COMP's
+design streams included.
 
 Every draw after sampling compares a PCG64 raw output with `_threshold`.
 Each noise channel is one row of the transition table `_CHANNELS`, read
@@ -303,13 +303,6 @@ def handed_on(handoff: np.ndarray):
         bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                       "state": {"state": sh << 64 | sl, "inc": ih << 64 | il}}
         yield bits
-
-
-def seeded_generators(seeds):
-    """`PCG64(seed)` for each uint64 seed, yielded in turn and seeded in bulk
-    (`_pcg_seeded`). They are one reused PCG64, so each is valid until the
-    next is taken."""
-    return handed_on(_pcg_seeded(np.asarray(seeds, dtype=np.uint64)))
 
 
 def sample_defective_sets(n: int, k: int, seeds) -> tuple:

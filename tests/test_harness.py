@@ -8,16 +8,18 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grouptest
-from grouptest import bounds
+from grouptest import bounds, harness
 from grouptest.algorithms import hgbsa
 from grouptest.bounds import NoiseModel, ProblemSize
 from grouptest.cli import main
 from grouptest.bounds import InputError
 from grouptest.harness import (
     MAX_BUDGETS,
+    MAX_DESIGN_CELLS,
     MAX_N,
     MAX_SUBMISSIONS,
     MAX_TRIAL_CELLS,
@@ -126,6 +128,66 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+CHANNELS = {"noiseless": NoiseModel.noiseless(), "erasure": NoiseModel.erasure(0.3),
+            "symmetric": NoiseModel.symmetric(0.1), "additive": NoiseModel.additive(0.1)}
+
+
+class TestCompChunks:
+    # (n, k, t, trials): `_run_comp` decodes max(1, COMP_CHUNK_CELLS // (t n))
+    # trials at a time, in batches of BATCH_CELLS // k trials
+    SPECS = {
+        "empty-rows": (3, 3, 300, 400),  # 145 a chunk, about 30% of rows empty
+        # 436 a chunk, and about 40% of the trials redrawn: at k = n above
+        # every trial decodes alike, here the redrawn design decides it
+        "redraws-decide": (10, 3, 30, 1000),
+        "chunks-of-8": (100, 5, 160, 257),  # the last chunk holds one trial
+        "k-is-n": (40, 40, 20, 450),  # chunks of 163 across batches of 409
+        "k-is-1": (50, 1, 30, 200),  # threshold 2^64: every cell is in
+        "chunk-of-one": (1000, 10, 200, 5),  # t x n above the chunk
+    }
+
+    @pytest.mark.parametrize("noise", list(CHANNELS))
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_run_trials_equal_run_trial(self, name, noise):
+        n, k, t, trials = self.SPECS[name]
+        chunk = max(1, harness.COMP_CHUNK_CELLS // (t * n))
+        batch = harness.BATCH_CELLS // k
+        assert trials > chunk or chunk == 1
+        assert (name == "k-is-n") == (trials > batch)
+        spec = ExperimentSpec(size=ProblemSize(n, k), algorithm="comp", noise=CHANNELS[noise],
+                              trials=trials, master_seed=n + t, comp_t=t)
+        assert run_trials(spec) == [run_trial(spec, i) for i in range(trials)]
+
+    def test_empty_rows_are_redrawn_in_every_chunk(self, monkeypatch):
+        # at (3, 3) every design has an empty row, so each trial of each chunk,
+        # the first slot or not, is redrawn on its own stream past its draw
+        spec = ExperimentSpec(size=ProblemSize(3, 3), algorithm="comp", trials=400,
+                              master_seed=2, comp_t=300)
+        redraw, redrawn = harness.comp_redraw, []
+        monkeypatch.setattr(harness, "comp_redraw", lambda *a: redrawn.append(a) or redraw(*a))
+        run_trials(spec)
+        assert len(redrawn) == 400
+
+    def test_breach_past_the_first_chunk_names_its_trial(self, monkeypatch):
+        # the first positive row of the 11th design reads negative: the chunk
+        # of 8 trials at t = 160 that holds it names trial 10, not its slot 2
+        negatives, calls = harness.design_negatives, []
+
+        def flipped(hit, noise, rng):
+            negative = negatives(hit, noise, rng)
+            calls.append(None)
+            if len(calls) == 11:
+                negative[np.flatnonzero(hit)[:1]] = True
+            return negative
+
+        monkeypatch.setattr(harness, "design_negatives", flipped)
+        spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp", trials=40,
+                              master_seed=4, comp_t=160)
+        assert harness.COMP_CHUNK_CELLS // (160 * 100) == 8
+        with pytest.raises(harness.InvariantBreach, match=r"\(master_seed=4, trial_index=10\)"):
+            run_trials(spec)
+
+
 class TestSpecChecks:
     def test_k_above_the_trial_cell_budget_rejected(self):
         # one trial holds about 32 cells a defective, so k <= 2^20
@@ -145,6 +207,21 @@ class TestSpecChecks:
         with pytest.raises(InputError, match="not both"):
             ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp", trials=2,
                            comp_t=comp_t, budget_range=(1, 2, 1))
+
+    def test_comp_design_cells_of_a_run_capped(self):
+        # trials x n x t, a sweep's t summed over its budgets; built only,
+        # never run (a run at the cap takes minutes)
+        def spec(trials, **budget):
+            return ExperimentSpec(size=ProblemSize(1024, 8), algorithm="comp", trials=trials,
+                                  **budget)
+        cells = 1024 * sum(range(7, 200, 3))
+        for trials, budget in ((MAX_DESIGN_CELLS // (1024 * 32), {"comp_t": 32}),
+                               (MAX_DESIGN_CELLS // cells, {"budget_range": (7, 199, 3)})):
+            spec(trials, **budget)
+            with pytest.raises(InputError, match=str(MAX_DESIGN_CELLS)):
+                spec(trials + 1, **budget)
+        with pytest.raises(InputError, match=str(MAX_DESIGN_CELLS)):
+            spec(10**12, comp_t=1000)  # once accepted: years of draws
 
     def test_unknown_algorithm_rejected(self):
         # a library caller can name any algorithm (the CLI's --alg choices

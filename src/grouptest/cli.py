@@ -126,11 +126,7 @@ def cmd_figure1(args) -> int:
 def cmd_capacity(args) -> int:
     rows = harness.capacity_scan(args.beta, sorted(args.n_list), args.alg,
                                  args.trials, args.seed)
-    lines = ["n,k,mean_tests,achieved_rate,guarantee_tests,guarantee_rate"]
-    for r in rows:
-        lines.append(f"{r.n},{r.k},{r.mean_tests:.6g},{r.achieved_rate:.6g},"
-                     f"{r.guarantee_tests},{r.guarantee_rate:.6g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(harness.capacity_csv_lines(rows)) + "\n", args.out)
     return 0
 
 

@@ -17,19 +17,19 @@ result does not depend on which other trials run with it. Trials are seeded
 and sampled in bulk a batch at a time (`_run_batch`) and folded by `tally`.
 COMP trials draw their designs from bulk-seeded streams into one reused
 buffer, a chunk of trials at a time, and decode each chunk with a handful of
-numpy calls (`_run_comp`); adaptive trials on a channel
-in `model.TRUTHFUL_CHANNELS` (noiseless, erasure) are answered together by
-`algorithms.batch_runs`, checked against the guarantee and landed through
-the erasures (`model.erasure_submissions`), and the others run one by one
-against a `TestOracle`. This module reads no noise output. `run_trial`
-seeds and samples one trial on its own: it is the reference, and replays
-any trial but those its own rows refuse (`limits(replay=True)`).
+numpy calls, the channel one `model.design_negatives` call (`_run_comp`);
+adaptive trials on a channel in `model.TRUTHFUL_CHANNELS` (noiseless,
+erasure) are answered together by `algorithms.batch_runs`, checked against
+the guarantee and landed through the erasures (`model.erasure_submissions`),
+and the others run one by one against a `TestOracle`. Which channel draws
+noise is `model`'s decision alone. `run_trial` seeds and samples one trial
+on its own: it is the reference, and replays any trial but those its own
+rows refuse (`limits(replay=True)`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -77,6 +77,10 @@ MAX_SUBMISSIONS = 1 << 32
 # (10^9 cells in 4.5 s; 2-core x86-64 VM, numpy 2.4.6), so a run at the cap
 # takes about 2.5 minutes.
 MAX_DESIGN_CELLS = 1 << 35
+# Fewest cells a COMP trial of each budget counts as in that row: a trial of
+# a few cells still costs 8-12 us (`simulate --alg comp --n 3 --k 1 --t 1`
+# on the same VM), about 1,800-2,700 cells at 4.5 ns a cell.
+COMP_TRIAL_CELLS = 1 << 11
 
 
 def _refuse_beyond(limits):
@@ -127,9 +131,10 @@ class ExperimentSpec:
         """One (value, bound, what) row per numeric limit of a run, each computed
         once the rows before it hold; a value above its bound refuses the run.
         COMP's two rows read its one budget, comp_t or a range: a trial's
-        cells at the range's t_max, and a run's over every budget, summed in
-        closed form. `replay` adds per-trial RBT's row, which holds its n
-        candidates, on every channel."""
+        cells at the range's t_max, and a run's over every budget, each trial
+        counted as at least `COMP_TRIAL_CELLS`, summed in closed form.
+        `replay` adds per-trial RBT's row, which holds its n candidates, on
+        every channel."""
         n, k = self.size.n, self.size.k
         yield n, MAX_N, "n"
         if self.budget_range is not None:
@@ -141,8 +146,14 @@ class ExperimentSpec:
             t_min, t_max, step = self.budget_range or (self.comp_t, self.comp_t, 1)
             yield t_max * n, MAX_TRIAL_CELLS, "COMP's design cells, t x n,"
             count = (t_max - t_min) // step + 1
-            yield (self.trials * n * (count * t_min + step * count * (count - 1) // 2),
-                   MAX_DESIGN_CELLS, "COMP's design cells of a run, trials x n x the sum of t,")
+            # the first `low` budgets have t x n below the floor
+            low = min(count, max(0, -((t_min * n - COMP_TRIAL_CELLS) // (step * n))))
+
+            def first(c):  # the sum of the first c budgets
+                return c * t_min + step * c * (c - 1) // 2
+            yield (self.trials * (n * (first(count) - first(low)) + low * COMP_TRIAL_CELLS),
+                   MAX_DESIGN_CELLS, f"COMP's design cells of a run, trials x the sum of "
+                   f"max(t x n, {COMP_TRIAL_CELLS}),")
         if self.algorithm == "rbt" and (replay or self.noise.kind not in TRUTHFUL_CHANNELS):
             yield n * (k + 4), MAX_TRIAL_CELLS, "per-trial RBT's items, n x (k + 4),"
         if self.algorithm in ADAPTIVE_ALGORITHMS and self.noise.kind is NoiseKind.ERASURE:
@@ -325,7 +336,7 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> tuple:
         verdict = "right" if success[i] else "wrongly"
         raise InvariantBreach(spec, start + i,
                               f"decoded {verdict} in {firm[i]} firm tests, guarantee {limit}")
-    return success, np.array(erasure_submissions(firm.tolist(), spec.noise, handoff))
+    return success, np.array(erasure_submissions(firm, spec.noise, handoff))
 
 
 def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds: np.ndarray,
@@ -338,9 +349,9 @@ def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds:
     holding a defective is never empty, so only the others are checked; a
     trial with an empty row has its stream set again from its seed and
     advanced past its t x n draws, and `comp_redraw` redraws those rows as
-    `comp_run` does. Each trial's outcomes go through the channel on the
-    stream sampling left (`design_negatives`, set from the handoff only on
-    a noisy channel, the one that draws from it). The chunk's negative rows
+    `comp_run` does. The chunk's outcomes go through the channel in one
+    `design_negatives` call, on the streams sampling left (one `handed_on`
+    iterator for the batch). The chunk's negative rows
     are compressed once (on the noiseless channel they are the rows already
     checked) and OR-reduced trial by trial into the items they clear; an
     item in no negative row is declared defective. On a channel in
@@ -349,8 +360,7 @@ def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds:
     n, k, t = spec.size.n, spec.size.k, spec.comp_t
     chunk = max(1, COMP_CHUNK_CELLS // (t * n))
     seeded = _pcg_seeded(derive_stream_seeds(trial_seeds, 1))
-    designs = handed_on(seeded)
-    rngs = repeat(None) if spec.noise.kind is NoiseKind.NOISELESS else handed_on(handoff)
+    designs, streams = handed_on(seeded), handed_on(handoff)
     buffer = np.empty((min(chunk, len(truths)), t, n), dtype=bool)
     success = np.empty(len(truths), dtype=bool)
     for lo in range(0, len(truths), chunk):
@@ -368,7 +378,7 @@ def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds:
                 bits.advance(t * n)  # past the outputs `comp_draw` took
                 comp_redraw(bits, k, design[i])
             hit[redrawn] = design[redrawn[:, None], :, truth[redrawn]].any(axis=1)
-        negative = np.array([design_negatives(h, spec.noise, rng) for h, rng in zip(hit, rngs)])
+        negative = design_negatives(hit, spec.noise, streams)
         if len(redrawn) or (negative == hit).any():  # else the rows at hand are the negative ones
             rows = design[negative]
         ends = np.cumsum(np.count_nonzero(negative, axis=1)).tolist()
@@ -432,6 +442,12 @@ def curve_csv_lines(curve: SuccessCurve, with_markers: bool = False) -> list[str
             row += f",{_fmt(curve.log2_binom_marker)},{curve.guarantee_marker}"
         lines.append(row)
     return lines
+
+
+def capacity_csv_lines(rows: Sequence[CapacityRow]) -> list[str]:
+    return ["n,k,mean_tests,achieved_rate,guarantee_tests,guarantee_rate"] + [
+        f"{r.n},{r.k},{_fmt(r.mean_tests)},{_fmt(r.achieved_rate)},"
+        f"{r.guarantee_tests},{_fmt(r.guarantee_rate)}" for r in rows]
 
 
 FIGURE1_CONFIGS = (

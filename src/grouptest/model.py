@@ -23,9 +23,9 @@ sets one numpy PCG64 only for a consumer that draws from it, COMP's
 design streams included.
 
 Every draw after sampling compares a PCG64 raw output with `_threshold`.
-Each noise channel is one row of the transition table `_CHANNELS`, read
-test by test by `TestOracle` and in bulk by its batched stand-ins,
-`design_negatives` and `erasure_submissions`. No other module draws noise.
+Each noise channel is one row of the transition table `_CHANNELS` (and of
+its int8 arrays), read by `TestOracle`, `design_negatives` (a COMP chunk at a
+time) and `erasure_submissions`; no other module draws noise.
 """
 from __future__ import annotations
 
@@ -363,11 +363,12 @@ _CHANNELS = {
 # answered from its truth alone (`algorithms.batch_runs`); the rest have no decoder.
 TRUTHFUL_CHANNELS = frozenset(kind for kind, (neg, pos) in _CHANNELS.items()
                               if {*neg} <= {0, 2} and {*pos} <= {1, 2})
+_CHANNEL_ARRAYS = {kind: np.array(rows, dtype=np.int8) for kind, rows in _CHANNELS.items()}
 
 
 def _channel_codes(hit: np.ndarray, corrupt: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """The outcome codes of raw outcomes `hit` (True: positive), corrupted where `corrupt`."""
-    return np.array(_CHANNELS[noise.kind])[hit.astype(np.intp), corrupt.astype(np.intp)]
+    return _CHANNEL_ARRAYS[noise.kind][hit.view(np.uint8), corrupt.view(np.uint8)]
 
 
 _BLOCK = 256  # noise outputs drawn per refill
@@ -375,18 +376,19 @@ _LANDING_ROWS = 256  # trials a landing pass steps together
 _LANDING_OUTPUTS = 1 << 14  # most outputs a landing pass steps, at most `_PASS` a trial
 
 
-def design_negatives(hit: np.ndarray, noise: NoiseModel, bits: np.random.PCG64) -> np.ndarray:
-    """Which rows of a design come out NEGATIVE as the first `test_design` of
-    a fresh `TestOracle` on `bits`, given each row's raw outcome `hit`: the
-    same channel on the same raw outputs. The oracle draws them 256 at a
-    time; this draws only those it reads, and a noiseless channel none."""
+def design_negatives(hit: np.ndarray, noise: NoiseModel, streams: Iterator) -> np.ndarray:
+    """Which rows of each trial's design, raw outcomes `hit` (trials x t), come
+    out NEGATIVE as a fresh `TestOracle`'s first `test_design` on its stream:
+    one PCG64 from `streams` a trial, in row order (none when noiseless), its
+    first t raw outputs through the channel in one compare and table read."""
     if noise.kind is NoiseKind.NOISELESS:
         return ~hit
-    corrupt = bits.random_raw(len(hit)) < _threshold(noise.p)
-    return _channel_codes(hit, corrupt, noise) == 0
+    raw = np.array([bits.random_raw(hit.shape[1]) for _, bits in zip(hit, streams)])
+    return _channel_codes(hit, raw < _threshold(noise.p), noise) == 0
 
 
-def erasure_submissions(firm: list[int], noise: NoiseModel, handoff: np.ndarray) -> list[int]:
+def erasure_submissions(firm: Sequence[int], noise: NoiseModel,
+                        handoff: np.ndarray) -> Sequence[int]:
     """Each trial's submissions on a channel in `TRUTHFUL_CHANNELS`, as
     `TestOracle.test` makes them on the PCG64 `handed_on` sets to its column
     of the handoff. Under erasure its `firm` tests land in order on

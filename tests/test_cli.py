@@ -360,9 +360,10 @@ def test_comp_clearing_a_defective_exits_1_on_a_truthful_channel(capsys, monkeyp
     # TRUTHFUL_CHANNELS that cannot happen, elsewhere it is a failed trial
     negatives = harness.design_negatives
 
-    def flipped(hit, noise, rng):
-        negative = negatives(hit, noise, rng)
-        negative[np.flatnonzero(hit)[:1]] = True
+    def flipped(hit, noise, streams):
+        negative = negatives(hit, noise, streams)
+        held = np.flatnonzero(hit.any(axis=1))
+        negative[held, hit[held].argmax(axis=1)] = True
         return negative
 
     monkeypatch.setattr(harness, "design_negatives", flipped)
@@ -379,9 +380,10 @@ def test_comp_breach_in_a_sweep_names_the_budget_that_rebuilds_it(capsys, monkey
     # that seed and the budget t, which rebuild the spec whose batch breached
     negatives, run_comp, ran = harness.design_negatives, harness._run_comp, []
 
-    def flipped(hit, noise, rng):
-        negative = negatives(hit, noise, rng)
-        negative[np.flatnonzero(hit)[:1]] = True
+    def flipped(hit, noise, streams):
+        negative = negatives(hit, noise, streams)
+        held = np.flatnonzero(hit.any(axis=1))
+        negative[held, hit[held].argmax(axis=1)] = True
         return negative
 
     monkeypatch.setattr(harness, "design_negatives", flipped)

@@ -18,6 +18,7 @@ from grouptest.bounds import NoiseModel, ProblemSize
 from grouptest.cli import main
 from grouptest.bounds import InputError
 from grouptest.harness import (
+    COMP_TRIAL_CELLS,
     MAX_BUDGETS,
     MAX_DESIGN_CELLS,
     MAX_N,
@@ -168,16 +169,29 @@ class TestCompChunks:
         run_trials(spec)
         assert len(redrawn) == 400
 
+    @pytest.mark.parametrize("noise", list(CHANNELS))
+    def test_one_channel_call_a_chunk(self, monkeypatch, noise):
+        # 257 trials at t = 160 are 32 chunks of 8 and a last one of 1, and
+        # each chunk's rows go through the channel in one call
+        negatives, chunks = harness.design_negatives, []
+        monkeypatch.setattr(harness, "design_negatives",
+                            lambda hit, *a: chunks.append(len(hit)) or negatives(hit, *a))
+        spec = ExperimentSpec(size=ProblemSize(100, 5), algorithm="comp", noise=CHANNELS[noise],
+                              trials=257, master_seed=1, comp_t=160)
+        run_trials(spec)
+        assert chunks == [8] * 32 + [1]
+
     def test_breach_past_the_first_chunk_names_its_trial(self, monkeypatch):
         # the first positive row of the 11th design reads negative: the chunk
         # of 8 trials at t = 160 that holds it names trial 10, not its slot 2
-        negatives, calls = harness.design_negatives, []
+        negatives, sizes = harness.design_negatives, []
 
-        def flipped(hit, noise, rng):
-            negative = negatives(hit, noise, rng)
-            calls.append(None)
-            if len(calls) == 11:
-                negative[np.flatnonzero(hit)[:1]] = True
+        def flipped(hit, noise, streams):
+            negative = negatives(hit, noise, streams)
+            row = 10 - sum(sizes)  # trial 10's row, if this chunk holds it
+            if 0 <= row < len(hit):
+                negative[row, np.flatnonzero(hit[row])[:1]] = True
+            sizes.append(len(hit))
             return negative
 
         monkeypatch.setattr(harness, "design_negatives", flipped)
@@ -222,6 +236,23 @@ class TestSpecChecks:
                 spec(trials + 1, **budget)
         with pytest.raises(InputError, match=str(MAX_DESIGN_CELLS)):
             spec(10**12, comp_t=1000)  # once accepted: years of draws
+
+    def test_comp_trial_counted_at_least_its_floor(self):
+        # a trial of a few cells costs about as much as one of
+        # COMP_TRIAL_CELLS; built only, never run
+        def spec(size, trials, **budget):
+            return ExperimentSpec(size=size, algorithm="comp", trials=trials, **budget)
+        tiny = ProblemSize(3, 1)
+        spec(tiny, MAX_DESIGN_CELLS // COMP_TRIAL_CELLS, comp_t=1)
+        for trials in (MAX_DESIGN_CELLS // COMP_TRIAL_CELLS + 1, 11_453_246_122):
+            with pytest.raises(InputError, match=str(MAX_DESIGN_CELLS)):
+                spec(tiny, trials, comp_t=1)  # the second once ran about 30 hours
+        # a sweep whose budgets lie on both sides of the floor: t <= 20 below it
+        cells = sum(max(t * 100, COMP_TRIAL_CELLS) for t in range(1, 61, 3))
+        assert cells > 100 * sum(range(1, 61, 3))
+        spec(ProblemSize(100, 5), MAX_DESIGN_CELLS // cells, budget_range=(1, 60, 3))
+        with pytest.raises(InputError, match=str(MAX_DESIGN_CELLS)):
+            spec(ProblemSize(100, 5), MAX_DESIGN_CELLS // cells + 1, budget_range=(1, 60, 3))
 
     def test_unknown_algorithm_rejected(self):
         # a library caller can name any algorithm (the CLI's --alg choices

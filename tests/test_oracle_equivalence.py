@@ -36,7 +36,7 @@ from grouptest.algorithms import (
     hwang_variant,
     repeated_binary_testing,
 )
-from grouptest.bounds import NoiseModel, ProblemSize
+from grouptest.bounds import NoiseKind, NoiseModel, ProblemSize
 from grouptest.cli import main
 from grouptest.harness import ExperimentSpec, figure1_experiment, run_trial, run_trials
 from grouptest.model import (_PCG_MULT, Outcome, TestOracle, design_negatives,
@@ -395,9 +395,37 @@ def test_every_cell_of_the_channel_table(noise, cells):
         assert [out for _, out in log] == list(cells[raw])
     oracle = TestOracle(2, {1}, noise, CyclingUniforms(dealt))
     assert oracle.test_design([[1, 0]] * 3 + [[0, 1]] * 3) == [*cells[N], *cells[P]]
-    hit = np.array([False] * 3 + [True] * 3)
-    assert (design_negatives(hit, noise, CyclingUniforms(dealt)).tolist()
+    hit = np.array([[False] * 3 + [True] * 3])
+    assert (design_negatives(hit, noise, iter([CyclingUniforms(dealt)]))[0].tolist()
             == [out is N for out in (*cells[N], *cells[P])])
+
+
+class Untouchable:
+    """An iterator that fails the test if it is advanced."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("a stream was taken")
+
+
+@pytest.mark.parametrize("noise", [noise for noise, _ in CHANNEL_CELLS],
+                         ids=[noise.kind.value for noise, _ in CHANNEL_CELLS])
+def test_design_negatives_reads_a_chunk_as_each_oracle_reads_its_trial(noise):
+    # one call over 7 trials of 300 rows, so each row's draw crosses a block
+    # of 256 raw outputs; item 1 is the defective, and a row holds it or item 0.
+    # The noiseless channel takes no stream; the others one a row, in row order
+    hit = np.random.Generator(np.random.PCG64(3)).random((7, 300)) < 0.5
+    noiseless = noise.kind is NoiseKind.NOISELESS
+    streams = Untouchable() if noiseless else iter([make_rng(9, i) for i in range(8)])
+    negative = design_negatives(hit, noise, streams)
+    for i, row in enumerate(hit):
+        oracle = TestOracle(2, {1}, noise, make_rng(9, i))
+        assert negative[i].tolist() == [out is N for out in
+                                        oracle.test_design(np.eye(2, dtype=bool)[row.astype(int)])]
+    if not noiseless:  # and no more than one a row
+        assert next(streams).random_raw() == make_rng(9, 7).random_raw()
 
 
 # erasure probabilities from the smallest positive p a uniform can beat (only

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Outcome, _threshold
+from .model import Outcome, draw_below
 
 
 class SearchOverrun(Exception):
@@ -235,31 +235,18 @@ def hwang_variant(oracle, n: int, k: int) -> RunResult:
                      tests_used=oracle.tests_used)
 
 
-def comp_draw(bits: np.random.PCG64, k: int, design: np.ndarray) -> np.ndarray:
-    """The first draw of `comp_design`, empty rows left as drawn: a cell of
-    the boolean t x n `design` is in when its PCG64 raw output is below
-    `model._threshold(1 / k)`, drawn 2^16 cells (or one row) at a time, so
-    no t x n draw is held. Returns `design`."""
-    raw, threshold = bits.random_raw, _threshold(1.0 / k)
-    rows = max(1, 2**16 // design.shape[1])
-    for r in range(0, len(design), rows):
-        np.less(raw(design[r:r + rows].shape), threshold, out=design[r:r + rows])
-    return design
-
-
 def comp_redraw(bits: np.random.PCG64, k: int, design: np.ndarray) -> np.ndarray:
-    """Redraw each empty row of `design` from `bits`, as `comp_draw` draws,
+    """Redraw each empty row of `design` from `bits`, as `comp_design` draws,
     on the outputs that follow, until none is empty. Returns `design`."""
-    raw, threshold = bits.random_raw, _threshold(1.0 / k)
     while (empty := ~design.any(axis=1)).any():
-        design[empty] = raw((int(empty.sum()), design.shape[1])) < threshold
+        design[empty] = draw_below(bits, 1.0 / k, design[empty])  # a fresh copy of the rows
     return design
 
 
 def comp_design(bits: np.random.PCG64, k: int, design: np.ndarray) -> np.ndarray:
     """COMP's Bernoulli(1/k) design drawn from `bits` into the boolean t x n
-    `design` (`comp_draw`), with no empty row (`comp_redraw`). Returns `design`."""
-    return comp_redraw(bits, k, comp_draw(bits, k, design))
+    `design` (`model.draw_below`), with no empty row (`comp_redraw`). Returns `design`."""
+    return comp_redraw(bits, k, draw_below(bits, 1.0 / k, design))
 
 
 def comp_run(oracle, n: int, k: int, t: int, bits: np.random.PCG64) -> RunResult:

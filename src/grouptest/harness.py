@@ -37,18 +37,18 @@ import numpy as np
 
 from . import bounds
 from .algorithms import (ADAPTIVE_ALGORITHMS, ALGORITHM_NAMES, SearchOverrun, batch_runs,
-                         comp_draw, comp_redraw, comp_run)
+                         comp_redraw, comp_run)
 from .bounds import InputError, NoiseKind, NoiseModel, ProblemSize
 from .model import (TRUTHFUL_CHANNELS, TestOracle, derive_stream_seed, derive_stream_seeds,
-                    _pcg_seeded, design_negatives, erasure_submissions, handed_on, make_rng,
-                    sample_defective_set, sample_defective_sets)
+                    _pcg_seeded, design_negatives, draw_below, erasure_submissions, handed_on,
+                    make_rng, sample_defective_set, sample_defective_sets)
 
 _WILSON_Z = 1.959963984540054  # 95%
 # Most cells one trial may hold, so that it stays under about 350 MB: COMP's
 # bool t x n design (a byte a cell, so a chunk holds max(COMP_CHUNK_CELLS,
-# t x n) bytes of design; `comp_draw` draws its uint64 raw outputs 2^16 at a
-# time), 32 cells a defective to sample and walk (240 MB at 2^20), and
-# per-trial RBT's n x (k + 4): a trial holds its n-item candidate list
+# t x n) bytes of design, and a noisy one a byte a test of noise flags: 196 MiB
+# peak at n = 1, t = 2^25), 32 cells a defective to sample and walk (240 MB at
+# 2^20), and per-trial RBT's n x (k + 4): a trial holds its n-item candidate list
 # (322 MiB peak at (6710886, 1)), and the k + 4 factor tracks the pool slices
 # its k rounds copy (48 MiB peak, about 0.5 s a trial, at (322638, 100)).
 MAX_TRIAL_CELLS = 1 << 25
@@ -132,7 +132,7 @@ class ExperimentSpec:
         once the rows before it hold; a value above its bound refuses the run.
         COMP's two rows read its one budget, comp_t or a range: a trial's
         cells at the range's t_max, and a run's over every budget, each trial
-        counted as at least `COMP_TRIAL_CELLS`, summed in closed form.
+        counted as at least `COMP_TRIAL_CELLS`, summed over budgets an earlier row caps.
         `replay` adds per-trial RBT's row, which holds its n candidates, on
         every channel."""
         n, k = self.size.n, self.size.k
@@ -145,13 +145,8 @@ class ExperimentSpec:
         if self.algorithm == "comp":
             t_min, t_max, step = self.budget_range or (self.comp_t, self.comp_t, 1)
             yield t_max * n, MAX_TRIAL_CELLS, "COMP's design cells, t x n,"
-            count = (t_max - t_min) // step + 1
-            # the first `low` budgets have t x n below the floor
-            low = min(count, max(0, -((t_min * n - COMP_TRIAL_CELLS) // (step * n))))
-
-            def first(c):  # the sum of the first c budgets
-                return c * t_min + step * c * (c - 1) // 2
-            yield (self.trials * (n * (first(count) - first(low)) + low * COMP_TRIAL_CELLS),
+            yield (self.trials * sum(max(t * n, COMP_TRIAL_CELLS)
+                                     for t in range(t_min, t_max + 1, step)),
                    MAX_DESIGN_CELLS, f"COMP's design cells of a run, trials x the sum of "
                    f"max(t x n, {COMP_TRIAL_CELLS}),")
         if self.algorithm == "rbt" and (replay or self.noise.kind not in TRUTHFUL_CHANNELS):
@@ -345,18 +340,18 @@ def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds:
     an oracle, a chunk of max(1, `COMP_CHUNK_CELLS` // (t x n)) trials at a
     time. Each trial's design comes from stream 1 of its trial seed, seeded
     in bulk and drawn into its slot of one reused (chunk, t, n) buffer
-    (`comp_draw`), and the chunk's raw row outcomes are one gather. A row
-    holding a defective is never empty, so only the others are checked; a
+    (`model.draw_below`), and the chunk's raw row outcomes are one gather. A
+    row holding a defective is never empty, so only the others are checked; a
     trial with an empty row has its stream set again from its seed and
     advanced past its t x n draws, and `comp_redraw` redraws those rows as
     `comp_run` does. The chunk's outcomes go through the channel in one
-    `design_negatives` call, on the streams sampling left (one `handed_on`
-    iterator for the batch). The chunk's negative rows
-    are compressed once (on the noiseless channel they are the rows already
-    checked) and OR-reduced trial by trial into the items they clear; an
-    item in no negative row is declared defective. On a channel in
-    `TRUTHFUL_CHANNELS` a negative row holds no defective, so one that
-    clears a defective is an `InvariantBreach`."""
+    `design_negatives` call, a byte a test of noise flags drawn on the
+    streams sampling left (one `handed_on` iterator for the batch). The
+    chunk's negative rows are compressed once (on the noiseless channel they
+    are the rows already checked) and OR-reduced trial by trial into the
+    items they clear; an item in no negative row is declared defective. On a
+    channel in `TRUTHFUL_CHANNELS` a negative row holds no defective, so one
+    that clears a defective is an `InvariantBreach`."""
     n, k, t = spec.size.n, spec.size.k, spec.comp_t
     chunk = max(1, COMP_CHUNK_CELLS // (t * n))
     seeded = _pcg_seeded(derive_stream_seeds(trial_seeds, 1))
@@ -368,14 +363,14 @@ def _run_comp(spec: ExperimentSpec, start: int, truths: np.ndarray, trial_seeds:
         design, slots = buffer[:len(truth)], np.arange(len(truth))
         cleared = np.empty((len(truth), n), dtype=bool)
         for d in design:
-            comp_draw(next(designs), k, d)
+            draw_below(next(designs), 1.0 / k, d)
         hit = design[slots[:, None], :, truth].any(axis=1)
         rows, emptied = design[~hit], np.zeros(len(truth), dtype=bool)
         emptied[np.nonzero(~hit)[0][~rows.any(axis=1)]] = True
         redrawn = np.flatnonzero(emptied)
         if len(redrawn):
             for i, bits in zip(redrawn.tolist(), handed_on(seeded[:, lo + redrawn])):
-                bits.advance(t * n)  # past the outputs `comp_draw` took
+                bits.advance(t * n)  # past the outputs its design took
                 comp_redraw(bits, k, design[i])
             hit[redrawn] = design[redrawn[:, None], :, truth[redrawn]].any(axis=1)
         negative = design_negatives(hit, spec.noise, streams)

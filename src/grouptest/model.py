@@ -22,10 +22,11 @@ state and inc as plain numbers (see `_pcg_seeded`), to which `handed_on`
 sets one numpy PCG64 only for a consumer that draws from it, COMP's
 design streams included.
 
-Every draw after sampling compares a PCG64 raw output with `_threshold`.
-Each noise channel is one row of the transition table `_CHANNELS` (and of
-its int8 arrays), read by `TestOracle`, `design_negatives` (a COMP chunk at a
-time) and `erasure_submissions`; no other module draws noise.
+Every draw after sampling compares a PCG64 raw output with `_threshold`, on
+a numpy PCG64 in one bool fill (`draw_below`): COMP's design and noise flags,
+the oracle's blocks. Each noise channel is one row of the transition table
+`_CHANNELS` (and of its int8 arrays), read by `TestOracle`, `design_negatives`
+(a COMP chunk at a time) and `erasure_submissions`; no other module draws noise.
 """
 from __future__ import annotations
 
@@ -374,17 +375,33 @@ def _channel_codes(hit: np.ndarray, corrupt: np.ndarray, noise: NoiseModel) -> n
 _BLOCK = 256  # noise outputs drawn per refill
 _LANDING_ROWS = 256  # trials a landing pass steps together
 _LANDING_OUTPUTS = 1 << 14  # most outputs a landing pass steps, at most `_PASS` a trial
+_DRAW_BLOCK = 1 << 16  # most raw outputs `draw_below` holds at once
+
+
+def draw_below(bits: np.random.PCG64, p: float, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous bool array `out`, in C order, with whether each
+    next raw output of `bits` is below `_threshold(p)`. Returns `out`; raises
+    ValueError on any other `out`, which a reshape would copy, unfilled."""
+    if not out.flags.c_contiguous:
+        raise ValueError("draw_below fills only a C-contiguous array")
+    flat, threshold = out.reshape(-1), _threshold(p)
+    for lo in range(0, flat.size, _DRAW_BLOCK):
+        block = flat[lo:lo + _DRAW_BLOCK]
+        np.less(bits.random_raw(block.size), threshold, out=block)
+    return out
 
 
 def design_negatives(hit: np.ndarray, noise: NoiseModel, streams: Iterator) -> np.ndarray:
     """Which rows of each trial's design, raw outcomes `hit` (trials x t), come
     out NEGATIVE as a fresh `TestOracle`'s first `test_design` on its stream:
-    one PCG64 from `streams` a trial, in row order (none when noiseless), its
-    first t raw outputs through the channel in one compare and table read."""
+    exactly one PCG64 from `streams` a trial, in row order (none when noiseless),
+    its first t noise flags drawn into its row (`draw_below`), one table read."""
     if noise.kind is NoiseKind.NOISELESS:
         return ~hit
-    raw = np.array([bits.random_raw(hit.shape[1]) for _, bits in zip(hit, streams)])
-    return _channel_codes(hit, raw < _threshold(noise.p), noise) == 0
+    corrupt = np.empty(hit.shape, dtype=bool)
+    for row in corrupt:
+        draw_below(next(streams), noise.p, row)
+    return _channel_codes(hit, corrupt, noise) == 0
 
 
 def erasure_submissions(firm: Sequence[int], noise: NoiseModel,
@@ -418,10 +435,10 @@ def erasure_submissions(firm: Sequence[int], noise: NoiseModel,
     return used.tolist()
 
 
-def _corruptions(bits: np.random.PCG64, threshold: int) -> Iterator[bool]:
-    """Whether each raw output of `bits` is below `threshold`, drawn lazily `_BLOCK` at a time."""
-    below = map(np.less, map(bits.random_raw, repeat(_BLOCK)), repeat(threshold))
-    return chain.from_iterable(map(np.ndarray.tolist, below))
+def _corruptions(bits: np.random.PCG64, p: float) -> Iterator[bool]:
+    """Whether each raw output of `bits` is below `_threshold(p)`, `_BLOCK` at a time."""
+    blocks = map(draw_below, repeat(bits), repeat(p), repeat(np.empty(_BLOCK, dtype=bool)))
+    return chain.from_iterable(map(np.ndarray.tolist, blocks))
 
 
 class TestOracle:
@@ -448,9 +465,9 @@ class TestOracle:
       the bit generator `bits`, corrupted iff r < `_threshold(p)`; a
       noiseless test still uses up its output. `test` and `test_design` read
       one stream (`_corruptions`).
-    - The stream draws `random_raw(256)` at a time, so after the last test
-      `bits` sits ceil(tests_used / 256) * 256 outputs on. Do not draw from
-      `bits` once it is handed to the oracle.
+    - The stream fills a block of 256 flags at a time (`draw_below`), so
+      after the last test `bits` sits ceil(tests_used / 256) * 256 outputs
+      on. Do not draw from `bits` once it is handed to the oracle.
     """
 
     def __init__(self, n: int, truth: Iterable[int], noise: NoiseModel,
@@ -463,7 +480,7 @@ class TestOracle:
         self.noise = noise
         self.tests_used = 0
         self._sorted_truth = sorted(truth)
-        self._corrupt = _corruptions(bits, _threshold(noise.p))
+        self._corrupt = _corruptions(bits, noise.p)
         self._channel = _CHANNELS[noise.kind]
 
     def test(self, pool: Sequence[int]) -> Outcome:

@@ -503,6 +503,17 @@ def test_noisy_trial_peak_memory_does_not_grow_with_its_tests():
     assert large - small < 16 << 10, (small, large)
 
 
+def test_noisy_comp_peak_memory_grows_by_under_8_bytes_a_test():
+    # at n = 1 a noisy COMP trial holds its design, its outcomes and its
+    # noise flags at a byte a test each (`model.draw_below` holds 2^16 raw
+    # outputs at a time), so 2^25 tests peak under 8 bytes a test above
+    # 2^22: about +141 MiB (noiseless +113 MiB; a uint64 raw output a test
+    # grew it by about 512 MiB)
+    small, large = peak_rss_at_two_values(
+        "simulate --alg comp --n 1 --k 1 --noise symmetric:0.1 --trials 1 --t 4194304 33554432")
+    assert large - small < 8 * (33554432 - 4194304) >> 10, (small, large)
+
+
 def test_internal_value_error_is_not_exit_2(monkeypatch):
     # only an InputError is an argument error; any other ValueError is a fault;
     # every run goes through `_run_batch`

@@ -145,6 +145,9 @@ class TestCompChunks:
         "k-is-n": (40, 40, 20, 450),  # chunks of 163 across batches of 409
         "k-is-1": (50, 1, 30, 200),  # threshold 2^64: every cell is in
         "chunk-of-one": (1000, 10, 200, 5),  # t x n above the chunk
+        # 210,000 design cells and 70,000 noise flags a trial, each across a
+        # block of 2^16 outputs (`model.draw_below`); about a row in eight redrawn
+        "blocks-crossed": (3, 2, 70000, 3),
     }
 
     @pytest.mark.parametrize("noise", list(CHANNELS))

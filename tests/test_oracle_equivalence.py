@@ -523,6 +523,25 @@ def test_raw_below_threshold_is_uniform_below_x():
         assert (raw < model._threshold(1.0)).all()
 
 
+@pytest.mark.parametrize("shape", [(0,), (256,), (3, 70000)])
+@pytest.mark.parametrize("p", [0, 1 / 3, 1])
+def test_draw_below_fills_in_c_order_past_its_blocks(shape, p):
+    # (3, 70000) crosses the 2^16-output block within its first row; the
+    # fill reads the outputs a single draw would, and leaves the stream
+    # just past them
+    size = math.prod(shape)
+    bits, fresh = np.random.PCG64(43), np.random.PCG64(43)
+    out = np.empty(shape, dtype=bool)
+    assert model.draw_below(bits, p, out) is out
+    assert (out == (fresh.random_raw(size).reshape(shape) < model._threshold(p))).all()
+    assert bits.state == fresh.state
+    # a reshape would copy these, so they would be left unfilled
+    for strided in (np.empty((3, 8), dtype=bool)[:, ::2], np.empty((3, 4), dtype=bool, order="F")):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            model.draw_below(bits, p, strided)
+    assert bits.state == fresh.state
+
+
 def test_erasure_submissions_at_p1():
     handoff = handoff_of(np.random.PCG64(j) for j in range(3))
     assert erasure_submissions([0, 0, 0], NoiseModel.erasure(1.0), handoff) == [0, 0, 0]

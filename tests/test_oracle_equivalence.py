@@ -872,7 +872,10 @@ def test_figure1_csvs_pinned(tmp_path):
 # is drawn on its own by `model._bounded_draws` (64-bit then 32-bit ranges
 # past 2^32, each trial run against a `TestOracle`; and k = 10^5, where every
 # row has a rejected draw), computed while the per-trial sampler still kept
-# numpy's held 32-bit half in step.
+# numpy's held 32-bit half in step; then for four argvs whose every row the
+# bulk sampler still sent to `_bounded_draws` (64-bit draws at n = 2^53 and
+# 2^40, a range of exactly 2^32, and k = n, where the last draw takes no
+# word), read by the batched run, the erasure landing and the oracle.
 CLI_STDOUT_SHA256 = {
     "sweep --alg comp --n 100 --k 5 --t-min 40 --t-max 160 --step 10 --trials 300 --seed 1":
         "65f1a3457bda2d053cd0102bf737299a8614f01e48325db50589772701fdddc9",
@@ -897,6 +900,14 @@ CLI_STDOUT_SHA256 = {
         "5a71b8ea320602adc35affd5dba4de85a355bafb9bd75114239b6f3c0255e418",
     "simulate --alg variant --n 1000000 --k 100000 --trials 2 --seed 3":
         "f26bac2ae37e2297543b2198bc727eca519077d04d1b3710ed184592a795acc5",
+    "simulate --alg rbt --n 9007199254740992 --k 3 --trials 20000 --seed 3":
+        "23a4e2fdcd0966923678b1ef0ba1f184bb102ce38e0ff79363bd4d05ce287866",
+    "simulate --alg variant --n 1099511627776 --k 30 --noise erasure:0.25 --trials 2000 --seed 3":
+        "fee232b919746269966bee4cfc36d65636d25f0ba06567a74bceb333e3f5d910",
+    "simulate --alg hgbsa --n 4294967296 --k 30 --noise additive:0.01 --trials 1200 --seed 3":
+        "4cffafbf929a6b6e19a282989cf372c808f70115dc945cae4f113db14ecda31b",
+    "simulate --alg rbt --n 64 --k 64 --noise symmetric:0.01 --trials 1000 --seed 3":
+        "4c32f4ee9293b84df801a56cc72c312366c60f526db190ead3617803b66d2e80",
 }
 
 

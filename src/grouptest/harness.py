@@ -23,8 +23,8 @@ erasure) are answered together by `algorithms.batch_runs`, checked against
 the guarantee and landed through the erasures (`model.erasure_submissions`),
 and the others run one by one against a `TestOracle`. Which channel draws
 noise is `model`'s decision alone. `run_trial` seeds and samples one trial
-on its own: it is the reference, and replays any trial but those its own
-rows refuse (`limits(replay=True)`).
+on its own: it is the reference, and replays any trial of a built spec but
+per-trial RBT's above its row (`_rbt_row`), on any channel.
 """
 from __future__ import annotations
 
@@ -83,6 +83,11 @@ MAX_DESIGN_CELLS = 1 << 35
 COMP_TRIAL_CELLS = 1 << 11
 
 
+def _rbt_row(size: ProblemSize):
+    """Per-trial RBT's limit row: a trial holds its n-item candidate list."""
+    return size.n * (size.k + 4), MAX_TRIAL_CELLS, "per-trial RBT's items, n x (k + 4),"
+
+
 def _refuse_beyond(limits):
     """Raise `InputError` at the first (value, bound, what) row above its bound."""
     for value, bound, what in limits:
@@ -127,14 +132,12 @@ class ExperimentSpec:
         if self.algorithm == "comp" and t_min < 1:
             raise InputError(f"COMP needs t >= 1, got {t_min}")
 
-    def limits(self, replay: bool = False):
+    def limits(self):
         """One (value, bound, what) row per numeric limit of a run, each computed
         once the rows before it hold; a value above its bound refuses the run.
         COMP's two rows read its one budget, comp_t or a range: a trial's
         cells at the range's t_max, and a run's over every budget, each trial
-        counted as at least `COMP_TRIAL_CELLS`, summed over budgets an earlier row caps.
-        `replay` adds per-trial RBT's row, which holds its n candidates, on
-        every channel."""
+        counted as at least `COMP_TRIAL_CELLS`, summed over budgets an earlier row caps."""
         n, k = self.size.n, self.size.k
         yield n, MAX_N, "n"
         if self.budget_range is not None:
@@ -149,8 +152,8 @@ class ExperimentSpec:
                                      for t in range(t_min, t_max + 1, step)),
                    MAX_DESIGN_CELLS, f"COMP's design cells of a run, trials x the sum of "
                    f"max(t x n, {COMP_TRIAL_CELLS}),")
-        if self.algorithm == "rbt" and (replay or self.noise.kind not in TRUTHFUL_CHANNELS):
-            yield n * (k + 4), MAX_TRIAL_CELLS, "per-trial RBT's items, n x (k + 4),"
+        if self.algorithm == "rbt" and self.noise.kind not in TRUTHFUL_CHANNELS:
+            yield _rbt_row(self.size)
         if self.algorithm in ADAPTIVE_ALGORITHMS and self.noise.kind is NoiseKind.ERASURE:
             yield (self.trials * guarantee_for(self.algorithm, self.size),
                    MAX_SUBMISSIONS * (1.0 - self.noise.p), f"trials x guarantee at erasure "
@@ -228,9 +231,11 @@ def guarantee_for(algorithm: str, size: ProblemSize) -> int:
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     """One trial, fully determined by (spec, trial_index) and seeded on its
     own: the reference `run_trials` is checked against, and its replay. It
-    refuses, before it samples, what it cannot run: COMP without comp_t, and
-    a row of `spec.limits(replay=True)` above its bound."""
-    _runnable(spec, replay=True)
+    refuses, before it samples, COMP without comp_t and, on any channel, RBT
+    above `_rbt_row`'s bound; a built spec has passed every other row."""
+    _runnable(spec)
+    if spec.algorithm == "rbt":
+        _refuse_beyond([_rbt_row(spec.size)])
     seed = derive_stream_seed(spec.master_seed, trial_index)
     rng = make_rng(seed, 0)
     return _run_oracle(spec, sample_defective_set(spec.size.n, spec.size.k, rng), seed, rng)
@@ -253,14 +258,10 @@ def _run_oracle(spec: ExperimentSpec, truth, seed: int, rng) -> TrialResult:
     return TrialResult(success=result.estimate == oracle.truth, tests_used=result.tests_used)
 
 
-def _runnable(spec: ExperimentSpec, replay: bool = False):
-    """Raise `InputError` for a spec whose trials cannot run: COMP with no
-    comp_t (`success_curve` sweeps a budget range, one comp_t a budget) or,
-    to replay a trial, a row of `spec.limits(replay=True)` above its bound."""
+def _runnable(spec: ExperimentSpec):
+    """Raise `InputError` for COMP with no comp_t (a sweep runs one comp_t a budget)."""
     if spec.algorithm == "comp" and spec.comp_t is None:
         raise InputError("comp trials need comp_t; success_curve sweeps a budget range")
-    if replay:
-        _refuse_beyond(spec.limits(replay=True))
 
 
 def _batches(spec: ExperimentSpec):

@@ -17,10 +17,10 @@ taken as numpy 2.4.6 takes them on a fresh stream. `derive_stream_seeds`
 and `sample_defective_sets` compute the same seeds, sets and stream states
 for many trials at once with numpy, bit for bit: SeedSequence's hash, PCG64
 with its 128-bit state in two uint64 halves, stepped by jumps from one table
-(`_lcg_run`), and the same Lemire step. They hand on each trial's PCG64
-state and inc as plain numbers (see `_pcg_seeded`), to which `handed_on`
-sets one numpy PCG64 only for a consumer that draws from it, COMP's
-design streams included.
+(`_lcg_run`), and the same Lemire steps; only a row with a rejected draw is
+drawn again, on its own. They hand on each trial's PCG64 state and inc as
+plain numbers (see `_pcg_seeded`), to which `handed_on` sets one numpy PCG64
+only for a consumer that draws from it, COMP's design streams included.
 
 Every draw after sampling compares a PCG64 raw output with `_threshold`, on
 a numpy PCG64 in one bool fill (`draw_below`): COMP's design and noise flags,
@@ -314,31 +314,29 @@ def sample_defective_sets(n: int, k: int, seeds) -> tuple:
     `_pcg_seeded`), and `handed_on` sets a PCG64 to it. All rows are drawn
     at once: the caller bounds len(seeds) x k (`harness.BATCH_CELLS`).
 
-    Each stage runs over many rows with numpy: `SeedSequence`'s hash (uint32
-    arithmetic), PCG64's seeding and LCG steps (O'Neill 2014; `_lcg_run`)
-    with its XSL-RR output, and the bounded draws on the 32-bit halves of
-    each output (`_lemire32`). A row whose swap targets are distinct picks
-    them; the others, about k^2 / 2n of the rows, follow their swaps with
-    `_fisher_yates`. A row with a rejected draw, and every row when
-    n > 2^32 - 1 (64-bit draws) or k == n (the last draw takes no word), is
-    drawn on its own by `_bounded_draws` on the same arithmetic."""
+    Each stage runs over many rows with numpy: `SeedSequence`'s hash, PCG64's
+    seeding, LCG steps (O'Neill 2014; `_lcg_run`) and output, and the bounded
+    draws as `_bounded_draws` takes them. Rows whose swap targets repeat, about
+    k^2 / 2n of them, follow their swaps with `_fisher_yates`. Only a row with
+    a rejected draw is drawn on its own, by `_bounded_draws`, at any n and k."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     seeded = _pcg_seeded(np.asarray(seeds, dtype=np.uint64))
     handoff = seeded.copy()
-    truths = np.empty((seeded.shape[1], k), dtype=np.int64)
-    slow = np.ones(len(truths), dtype=bool)
-    if k < n <= _U32 and len(truths):
-        out = _raw_outputs(handoff, (k + 1) // 2)  # two 32-bit words an output, low first
-        draws, rejected = _lemire32(out.astype("<u8", copy=False).view("<u4")[:, :k],
-                                    n - np.arange(k, dtype=np.uint64))
-        truths, slow = draws.astype(np.int64), rejected.any(axis=1)  # slow rows: drawn again
-        j = truths + np.arange(k)
-        ordered = np.sort(j, axis=1)
-        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) & ~slow
-        for r in np.flatnonzero(repeats).tolist():
-            j[r] = _fisher_yates(truths[r].tolist())
-        truths[~slow] = j[~slow]
+    ranges = n - np.arange(k - (k == n), dtype=np.uint64)  # a last range of 1 draws 0
+    wide = min(len(ranges), max(0, n - (1 << 32)))  # the ranges above 2^32 come first
+    out = _raw_outputs(handoff, wide + (len(ranges) - wide + 1) // 2)
+    draws, slow = np.zeros((len(out), k), dtype=np.int64), np.zeros(len(out), dtype=bool)
+    halves = out[:, wide:].astype("<u8", copy=False).view("<u4")  # low half first
+    for lemire, words, lo, hi in ((_lemire64, out, 0, wide),
+                                  (_lemire32, halves, wide, len(ranges))):
+        if lo < hi:  # slow rows, with a rejected draw, are drawn again below
+            part, rejected = lemire(words[:, :hi - lo], ranges[lo:hi])
+            draws[:, lo:hi], slow = part, slow | rejected.any(axis=1)
+    truths = draws + np.arange(k)
+    repeats = (np.diff(np.sort(truths, axis=1), axis=1) == 0).any(axis=1) & ~slow
+    for r in np.flatnonzero(repeats).tolist():
+        truths[r] = _fisher_yates(draws[r].tolist())
     for r in np.flatnonzero(slow).tolist():
         row = handoff[:, r:r + 1]
         row[:] = seeded[:, r:r + 1]

@@ -35,15 +35,16 @@ BATCH = 1024  # as the harness batches
 
 @pytest.fixture
 def per_trial(monkeypatch):
-    """Counts the rows `sample_defective_sets` draws one by one: the calls of
-    `_bounded_draws` on the package's own PCG64, not on a numpy bit
+    """The draws of each row `sample_defective_sets` draws one by one: the
+    calls of `_bounded_draws` on the package's own PCG64, not on a numpy bit
     generator."""
     rows, bounded = [], model._bounded_draws
 
     def counted(n, k, raw):
+        draws = bounded(n, k, raw)
         if not isinstance(getattr(raw, "__self__", None), np.random.PCG64):
-            rows.append(1)
-        return bounded(n, k, raw)
+            rows.append(tuple(draws))
+        return draws
 
     monkeypatch.setattr(model, "_bounded_draws", counted)
     return rows
@@ -55,6 +56,25 @@ def numpy_sample(n, k, bits):
     by `test_fisher_yates_matches_full_array_swaps`."""
     draws = np.random.Generator(bits).integers(n - np.arange(k)).tolist()
     return frozenset(_fisher_yates(draws)), bits.state
+
+
+def rejected_rows(n, k, seeds):
+    """The draws, sorted, of each seed whose numpy 2.4.6 bounded draws on
+    PCG64(seed) make a draw again: those read more words than the ones a
+    draw takes on its first try, a whole output for a range above 2^32, a
+    32-bit half for the rest, and none for a last range of 1 (k == n). A
+    rejection reads a whole output or a half more, so it moves the stream
+    past the first-try count or leaves no half held where one would be."""
+    m = k - (k == n)
+    wide = min(m, max(0, n - 2**32))
+    rows = []
+    for seed in seeds:
+        bits = np.random.PCG64(seed)
+        draws = tuple(np.random.Generator(bits).integers(n - np.arange(k)).tolist())
+        first_try = np.random.PCG64(seed).advance(wide + (m - wide + 1) // 2).state["state"]
+        if (bits.state["state"], bits.state["has_uint32"]) != (first_try, (m - wide) % 2):
+            rows.append(draws)
+    return sorted(rows)
 
 
 @pytest.mark.parametrize("n,k", [(500, 10), (9699, 30), (100000, 71)])
@@ -103,13 +123,15 @@ def test_handoff_is_state_and_inc(per_trial, n, k, master):
         sample_defective_set(n, k, ref)
         assert bits.state == ref.state and ref.state["has_uint32"] == 0
         assert bits.random_raw() == ref.random_raw()
-    # rows drawn one by one: none, those with a rejected draw, or all at 64-bit draws
+    # rows drawn one by one: exactly those with a rejected draw, which
+    # 64-bit draws at n = 2^32 + 7 make about once in 2^32 draws
+    assert sorted(per_trial) == rejected_rows(n, k, seeds.tolist())
     if n == 1000:
         assert not per_trial
     elif n < 2**32:
         assert 0 < len(per_trial) < len(seeds)
     else:
-        assert len(per_trial) == len(seeds)
+        assert not per_trial
 
 
 @pytest.mark.parametrize("n,k", [
@@ -183,14 +205,23 @@ def test_derive_stream_seeds_matches_scalar(master):
             == [derive_stream_seed(derive_stream_seed(master, s), 0) for s in streams])
 
 
-@pytest.mark.parametrize("n,k,bulk", [(10, 10, False), (1, 1, False), (2**32 + 7, 3, False),
-                                      (2**32 - 1, 2, True), (5, 0, True), (5, 4, True)])
+@pytest.mark.parametrize("n,k,bulk", [
+    (10, 10, True), (1, 1, True),  # k == n: the last draw takes no word
+    (2**32 + 7, 3, True), (2**32 + 30, 30, True),  # 64-bit draws, down to range 2^32 + 1
+    (2**32 + 15, 30, True),  # 15 64-bit draws, then 15 32-bit ones
+    (2**40, 30, True), (2**53, 30, True),  # 64-bit draws; 2^64 mod n is 0: none rejected
+    (2**53 - 2**53 // 2049 + 100, 30, False),  # 2^64 mod n about n: 2^-11 a draw rejected
+    (3 * 10**9, 40, False),  # 2^32 mod n is 30% of 2^32: nearly every row draws again
+    (2**32 - 1, 2, True), (5, 0, True), (5, 4, True),
+])
 def test_bulk_sampler_edges(per_trial, n, k, bulk):
-    # k == n and n > 2^32 - 1 take the per-trial path for every row
+    # every row is drawn in bulk unless one of its draws is rejected: then
+    # that row, and no other, is drawn again on its own; bulk: no row is
     seeds = derive_stream_seeds(7, np.arange(300))
     truths, handoff = sample_defective_sets(n, k, seeds)
     assert truths.shape == (300, k)
-    assert len(per_trial) == (0 if bulk else 300)
+    assert sorted(per_trial) == rejected_rows(n, k, seeds.tolist())
+    assert bool(per_trial) != bulk
     for seed, row, bits in zip(seeds.tolist(), truths.tolist(), handed_on(handoff)):
         ref = np.random.PCG64(seed)
         assert frozenset(row) == sample_defective_set(n, k, ref) and len(set(row)) == k

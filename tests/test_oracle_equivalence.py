@@ -749,7 +749,7 @@ EDGE_NOISES = {**NOISES, "erasure1.0": NoiseModel.erasure(1.0)}
 
 
 @pytest.mark.parametrize("alg,noise,n,k,trials", [
-    ("hgbsa", "noiseless", 10, 10, 20),  # k == n: every row per trial
+    ("hgbsa", "noiseless", 10, 10, 20),  # k == n: the last draw takes no word
     ("variant", "erasure", 10, 10, 20),
     ("rbt", "erasure", 10, 10, 20),
     ("hgbsa", "erasure", 50, 1, 40),

@@ -277,6 +277,31 @@ def test_erasure_sweep_within_z4_of_exact(alg):
     check_within_z4_tails(spec, exact)
 
 
+def symmetric_cdf(dist, p):
+    """P(success, S <= t) at t = 0..len(dist) under symmetric noise p. A
+    splitting trial never returns left of the item a round finds, so it
+    succeeds iff no test of its noiseless run is flipped, and then spends
+    exactly its noiseless count T: the sum over s <= t of P(T = s) (1 - P)^s,
+    P the flip chance, p rounded up to a multiple of 2^-53 as a raw output's
+    threshold rounds it."""
+    flip = math.ceil(p * 2.0 ** 53) / 2.0 ** 53
+    s = np.arange(len(dist) + 1)
+    return np.minimum(np.cumsum(np.append(dist, 0.0) * (1.0 - flip) ** s), 1.0)
+
+
+@pytest.mark.parametrize("alg", list(RULES))
+@pytest.mark.parametrize("n,k,trials", [(500, 10, 2000), (9699, 30, 1000)])
+def test_symmetric_sweep_within_z4_of_exact(alg, n, k, trials):
+    # at 500 trials the variant at (9699, 30) passes even with the flip
+    # chance 1.3 P (23 wins at its worst case, against 9.7 expected under it)
+    p = 0.01
+    worst, dist = exact_at(alg, n, k)
+    spec = ExperimentSpec(size=ProblemSize(n, k), algorithm=alg,
+                          noise=NoiseModel.symmetric(p), trials=trials, master_seed=3,
+                          budget_range=(0, worst + 1, 1))
+    check_within_z4_tails(spec, symmetric_cdf(dist, p))
+
+
 @pytest.mark.parametrize("alg", list(RULES))
 def test_capacity_rows_within_z4_of_exact_mean(alg):
     # k = n^(1/2): 10 at n = 100, 32 at n = 1000
